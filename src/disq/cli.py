@@ -14,7 +14,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +23,7 @@ from . import __version__, dataio, persist
 from .dataio import SyntheticSpec
 from .fusion import resolve_layer_set
 from .model import TrainConfig, gradient_check, train
-from .quantize import OPENSMILE_CATEGORIES, assign, fit_opensmile_codebooks, kmeans_fit, quantize_opensmile, reconstruct
+from .quantize import OPENSMILE_CATEGORIES, assign, quantize_opensmile, reconstruct
 from .sweep import (
     AUGMENTATIONS,
     CodebookCache,
@@ -189,14 +189,6 @@ def _load_dataset(dataset_dir):
         raise DataError(f"dataset {dataset_dir}: {exc}") from exc
 
 
-def _train_layer_frames(manifest, layer: int) -> np.ndarray:
-    frames = []
-    for rec in manifest.records:
-        seq = dataio.read_feature_file(manifest.root / rec.layer_paths[layer], stream_id=f"layer:{layer}")
-        frames.append(seq.frames)
-    return np.concatenate(frames).astype(np.float64)
-
-
 # --- subcommands ------------------------------------------------------------------
 
 
@@ -221,35 +213,26 @@ def cmd_gen(args, argv) -> int:
 def cmd_codebooks(args, argv) -> int:
     started = time.time()
     out = _out_dir(args, "codebooks")
+    ds = _load_dataset(args.dataset)
     try:
-        manifest = dataio.load_split(args.dataset, "train")
-    except (FileNotFoundError, ValueError, json.JSONDecodeError) as exc:
-        raise DataError(f"dataset {args.dataset}: {exc}") from exc
-    try:
-        _, layers = resolve_layer_set(args.layers, manifest.layer_count)
+        _, layers = resolve_layer_set(args.layers, ds.layer_count)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     if args.k < 1:
         raise ConfigError("--k: must be >= 1")
 
     index = {"k": args.k, "seed": args.seed, "layers": list(layers), "opensmile": bool(args.opensmile)}
+    cache = CodebookCache()
+    train_utts = ds.utterances["train"]
+    layer_frames = sum(u.n_frames for u in train_utts)
+    osm_frames = sum(u.opensmile.n_frames for u in train_utts if u.opensmile is not None)
     try:
         for layer in layers:
-            frames = _train_layer_frames(manifest, layer)
-            cb = kmeans_fit(frames, args.k, args.seed, stream_id=f"layer:{layer}")
-            persist.save_codebook(cb, out / f"layer_{layer:02d}", extra={"train_frames": len(frames)})
+            cb = cache.layer_codebook(ds, layer, args.k, args.seed)
+            persist.save_codebook(cb, out / f"layer_{layer:02d}", extra={"train_frames": layer_frames})
         if args.opensmile:
-            osm_frames = []
-            for rec in manifest.records:
-                if rec.opensmile_path is not None:
-                    osm_frames.append(dataio.read_feature_file(manifest.root / rec.opensmile_path).frames)
-            if not osm_frames:
-                raise DataError("no opensmile streams in the train split")
-            stacked = np.concatenate(osm_frames).astype(np.float64)
-            for name, cb in fit_opensmile_codebooks(stacked, args.seed).items():
-                persist.save_codebook(cb, out / f"osm_{name}", extra={"train_frames": len(stacked)})
-    except dataio.FeatureFileError as exc:
-        raise DataError(str(exc)) from exc
+            for name, cb in cache.osm_codebooks(ds, args.seed).items():
+                persist.save_codebook(cb, out / f"osm_{name}", extra={"train_frames": osm_frames})
     except ValueError as exc:
         raise DataError(str(exc)) from exc
     (out / "index.json").write_text(json.dumps(index, indent=1, sort_keys=True) + "\n")
@@ -264,6 +247,9 @@ def _load_codebook_dir(codebook_dir):
     if not index_path.is_file():
         raise DataError(f"{codebook_dir}: missing index.json")
     index = json.loads(index_path.read_text())
+    missing = sorted({"k", "seed", "layers"} - set(index))
+    if missing:
+        raise DataError(f"{index_path}: missing {', '.join(missing)}")
     layer_books = {
         layer: persist.load_codebook(codebook_dir / f"layer_{layer:02d}") for layer in index["layers"]
     }
@@ -284,6 +270,11 @@ def cmd_tokenize(args, argv) -> int:
         index, layer_books, osm_books = _load_codebook_dir(args.codebooks)
     except (FileNotFoundError, ValueError, json.JSONDecodeError, dataio.FeatureFileError) as exc:
         raise DataError(str(exc)) from exc
+    outside = sorted(set(layer_books) - set(range(manifest.layer_count)))
+    if outside:
+        raise DataError(
+            f"codebooks cover layers {outside}, but the dataset has layers 0..{manifest.layer_count - 1}"
+        )
 
     def dump_tokens(path, payload):
         path.write_text(json.dumps(payload, indent=None, sort_keys=True) + "\n")
@@ -463,16 +454,7 @@ def cmd_sweep(args, argv) -> int:
         ]
         (out / "failures.txt").write_text("\n".join(lines) + "\n")
         print(f"warning: {len(result.failures)} cell runs failed (see failures.txt)", file=sys.stderr)
-    grid_payload = {
-        "ks": list(grid.ks),
-        "layer_sets": list(grid.layer_sets),
-        "seeds": list(grid.seeds),
-        "augmentations": list(grid.augmentations),
-        "include_continuous": grid.include_continuous,
-        "codebook_seed": grid.codebook_seed,
-        "train": vars(grid.train).copy(),
-    }
-    _write_metadata(out, "sweep", argv, grid_payload, list(grid.seeds), started)
+    _write_metadata(out, "sweep", argv, asdict(grid), list(grid.seeds), started)
     print(f"sweep results written to {out} ({len(result.rows)} rows)")
     return 0
 

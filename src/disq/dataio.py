@@ -121,13 +121,12 @@ def read_feature_file(path, stream_id: str | None = None) -> FeatureSequence:
 
 @dataclass
 class UtteranceRecord:
-    """All streams of one utterance: layer features, optional opensmile, label, mask."""
+    """All streams of one utterance: layer features, optional opensmile, label."""
 
     utt_id: str
     layers: dict[int, FeatureSequence]
     opensmile: FeatureSequence | None
     label: int
-    frame_mask: np.ndarray
 
     def __post_init__(self):
         if not self.layers:
@@ -141,16 +140,10 @@ class UtteranceRecord:
             )
         if not 0 <= self.label < N_CLASSES:
             raise ValueError(f"{self.utt_id}: label {self.label} out of range")
-        self.frame_mask = np.asarray(self.frame_mask, dtype=bool)
-        (t,) = {seq.n_frames for seq in self.layers.values()}
-        if self.frame_mask.shape != (t,):
-            raise ValueError(f"{self.utt_id}: mask length {self.frame_mask.shape} != T={t}")
-        if not self.frame_mask.any():
-            raise ValueError(f"{self.utt_id}: frame mask has no valid frames")
 
     @property
     def n_frames(self) -> int:
-        return int(self.frame_mask.shape[0])
+        return next(iter(self.layers.values())).n_frames
 
 
 @dataclass
@@ -246,8 +239,7 @@ def load_utterance(manifest: DatasetManifest, record: ManifestRecord) -> Utteran
     osm = None
     if record.opensmile_path is not None:
         osm = read_feature_file(manifest.root / record.opensmile_path, stream_id="osm")
-    t = layers[0].n_frames
-    return UtteranceRecord(record.utt_id, layers, osm, record.label, np.ones(t, dtype=bool))
+    return UtteranceRecord(record.utt_id, layers, osm, record.label)
 
 
 def load_split(dataset_dir, split: str) -> DatasetManifest:
@@ -319,22 +311,32 @@ class SyntheticSpec:
         )
 
 
+PLACEMENT_RESTARTS = 10
+
+
 def separated_unit_vectors(rng, n: int, dim: int, max_dot: float = 0.2, max_tries: int = 20000):
-    """Draw n unit vectors with pairwise dot products <= max_dot (rejection sampled)."""
-    rows: list[np.ndarray] = []
-    tries = 0
-    while len(rows) < n:
-        tries += 1
-        if tries > max_tries:
-            raise RuntimeError(f"could not place {n} separated vectors in {dim} dims")
-        v = rng.standard_normal(dim)
-        norm = np.linalg.norm(v)
-        if norm < 1e-12:
-            continue
-        v = v / norm
-        if all(float(v @ r) <= max_dot for r in rows):
-            rows.append(v)
-    return np.stack(rows)
+    """Draw n unit vectors with pairwise dot products <= max_dot (rejection sampled).
+
+    Greedy placement can get stuck with a set that leaves no room for the
+    next vector; after max_tries draws it starts again from an empty set, at
+    most PLACEMENT_RESTARTS times. A placement that fits in its first
+    max_tries draws never restarts, so the restarts change no such draw.
+    """
+    for _ in range(PLACEMENT_RESTARTS + 1):
+        rows: list[np.ndarray] = []
+        tries = 0
+        while len(rows) < n and tries < max_tries:
+            tries += 1
+            v = rng.standard_normal(dim)
+            norm = np.linalg.norm(v)
+            if norm < 1e-12:
+                continue
+            v = v / norm
+            if all(float(v @ r) <= max_dot for r in rows):
+                rows.append(v)
+        if len(rows) == n:
+            return np.stack(rows)
+    raise RuntimeError(f"could not place {n} separated vectors in {dim} dims")
 
 
 def synthetic_class_means(spec: SyntheticSpec):

@@ -9,7 +9,8 @@ at tight tolerances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from copy import deepcopy
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -28,11 +29,10 @@ VAR_FLOOR = 1e-8  # keeps the pooling std differentiable at zero variance
 
 @dataclass
 class PreparedUtterance:
-    """Model-ready utterance: frozen stream tensor plus label and mask."""
+    """Model-ready utterance: frozen stream tensor plus label."""
 
     utt_id: str
     streams: np.ndarray  # (n_layers, T, dim)
-    mask: np.ndarray  # (T,) bool
     label: int
     osm: np.ndarray | None = None  # (T, osm_dim), already aligned to T
 
@@ -84,61 +84,19 @@ class ModelParams:
     head: HeadParams
 
     def param_items(self) -> list[tuple[str, np.ndarray]]:
-        """Trainable tensors by name; class_weights are deliberately absent."""
-        items = [
-            ("fusion.layer_gain", self.fusion.layer_gain),
-            ("fusion.layer_bias", self.fusion.layer_bias),
-            ("fusion.attn_w", self.fusion.attn_w),
-            ("fusion.attn_b", self.fusion.attn_b),
-            ("fusion.temperature_raw", self.fusion.temperature_raw),
+        """Trainable tensors by name in field order; class_weights are deliberately absent.
+
+        Unset (None) modality fields of a token-only model are skipped.
+        """
+        return [
+            (f"{prefix}.{f.name}", getattr(part, f.name))
+            for prefix, part in (("fusion", self.fusion), ("head", self.head))
+            for f in fields(part)
+            if f.name != "class_weights" and getattr(part, f.name) is not None
         ]
-        if self.fusion.augmented:
-            items += [
-                ("fusion.mod_gain_fused", self.fusion.mod_gain_fused),
-                ("fusion.mod_bias_fused", self.fusion.mod_bias_fused),
-                ("fusion.mod_gain_osm", self.fusion.mod_gain_osm),
-                ("fusion.mod_bias_osm", self.fusion.mod_bias_osm),
-                ("fusion.gamma_fused", self.fusion.gamma_fused),
-                ("fusion.gamma_osm", self.fusion.gamma_osm),
-            ]
-        items += [
-            ("head.pool_v", self.head.pool_v),
-            ("head.pool_b", self.head.pool_b),
-            ("head.w1", self.head.w1),
-            ("head.b1", self.head.b1),
-            ("head.w2", self.head.w2),
-            ("head.b2", self.head.b2),
-        ]
-        return items
 
     def copy(self) -> "ModelParams":
-        fusion = replace(
-            self.fusion,
-            **{
-                f: (None if getattr(self.fusion, f) is None else getattr(self.fusion, f).copy())
-                for f in (
-                    "layer_gain",
-                    "layer_bias",
-                    "attn_w",
-                    "attn_b",
-                    "temperature_raw",
-                    "mod_gain_fused",
-                    "mod_bias_fused",
-                    "mod_gain_osm",
-                    "mod_bias_osm",
-                    "gamma_fused",
-                    "gamma_osm",
-                )
-            },
-        )
-        head = replace(
-            self.head,
-            **{
-                f: getattr(self.head, f).copy()
-                for f in ("pool_v", "pool_b", "w1", "b1", "w2", "b2", "class_weights")
-            },
-        )
-        return ModelParams(fusion, head)
+        return deepcopy(self)
 
 
 def init_head_params(
@@ -252,7 +210,7 @@ def collate(items: list[PreparedUtterance]) -> Batch:
             raise ValueError("batch mixes utterances with and without an opensmile branch")
         t = it.streams.shape[1]
         x[i, :, :t] = it.streams
-        mask[i, :t] = it.mask
+        mask[i, :t] = True
         if has_osm:
             osm[i, :t] = it.osm
         labels[i] = it.label
@@ -643,7 +601,6 @@ def gradient_check(
             PreparedUtterance(
                 utt_id=f"g{i}",
                 streams=rng.standard_normal((n_layers, t, dim)),
-                mask=np.ones(t, dtype=bool),
                 label=int(rng.integers(N_CLASSES)),
                 osm=None if osm_dim is None else rng.standard_normal((t, osm_dim)),
             )

@@ -9,6 +9,7 @@ are not 2-D are recorded in the metadata and restored on load.
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -91,27 +92,17 @@ def load_checkpoint(ckpt_dir) -> tuple[ModelParams, dict]:
         seq = read_feature_file(ckpt_dir / "params" / f"{name}.dsqf", stream_id=name)
         return seq.frames.astype(np.float64).reshape(shapes[name])
 
+    # the optional modality branch (the None-default fields) is stored whole
+    # or not at all; FusionParams.augmented keys it on mod_gain_osm
     augmented = "fusion.mod_gain_osm" in shapes
-    fusion = FusionParams(
-        layer_gain=tensor("fusion.layer_gain"),
-        layer_bias=tensor("fusion.layer_bias"),
-        attn_w=tensor("fusion.attn_w"),
-        attn_b=tensor("fusion.attn_b"),
-        temperature_raw=tensor("fusion.temperature_raw"),
-        mod_gain_fused=tensor("fusion.mod_gain_fused") if augmented else None,
-        mod_bias_fused=tensor("fusion.mod_bias_fused") if augmented else None,
-        mod_gain_osm=tensor("fusion.mod_gain_osm") if augmented else None,
-        mod_bias_osm=tensor("fusion.mod_bias_osm") if augmented else None,
-        gamma_fused=tensor("fusion.gamma_fused") if augmented else None,
-        gamma_osm=tensor("fusion.gamma_osm") if augmented else None,
-    )
-    head = HeadParams(
-        pool_v=tensor("head.pool_v"),
-        pool_b=tensor("head.pool_b"),
-        w1=tensor("head.w1"),
-        b1=tensor("head.b1"),
-        w2=tensor("head.w2"),
-        b2=tensor("head.b2"),
-        class_weights=tensor("head.class_weights"),
-    )
-    return ModelParams(fusion, head), meta
+
+    def build(cls, prefix: str):
+        return cls(
+            **{
+                f.name: tensor(f"{prefix}.{f.name}")
+                for f in fields(cls)
+                if augmented or f.default is not None
+            }
+        )
+
+    return ModelParams(build(FusionParams, "fusion"), build(HeadParams, "head")), meta

@@ -28,9 +28,9 @@ from .quantize import (
     assign,
     fit_opensmile_codebooks,
     kmeans_fit,
-    nearest_centroids,
     quantize_opensmile,
     reconstruct,
+    rvq_encode,
     rvq_fit,
 )
 
@@ -83,6 +83,10 @@ def load_dataset(dataset_dir) -> LoadedDataset:
         feature_dim=manifests["train"].feature_dim,
         train_hash=hashlib.sha256(train_bytes).hexdigest(),
     )
+
+
+def _train_frames(ds: LoadedDataset, layer: int) -> np.ndarray:
+    return np.concatenate([u.layers[layer].frames for u in ds.utterances["train"]])
 
 
 class _KeyedCache:
@@ -145,15 +149,12 @@ class CodebookCache:
     def misses(self) -> int:
         return self._books.misses
 
-    def _train_frames(self, ds: LoadedDataset, layer: int) -> np.ndarray:
-        return np.concatenate([u.layers[layer].frames for u in ds.utterances["train"]])
-
     def layer_codebook(self, ds: LoadedDataset, layer: int, k: int, seed: int) -> Codebook:
         key = ("layer", ds.train_hash, layer, k, seed)
         return self._books.get_or_fit(
             key,
             lambda: kmeans_fit(
-                self._train_frames(ds, layer),
+                _train_frames(ds, layer),
                 k,
                 seed,
                 self.max_iters,
@@ -164,10 +165,12 @@ class CodebookCache:
 
     def osm_codebooks(self, ds: LoadedDataset, seed: int) -> dict[str, Codebook]:
         def fit():
-            frames = np.concatenate(
-                [u.opensmile.frames for u in ds.utterances["train"] if u.opensmile is not None]
+            frames = [u.opensmile.frames for u in ds.utterances["train"] if u.opensmile is not None]
+            if not frames:
+                raise ValueError("no opensmile streams in the train split")
+            return fit_opensmile_codebooks(
+                np.concatenate(frames), seed, max_iters=self.max_iters, rel_tol=self.rel_tol
             )
-            return fit_opensmile_codebooks(frames, seed, max_iters=self.max_iters, rel_tol=self.rel_tol)
 
         return self._books.get_or_fit(("osm", ds.train_hash, seed), fit)
 
@@ -221,30 +224,17 @@ def prepare_rvq_items(
     selected stage's centroid lookup becomes one stream, so the downstream
     attention head consumes them exactly like per-layer streams.
     """
-    frames = np.concatenate([u.layers[layer].frames for u in ds.utterances["train"]])
-    rvq = rvq_fit(frames, n_stages, k_per_stage, seed, stream_id=f"rvq:layer{layer}")
+    rvq = rvq_fit(_train_frames(ds, layer), n_stages, k_per_stage, seed, stream_id=f"rvq:layer{layer}")
     stages = tuple(range(n_stages)) if stages_used is None else tuple(stages_used)
     if any(s < 0 or s >= n_stages for s in stages):
         raise ValueError(f"stages_used {stages} outside 0..{n_stages - 1}")
     items = []
     for utt in ds.utterances[split]:
-        residual = np.asarray(utt.layers[layer].frames, dtype=np.float64).copy()
-        recons = []
-        for cb in rvq.stages:
-            _, idx = nearest_centroids(residual, cb.centroids)
-            recon = cb.centroids[idx]
-            residual -= recon
-            recons.append(recon.astype(np.float32))
-        streams = np.stack([recons[s] for s in stages])
-        items.append(
-            PreparedUtterance(
-                utt_id=utt.utt_id,
-                streams=streams,
-                mask=utt.frame_mask,
-                label=utt.label,
-                osm=None,
-            )
+        tokens = rvq_encode(rvq, utt.layers[layer])
+        streams = np.stack(
+            [rvq.stages[s].centroids[tokens[s].indices].astype(np.float32) for s in stages]
         )
+        items.append(PreparedUtterance(utt_id=utt.utt_id, streams=streams, label=utt.label, osm=None))
     return items
 
 
@@ -284,15 +274,7 @@ def prepare_items(
             if osm74[i] is None:
                 raise ValueError(f"{utt.utt_id}: augmentation requested but no opensmile stream")
             osm = resample(_osm_block(np.asarray(osm74[i]), aug), streams.shape[1])
-        items.append(
-            PreparedUtterance(
-                utt_id=utt.utt_id,
-                streams=streams,
-                mask=utt.frame_mask,
-                label=utt.label,
-                osm=osm,
-            )
-        )
+        items.append(PreparedUtterance(utt_id=utt.utt_id, streams=streams, label=utt.label, osm=osm))
     return items
 
 

@@ -1,10 +1,15 @@
 import hashlib
 import json
+import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from disq.cli import build_parser, main
+from disq.dataio import read_feature_file
+from disq.quantize import OPENSMILE_CATEGORIES
+from disq.sweep import CodebookCache, load_dataset
 
 from conftest import tiny_spec
 
@@ -104,6 +109,15 @@ def test_codebooks_tokenize_roundtrip(cli_workspace, tmp_path):
     assert (cb / "osm_prosody.dsqf").is_file()
     sidecar = json.loads((cb / "layer_03.json").read_text())
     assert sidecar["k"] == 8 and "train_frames" in sidecar
+
+    # the command fits exactly the codebooks train, eval and sweep fit
+    ds, cache = load_dataset(data), CodebookCache()
+    for layer in (2, 3):
+        expected = np.float32(cache.layer_codebook(ds, layer, 8, 0).centroids)
+        assert np.array_equal(read_feature_file(cb / f"layer_{layer:02d}.dsqf").frames, expected)
+    for name, book in cache.osm_codebooks(ds, 0).items():
+        assert np.array_equal(read_feature_file(cb / f"osm_{name}.dsqf").frames, np.float32(book.centroids))
+    assert sorted(cache.osm_codebooks(ds, 0)) == sorted(OPENSMILE_CATEGORIES.names())
 
     tok = tmp_path / "tok"
     assert run(["tokenize", "--dataset", data, "--split", "dev", "--codebooks", cb, "--out", tok]) == 0
@@ -207,6 +221,48 @@ def test_exit_codes(cli_workspace, tmp_path, capsys):
 
     # k larger than the train frame count is a data error
     assert run(["codebooks", "--dataset", cli_workspace / "data", "--layers", "3", "--k", 10**6, "--out", tmp_path / "w"]) == 3
+
+
+def test_tokenize_rejects_codebooks_the_dataset_cannot_use(cli_workspace, tmp_path, capsys):
+    data = cli_workspace / "data"
+    cb = tmp_path / "cb"
+    assert run(["codebooks", "--dataset", data, "--layers", "3", "--k", 8, "--out", cb]) == 0
+
+    # layer-5 codebooks against the 4-layer dataset
+    wide = tmp_path / "wide"
+    shutil.copytree(cb, wide)
+    for suffix in (".dsqf", ".json"):
+        (wide / f"layer_03{suffix}").rename(wide / f"layer_05{suffix}")
+    index = json.loads((cb / "index.json").read_text())
+    (wide / "index.json").write_text(json.dumps(dict(index, layers=[5])))
+    assert run(["tokenize", "--dataset", data, "--codebooks", wide, "--out", tmp_path / "t1"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: data:") and "[5]" in err
+
+    # an index without its layer list
+    partial = tmp_path / "partial"
+    shutil.copytree(cb, partial)
+    (partial / "index.json").write_text(json.dumps({k: v for k, v in index.items() if k != "layers"}))
+    assert run(["tokenize", "--dataset", data, "--codebooks", partial, "--out", tmp_path / "t2"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: data:") and "layers" in err
+
+
+def test_paralinguistic_fits_need_opensmile_streams(cli_workspace, tmp_path, capsys):
+    data = tmp_path / "no_osm"
+    shutil.copytree(cli_workspace / "data", data)
+    manifest = json.loads((data / "manifest_train.json").read_text())
+    for rec in manifest["records"]:
+        rec["opensmile"] = None
+    (data / "manifest_train.json").write_text(json.dumps(manifest))
+
+    message = "error: data: no opensmile streams in the train split"
+    argv = ["codebooks", "--dataset", data, "--layers", "3", "--k", 8, "--opensmile", "--out", tmp_path / "cb"]
+    assert run(argv) == 3
+    assert message in capsys.readouterr().err
+    argv = ["train", "--dataset", data, "--layer-set", "3", "--k", 8, "--aug", "prosody", "--out", tmp_path / "tr"]
+    assert run(argv) == 3
+    assert message in capsys.readouterr().err
 
 
 def test_run_dir_env_var(cli_workspace, tmp_path, monkeypatch):

@@ -1,5 +1,6 @@
 import hashlib
 import struct
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ from disq.dataio import (
     synthetic_class_means,
     write_feature_file,
 )
+from disq.reference import reference_spec
 
 from conftest import tiny_spec
 
@@ -222,3 +224,13 @@ def test_spec_validation():
         tiny_spec(layer_informativeness=(0.1, 0.2, 0.3, 1.5))  # out of range
     spec = tiny_spec()
     assert SyntheticSpec.from_json(spec.to_json()) == spec
+
+
+@pytest.mark.parametrize("seed", [40, 80, 166])
+def test_class_means_restart_a_stuck_placement(seed):
+    # greedy placement of the 8 prosody means in 6 dims gets stuck for these seeds
+    mu, nu = synthetic_class_means(replace(reference_spec(), seed=seed))
+    for means in (*mu, nu):
+        dots = means @ means.T
+        assert np.allclose(np.diag(dots), 1.0)
+        assert dots[~np.eye(len(means), dtype=bool)].max() <= 0.2

@@ -42,7 +42,6 @@ def random_items(rng, n_items=3, n_layers=3, dim=6, osm_dim=None, t_range=(4, 9)
             PreparedUtterance(
                 utt_id=f"u{i}",
                 streams=rng.standard_normal((n_layers, t, dim)),
-                mask=np.ones(t, dtype=bool),
                 label=int(rng.integers(8)),
                 osm=rng.standard_normal((t, osm_dim)) if osm_dim else None,
             )
@@ -186,11 +185,12 @@ def test_forward_batch_matches_composed_ops(rng, osm_dim):
     normed = [
         layer_norm(it.streams[l], fp.layer_gain[l], fp.layer_bias[l]) for l in range(n_layers)
     ]
-    summaries = np.stack([masked_average_pool(h, it.mask) for h in normed])
+    valid = np.ones(it.streams.shape[1], dtype=bool)
+    summaries = np.stack([masked_average_pool(h, valid) for h in normed])
     alpha = layer_attention(summaries, fp.attn_w, fp.attn_b, fp.temperature())
     fused = fuse_layers(normed, alpha)
     z = modality_fuse(fused, it.osm, fp) if osm_dim else fused
-    pooled = attentive_stats_pool(z, it.mask, hp.pool_v, hp.pool_b)
+    pooled = attentive_stats_pool(z, valid, hp.pool_v, hp.pool_b)
     logits = mlp_forward(pooled, hp)
     ref_loss, _ = weighted_ce(logits, it.label, hp.class_weights)
     ref_loss /= hp.class_weights[it.label]
@@ -258,6 +258,36 @@ def test_finite_difference_check_covers_every_parameter(rng):
     assert worst < 1e-3
 
 
+FUSION_CORE = ["layer_gain", "layer_bias", "attn_w", "attn_b", "temperature_raw"]
+MODALITY = ["mod_gain_fused", "mod_bias_fused", "mod_gain_osm", "mod_bias_osm", "gamma_fused", "gamma_osm"]
+HEAD = ["pool_v", "pool_b", "w1", "b1", "w2", "b2"]
+
+
+@pytest.mark.parametrize("osm_dim", [None, 3])
+def test_param_items_names_and_order(rng, osm_dim):
+    params = init_model_params(rng, 2, 4, osm_dim, hidden=5)
+    fusion = FUSION_CORE + (MODALITY if osm_dim else [])
+    expected = [f"fusion.{n}" for n in fusion] + [f"head.{n}" for n in HEAD]
+    assert [name for name, _ in params.param_items()] == expected
+    for name, arr in params.param_items():
+        part, field_name = name.split(".")
+        assert arr is getattr(getattr(params, part), field_name)
+
+
+@pytest.mark.parametrize("osm_dim", [None, 3])
+def test_copy_shares_no_array(rng, osm_dim):
+    params = init_model_params(rng, 2, 4, osm_dim, hidden=5, class_weights=rng.uniform(0.5, 2, 8))
+    clone = params.copy()
+    for part in ("fusion", "head"):
+        for name, arr in vars(getattr(params, part)).items():
+            twin = getattr(getattr(clone, part), name)
+            if arr is None:
+                assert twin is None, name
+            else:
+                assert not np.shares_memory(arr, twin), name
+                assert np.array_equal(arr, twin), name
+
+
 # --- training loop ------------------------------------------------------------------
 
 
@@ -268,7 +298,7 @@ def separable_items(rng, n=48, n_layers=2, dim=8):
         label = i % 8
         t = int(rng.integers(5, 9))
         streams = means[label] + 0.3 * rng.standard_normal((n_layers, t, dim))
-        items.append(PreparedUtterance(f"u{i:03d}", streams, np.ones(t, bool), label))
+        items.append(PreparedUtterance(f"u{i:03d}", streams, label))
     return items
 
 

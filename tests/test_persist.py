@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from disq.model import init_model_params
@@ -38,3 +40,15 @@ def test_checkpoint_roundtrip(tmp_path, rng, osm_dim):
         assert arr2.shape == arr.shape, name
         assert arr2 == pytest.approx(arr, abs=1e-5), name
     assert back.head.class_weights == pytest.approx(params.head.class_weights, abs=1e-6)
+
+
+@pytest.mark.parametrize("missing", ["head.w1", "head.class_weights", "fusion.attn_w", "fusion.gamma_osm"])
+def test_checkpoint_missing_required_tensor(tmp_path, rng, missing):
+    params = init_model_params(rng, 3, 5, 6, hidden=7)
+    save_checkpoint(tmp_path / "ckpt", params, {})
+    meta_path = tmp_path / "ckpt" / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    del meta["param_shapes"][missing]
+    meta_path.write_text(json.dumps(meta))
+    with pytest.raises(KeyError):
+        load_checkpoint(tmp_path / "ckpt")

@@ -269,9 +269,9 @@ def test_prepare_rvq_items_stage_streams(tiny_dataset):
 
     items = prepare_rvq_items(tiny_dataset, "dev", layer=3, n_stages=4, k_per_stage=8)
     assert items[0].streams.shape[0] == 4
-    assert items[0].streams.shape[1] == items[0].mask.shape[0]
-    # later stages add detail: cumulative reconstruction error shrinks
     utt = tiny_dataset.utterances["dev"][0]
+    assert items[0].streams.shape[1] == utt.n_frames
+    # later stages add detail: cumulative reconstruction error shrinks
     x = utt.layers[3].frames.astype(np.float64)
     cumulative = np.zeros_like(x)
     errs = []
