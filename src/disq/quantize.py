@@ -63,25 +63,32 @@ class TokenSequence:
 def nearest_centroids(x: np.ndarray, centroids: np.ndarray):
     """Squared distance to, and index of, each row's nearest centroid.
 
-    Chunked |x|^2 - 2 x.c + |c|^2 expansion; ties go to the lowest centroid
-    index (np.argmin keeps the first minimum).
+    Centroids are ranked by 0.5*|c|^2 - x.c, which orders them as the full
+    |x|^2 - 2 x.c + |c|^2 expansion does: |x|^2 is constant per row and
+    halving is exact in binary floating point. Scores go, chunk by chunk,
+    into one reused buffer; ties go to the lowest centroid index (np.argmin
+    keeps the first minimum).
     """
     x = np.asarray(x, dtype=np.float64)
     centroids = np.asarray(centroids, dtype=np.float64)
     n, k = x.shape[0], centroids.shape[0]
-    c2 = np.einsum("kd,kd->k", centroids, centroids)
+    half_c2 = 0.5 * np.einsum("kd,kd->k", centroids, centroids)
     ct = centroids.T
     out_d2 = np.empty(n)
     out_idx = np.empty(n, dtype=np.int64)
     chunk = max(1, int(4_000_000 // max(k, 1)))
+    scores = np.empty((min(chunk, n), k))
     for start in range(0, n, chunk):
         xs = x[start : start + chunk]
-        d2 = np.einsum("nd,nd->n", xs, xs)[:, None] + c2[None, :] - 2.0 * (xs @ ct)
-        idx = np.argmin(d2, axis=1)
+        s = scores[: xs.shape[0]]
+        np.matmul(xs, ct, out=s)
+        np.subtract(half_c2, s, out=s)
+        idx = np.argmin(s, axis=1)
         out_idx[start : start + chunk] = idx
         # recompute the winning distance with the direct formula: exact at
         # fixed points where the expansion leaves ~1e-16 residue
-        diff = xs - centroids[idx]
+        diff = centroids[idx]
+        np.subtract(xs, diff, out=diff)
         out_d2[start : start + chunk] = np.einsum("nd,nd->n", diff, diff)
     return out_d2, out_idx
 
@@ -90,10 +97,19 @@ def _kmeanspp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
     n = x.shape[0]
     centroids = np.empty((k, x.shape[1]))
     chosen = np.zeros(n, dtype=bool)
+    # one dim-major copy of x: each distance pass is d contiguous row updates
+    xt = np.ascontiguousarray(x.T)
+    scratch = np.empty_like(xt)
+
+    def sq_dist(c):
+        np.subtract(xt, c[:, None], out=scratch)
+        np.square(scratch, out=scratch)
+        return scratch.sum(axis=0)
+
     first = int(rng.integers(n))
     centroids[0] = x[first]
     chosen[first] = True
-    d2 = ((x - centroids[0]) ** 2).sum(axis=1)
+    d2 = sq_dist(centroids[0])
     for j in range(1, k):
         total = float(d2.sum())
         if total > 0.0:
@@ -105,15 +121,18 @@ def _kmeanspp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
             idx = int(pool[rng.integers(pool.size)])
         centroids[j] = x[idx]
         chosen[idx] = True
-        d2 = np.minimum(d2, ((x - centroids[j]) ** 2).sum(axis=1))
+        np.minimum(d2, sq_dist(centroids[j]), out=d2)
     return centroids
 
 
 def _lloyd_update(x, centroids, assign_idx, d2, k):
     """Mean update plus farthest-point reseeding of empty clusters."""
     counts = np.bincount(assign_idx, minlength=k)
-    sums = np.zeros_like(centroids)
-    np.add.at(sums, assign_idx, x)
+    # bincount adds each column's weights in row order, as a row-wise
+    # scatter-add would, so the sums are the same bits
+    sums = np.empty_like(centroids)
+    for j in range(x.shape[1]):
+        sums[:, j] = np.bincount(assign_idx, weights=x[:, j], minlength=k)
     new = centroids.copy()
     occupied = counts > 0
     new[occupied] = sums[occupied] / counts[occupied, None]

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import dataio
-from .dataio import N_CLASSES, DatasetManifest, UtteranceRecord
+from .dataio import N_CLASSES, DatasetManifest, FeatureSequence, UtteranceRecord
 from .fusion import LAYER_SETS, resolve_layer_set, resample
 from .metrics import confusion_matrix, macro_f1, per_class_f1
 from .model import ModelParams, PreparedUtterance, TrainConfig, predict, train
@@ -179,11 +179,10 @@ class CodebookCache:
         cb = self.layer_codebook(ds, layer, k, seed)
 
         def build():
-            out = []
-            for utt in ds.utterances[split]:
-                tokens = assign(cb, utt.layers[layer])
-                out.append(reconstruct(cb, tokens).frames.astype(np.float32))
-            return out
+            return _per_part(
+                lambda h: reconstruct(cb, assign(cb, h)).frames.astype(np.float32),
+                [u.layers[layer].frames for u in ds.utterances[split]],
+            )
 
         return self._recons.get_or_fit(("layer_recon", ds.train_hash, split, layer, k, seed), build)
 
@@ -192,15 +191,24 @@ class CodebookCache:
         books = self.osm_codebooks(ds, seed)
 
         def build():
-            out = []
-            for utt in ds.utterances[split]:
+            utts = ds.utterances[split]
+            for utt in utts:
                 if utt.opensmile is None:
                     raise ValueError(f"{utt.utt_id}: augmentation requested but no opensmile stream")
-                _, recon = quantize_opensmile(utt.opensmile, books)
-                out.append(recon.frames.astype(np.float32))
-            return out
+            return _per_part(
+                lambda h: quantize_opensmile(h, books)[1].frames.astype(np.float32),
+                [u.opensmile.frames for u in utts],
+            )
 
         return self._recons.get_or_fit(("osm_recon", ds.train_hash, split, seed), build)
+
+
+def _per_part(frame_fn, parts: list[np.ndarray]) -> list[np.ndarray]:
+    """Run a row-wise frame_fn once on all parts' frames, cut back into one array per part."""
+    if not parts:
+        return []
+    rows = frame_fn(FeatureSequence(np.concatenate(parts)))
+    return np.split(rows, np.cumsum([len(p) for p in parts])[:-1])
 
 
 def _osm_block(frames74: np.ndarray, aug: str) -> np.ndarray:

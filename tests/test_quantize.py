@@ -9,11 +9,14 @@ from disq.quantize import (
     CategoryTable,
     FeatureCategory,
     TokenSequence,
+    _kmeanspp_init,
+    _lloyd_update,
     assign,
     elbow_k,
     fit_opensmile_codebooks,
     kmeans_fit,
     knee_by_chord,
+    nearest_centroids,
     quantize_opensmile,
     reconstruct,
     reconstruction_mse,
@@ -50,6 +53,143 @@ def best_1d_two_partition(values):
         if mse < best_mse:
             best_mse, best_centroids = mse, (left.mean(), right.mean())
     return best_mse, best_centroids
+
+
+def reference_kmeanspp_init(x, k, rng):
+    """k-means++ seeding with row-wise distance sums, draw for draw as in kmeans_fit."""
+    n = x.shape[0]
+    centroids = np.empty((k, x.shape[1]))
+    chosen = np.zeros(n, dtype=bool)
+    first = int(rng.integers(n))
+    centroids[0] = x[first]
+    chosen[first] = True
+    d2 = ((x - centroids[0]) ** 2).sum(axis=1)
+    for j in range(1, k):
+        total = float(d2.sum())
+        if total > 0.0:
+            idx = int(rng.choice(n, p=d2 / total))
+        else:
+            candidates = np.flatnonzero(~chosen)
+            pool = candidates if candidates.size else np.arange(n)
+            idx = int(pool[rng.integers(pool.size)])
+        centroids[j] = x[idx]
+        chosen[idx] = True
+        d2 = np.minimum(d2, ((x - centroids[j]) ** 2).sum(axis=1))
+    return centroids
+
+
+def reference_lloyd_update(x, centroids, assign_idx, d2, k):
+    """Mean update with a row-wise scatter-add, then farthest-point reseeding."""
+    counts = np.bincount(assign_idx, minlength=k)
+    sums = np.zeros_like(centroids)
+    np.add.at(sums, assign_idx, x)
+    new = centroids.copy()
+    occupied = counts > 0
+    new[occupied] = sums[occupied] / counts[occupied, None]
+    empty = np.flatnonzero(~occupied)
+    if empty.size:
+        d2 = d2.copy()
+        for j in empty:
+            far = int(np.argmax(d2))
+            new[j] = x[far]
+            d2[far] = -1.0
+    return new, bool(empty.size)
+
+
+def brute_force_nearest(x, centroids):
+    """Per-row direct (x-c)^2 distances; argmin keeps the lowest index on ties."""
+    d2 = np.empty(len(x))
+    idx = np.empty(len(x), dtype=np.int64)
+    for i, row in enumerate(x):
+        dist = ((row - centroids) ** 2).sum(axis=1)
+        idx[i] = np.argmin(dist)
+        d2[i] = dist[idx[i]]
+    return d2, idx
+
+
+# --- quantizer kernels against the reference implementations -------------------
+
+KERNEL_SHAPES = [(60, 1, 5), (200, 3, 16), (500, 6, 32), (400, 14, 64), (300, 32, 40)]
+
+
+@pytest.mark.parametrize("n,d,k", KERNEL_SHAPES)
+def test_kmeanspp_init_matches_reference_bitwise(n, d, k):
+    for seed in range(4):
+        x = np.random.default_rng(seed).standard_normal((n, d)) * (1.0 + seed)
+        got = _kmeanspp_init(x, k, np.random.default_rng(seed))
+        want = reference_kmeanspp_init(x, k, np.random.default_rng(seed))
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "x,k",
+    [
+        (np.full((10, 3), 2.5), 4),  # all points coincide: uniform fallback from j=1
+        # alternating duplicate rows: fallback after two draws
+        (np.tile([[0.0, 0.0], [1.0, 1.0]], (6, 1)), 5),
+    ],
+)
+def test_kmeanspp_init_degenerate_fallback_matches_reference(x, k):
+    for seed in range(6):
+        rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = _kmeanspp_init(x, k, rng_got)
+        want = reference_kmeanspp_init(x, k, rng_want)
+        assert np.array_equal(got, want)
+        # both consumed the same draws
+        assert rng_got.integers(1 << 30) == rng_want.integers(1 << 30)
+
+
+@pytest.mark.parametrize("n,d,k", KERNEL_SHAPES)
+def test_lloyd_update_matches_scatter_add_bitwise(n, d, k):
+    for seed in range(4):
+        rng = np.random.default_rng(100 + seed)
+        x = rng.standard_normal((n, d)) * 3.0
+        centroids = rng.standard_normal((k, d))
+        # leave some clusters empty so the reseeding path runs too
+        assign_idx = rng.integers(k // 2 if seed % 2 else k, size=n)
+        d2 = rng.random(n)
+        got = _lloyd_update(x, centroids, assign_idx, d2, k)
+        want = reference_lloyd_update(x, centroids, assign_idx, d2, k)
+        assert np.array_equal(got[0], want[0])
+        assert got[1] == want[1]
+
+
+def test_nearest_centroids_matches_brute_force_across_chunks():
+    # k=4000 puts 1000 rows in a chunk, so 2500 rows take three chunks
+    rng = np.random.default_rng(53)
+    # 343 grid points for 4000 rows: many duplicated centroids
+    centroids = rng.integers(-3, 4, size=(4000, 3)).astype(float)
+    centroids[1:40] = centroids[0]
+    # half-integer frames are equidistant from several grid points: exact ties
+    x = rng.integers(-8, 9, size=(2500, 3)) / 2.0
+    x[::7] = centroids[rng.integers(4000, size=len(x[::7]))]  # frames sitting on centroids
+    d2, idx = nearest_centroids(x, centroids)
+    want_d2, want_idx = brute_force_nearest(x, centroids)
+    assert np.array_equal(idx, want_idx)
+    assert np.array_equal(d2, want_d2)
+    assert np.all(d2[::7] == 0.0)
+    first_of_value = {}
+    for j, row in enumerate(map(tuple, centroids)):
+        first_of_value.setdefault(row, j)
+    assert all(idx[i] == first_of_value[tuple(x[i])] for i in range(0, len(x), 7))
+    # tied distances really occur, and every tie went to the lowest index
+    n_ties = 0
+    for row, i in zip(x, idx):
+        dist = ((row - centroids) ** 2).sum(axis=1)
+        tied = np.flatnonzero(dist == dist[i])
+        n_ties += len(np.unique(centroids[tied], axis=0)) > 1
+        assert i == tied[0]
+    assert n_ties > 100
+
+
+def test_nearest_centroids_matches_brute_force_random_chunked():
+    rng = np.random.default_rng(59)
+    centroids = rng.standard_normal((4000, 6))
+    x = rng.standard_normal((2500, 6))
+    d2, idx = nearest_centroids(x, centroids)
+    want_d2, want_idx = brute_force_nearest(x, centroids)
+    assert np.array_equal(idx, want_idx)
+    assert d2 == pytest.approx(want_d2, rel=1e-12)
 
 
 # --- kmeans_fit -----------------------------------------------------------------

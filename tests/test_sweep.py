@@ -6,9 +6,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from disq.dataio import generate_synthetic
 from disq.fusion import resolve_layer_set
 from disq.model import predict, train
+from disq.quantize import assign, quantize_opensmile, reconstruct
 from disq.sweep import (
+    CodebookCache,
     CSV_COLUMNS,
     AUGMENTATIONS,
     ResultRow,
@@ -17,6 +20,7 @@ from disq.sweep import (
     average_rows,
     evaluate,
     gains_to_csv,
+    load_dataset,
     prepare_items,
     rows_to_csv,
     rows_to_text,
@@ -24,7 +28,7 @@ from disq.sweep import (
     run_sweep,
 )
 
-from conftest import tiny_train_config
+from conftest import tiny_spec, tiny_train_config
 
 
 def _dir_digest(root) -> dict:
@@ -83,6 +87,34 @@ def test_run_cell_keeps_inputs_and_codebooks_frozen(tiny_dataset, tiny_cache):
     run_cell(tiny_dataset, "3", 8, (0,), tiny_cache, tiny_train_config(epochs=2))
     assert np.array_equal(cb.centroids, centroids_before)
     assert _dir_digest(tiny_dataset.root) == before_files
+
+
+def test_batched_recon_equals_per_utterance_recon(tiny_dataset):
+    cache = CodebookCache()
+    for split in ("train", "dev", "test"):
+        utts = tiny_dataset.utterances[split]
+        assert len({u.n_frames for u in utts}) > 1  # unequal lengths: the cut points matter
+        for layer in (0, 3):
+            cb = cache.layer_codebook(tiny_dataset, layer, 8, 0)
+            got = cache.layer_recon(tiny_dataset, split, layer, 8, 0)
+            assert len(got) == len(utts)
+            for g, u in zip(got, utts):
+                want = reconstruct(cb, assign(cb, u.layers[layer])).frames.astype(np.float32)
+                assert g.dtype == want.dtype and np.array_equal(g, want)
+        books = cache.osm_codebooks(tiny_dataset, 0)
+        got = cache.osm_recon(tiny_dataset, split, 0)
+        assert len(got) == len(utts)
+        for g, u in zip(got, utts):
+            want = quantize_opensmile(u.opensmile, books)[1].frames.astype(np.float32)
+            assert g.dtype == want.dtype and np.array_equal(g, want)
+
+
+def test_quantized_items_of_an_empty_split(tmp_path):
+    # 3 utterances per class all go to train (80/10/10 largest remainder)
+    generate_synthetic(tiny_spec(n_per_class=3, t_range=(40, 48)), tmp_path)
+    ds = load_dataset(tmp_path)
+    assert not ds.utterances["dev"]
+    assert prepare_items(ds, "dev", (0, 3), 4, CodebookCache(), aug="prosody") == []
 
 
 def test_sweep_single_cell_rows(tiny_dataset):
