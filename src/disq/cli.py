@@ -14,24 +14,26 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, replace
+from dataclasses import asdict, dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, dataio, persist
-from .dataio import SyntheticSpec
+from .dataio import FeatureSequence, SyntheticSpec
 from .fusion import resolve_layer_set
 from .model import TrainConfig, gradient_check, train
 from .quantize import OPENSMILE_CATEGORIES, assign, quantize_opensmile, reconstruct
 from .sweep import (
-    AUGMENTATIONS,
     CodebookCache,
     SweepGrid,
     augmentation_report,
+    check_augmentation,
     evaluate,
     gains_to_csv,
     load_dataset,
+    per_part,
     prepare_items,
     rows_to_csv,
     rows_to_text,
@@ -70,77 +72,34 @@ def _load_json_config(path) -> dict:
     return doc
 
 
-def _field(doc: dict, path: str, kind, required=True, default=None, pred=None, pred_desc=""):
-    """Fetch doc[leaf] with a dotted path for error messages."""
-    leaf = path.split(".")[-1]
-    if leaf not in doc:
-        if required:
-            raise ConfigError(f"{path}: missing required field")
-        return default
-    value = doc[leaf]
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
-    if kind is not None and (not isinstance(value, kind) or isinstance(value, bool) and kind is not bool):
-        raise ConfigError(f"{path}: expected {getattr(kind, '__name__', kind)}, got {type(value).__name__}")
-    if pred is not None and not pred(value):
-        raise ConfigError(f"{path}: {pred_desc}")
-    return value
+def _override(doc: dict, args, names) -> None:
+    """Flags that were given replace the config's values."""
+    for name in names:
+        if getattr(args, name) is not None:
+            doc[name] = getattr(args, name)
 
 
-def _train_config_from(doc: dict, prefix: str) -> TrainConfig:
-    kwargs = {}
-    fields = {
-        "learning_rate": (float, lambda v: v >= 0, "must be >= 0"),
-        "batch_size": (int, lambda v: v >= 1, "must be >= 1"),
-        "epochs": (int, lambda v: v >= 1, "must be >= 1"),
-        "seed": (int, None, ""),
-        "beta1": (float, lambda v: 0 <= v < 1, "must be in [0, 1)"),
-        "beta2": (float, lambda v: 0 <= v < 1, "must be in [0, 1)"),
-        "adam_eps": (float, lambda v: v > 0, "must be > 0"),
-        "clip_norm": (float, lambda v: v > 0, "must be > 0"),
-        "hidden": (int, lambda v: v >= 1, "must be >= 1"),
-    }
-    for name, (kind, pred, desc) in fields.items():
-        value = _field(doc, f"{prefix}{name}", kind, required=False, pred=pred, pred_desc=desc)
-        if value is not None:
-            kwargs[name] = value
-    unknown = set(doc) - set(fields)
-    if unknown:
-        raise ConfigError(f"{prefix}{sorted(unknown)[0]}: unknown field")
-    return TrainConfig(**kwargs)
-
-
-def _synthetic_spec_from(doc: dict) -> SyntheticSpec:
-    _field(doc, "n_per_class", int, pred=lambda v: v >= 1, pred_desc="must be >= 1")
-    _field(doc, "layer_count", int, pred=lambda v: v >= 1, pred_desc="must be >= 1")
-    _field(doc, "feature_dim", int, pred=lambda v: v >= 1, pred_desc="must be >= 1")
-    _field(doc, "t_range", list, pred=lambda v: len(v) == 2, pred_desc="must be [min, max]")
-    _field(doc, "layer_informativeness", list)
-    _field(doc, "paralinguistic_gain", float, pred=lambda v: v >= 0, pred_desc="must be >= 0")
-    _field(doc, "noise_sigma", float, pred=lambda v: v > 0, pred_desc="must be > 0")
-    _field(doc, "seed", int)
+def _read_config(cls, doc: dict):
     try:
-        return SyntheticSpec.from_json(doc)
-    except (ValueError, TypeError, KeyError) as exc:
-        raise ConfigError(f"synthetic spec: {exc}") from exc
+        return dataio.from_json(cls, doc)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
-def _grid_from(doc: dict) -> SweepGrid:
-    _field(doc, "ks", list, pred=lambda v: len(v) >= 1, pred_desc="must be non-empty")
-    _field(doc, "layer_sets", list, pred=lambda v: len(v) >= 1, pred_desc="must be non-empty")
-    _field(doc, "seeds", list, pred=lambda v: len(v) >= 1, pred_desc="must be non-empty")
-    augs = _field(doc, "augmentations", list, required=False, default=["none"])
-    for aug in augs:
-        if aug != "none" and aug not in AUGMENTATIONS:
-            raise ConfigError(f"augmentations: unknown augmentation {aug!r}")
-    train_doc = _field(doc, "train", dict, required=False, default={})
-    grid_doc = dict(doc)
-    grid_doc["train"] = {}
-    try:
-        grid = SweepGrid.from_json(grid_doc)
-    except (ValueError, TypeError, KeyError) as exc:
-        raise ConfigError(f"sweep grid: {exc}") from exc
-    return replace(grid, train=_train_config_from(train_doc, "train."))
+@dataclass
+class TrainJob:
+    """The `disq train` config document; flags override its scalars."""
+
+    layer_set: str = "all"
+    k: int | None = 256  # None = continuous features
+    aug: str = "none"
+    codebook_seed: int = 0
+    train: TrainConfig = field(default_factory=TrainConfig)
+
+    def __post_init__(self):
+        if self.k is not None and self.k < 1:
+            raise ValueError("k must be >= 1")
+        check_augmentation(self.aug)
 
 
 # --- run directory and metadata -------------------------------------------------
@@ -195,11 +154,8 @@ def _load_dataset(dataset_dir):
 def cmd_gen(args, argv) -> int:
     started = time.time()
     doc = _load_json_config(args.spec)
-    if args.seed is not None:
-        doc["seed"] = args.seed
-    if args.n_per_class is not None:
-        doc["n_per_class"] = args.n_per_class
-    spec = _synthetic_spec_from(doc)
+    _override(doc, args, ("seed", "n_per_class"))
+    spec = _read_config(SyntheticSpec, doc)
     out = _out_dir(args, "gen")
     try:
         dataio.generate_synthetic(spec, out)
@@ -262,6 +218,16 @@ def _load_codebook_dir(codebook_dir):
     return index, layer_books, osm_books
 
 
+def _layer_rows(cb, h):
+    tokens = assign(cb, h)
+    return reconstruct(cb, tokens).frames, tokens.indices
+
+
+def _osm_rows(books, h):
+    tokens, recon = quantize_opensmile(h, books)
+    return (recon.frames, *(tokens[name].indices for name in books))
+
+
 def cmd_tokenize(args, argv) -> int:
     started = time.time()
     out = _out_dir(args, "tokenize")
@@ -276,33 +242,26 @@ def cmd_tokenize(args, argv) -> int:
             f"codebooks cover layers {outside}, but the dataset has layers 0..{manifest.layer_count - 1}"
         )
 
-    def dump_tokens(path, payload):
-        path.write_text(json.dumps(payload, indent=None, sort_keys=True) + "\n")
+    def write(utt, stem, tokens, recon):
+        utt_dir = out / "tokens" / utt.utt_id
+        (utt_dir / f"{stem}.tokens.json").write_text(json.dumps(tokens, sort_keys=True) + "\n")
+        dataio.write_feature_file(FeatureSequence(recon), utt_dir / f"{stem}.recon.dsqf")
 
+    # each stream is encoded once, over the split's concatenated frames
     try:
-        for rec in manifest.records:
-            utt = dataio.load_utterance(manifest, rec)
-            utt_dir = out / "tokens" / rec.utt_id
-            utt_dir.mkdir(parents=True, exist_ok=True)
-            for layer, cb in layer_books.items():
-                tokens = assign(cb, utt.layers[layer])
-                dump_tokens(
-                    utt_dir / f"layer_{layer:02d}.tokens.json",
-                    {"stream_id": cb.stream_id, "k": cb.k, "indices": tokens.indices.tolist()},
-                )
-                dataio.write_feature_file(
-                    reconstruct(cb, tokens), utt_dir / f"layer_{layer:02d}.recon.dsqf"
-                )
-            if osm_books is not None and utt.opensmile is not None:
-                tokens, recon = quantize_opensmile(utt.opensmile, osm_books)
-                dump_tokens(
-                    utt_dir / "opensmile.tokens.json",
-                    {
-                        name: {"k": seq.k, "indices": seq.indices.tolist()}
-                        for name, seq in tokens.items()
-                    },
-                )
-                dataio.write_feature_file(recon, utt_dir / "opensmile.recon.dsqf")
+        utts = [dataio.load_utterance(manifest, rec) for rec in manifest.records]
+        for utt in utts:
+            (out / "tokens" / utt.utt_id).mkdir(parents=True, exist_ok=True)
+        for layer, cb in layer_books.items():
+            parts = per_part(partial(_layer_rows, cb), [u.layers[layer].frames for u in utts])
+            for utt, (recon, idx) in zip(utts, parts):
+                doc = {"stream_id": cb.stream_id, "k": cb.k, "indices": idx.tolist()}
+                write(utt, f"layer_{layer:02d}", doc, recon)
+        osm_utts = [u for u in utts if u.opensmile is not None and osm_books is not None]
+        parts = per_part(partial(_osm_rows, osm_books), [u.opensmile.frames for u in osm_utts])
+        for utt, (recon, *idx) in zip(osm_utts, parts):
+            doc = {name: {"k": osm_books[name].k, "indices": i.tolist()} for name, i in zip(osm_books, idx)}
+            write(utt, "opensmile", doc, recon)
     except (ValueError, dataio.FeatureFileError) as exc:
         raise DataError(str(exc)) from exc
     _write_metadata(out, "tokenize", argv, {"split": args.split, "k": index["k"]}, [index["seed"]], started)
@@ -310,54 +269,35 @@ def cmd_tokenize(args, argv) -> int:
     return 0
 
 
-def _train_doc_from_args(args) -> dict:
+def _validate_train_doc(args, layer_count: int):
+    """The train config with flags applied, and its resolved layer set."""
     doc = _load_json_config(args.config) if args.config else {}
-    if args.layer_set is not None:
-        doc["layer_set"] = args.layer_set
-    if args.k is not None:
-        doc["k"] = args.k
+    _override(doc, args, ("layer_set", "k", "aug"))
     if args.continuous:
         doc["k"] = None
-    if args.aug is not None:
-        doc["aug"] = args.aug
-    if args.seed is not None:
-        doc.setdefault("train", {})["seed"] = args.seed
-    if args.epochs is not None:
-        doc.setdefault("train", {})["epochs"] = args.epochs
-    return doc
-
-
-def _validate_train_doc(doc: dict, layer_count: int):
-    layer_set = _field(doc, "layer_set", str, required=False, default="all")
+    if isinstance(doc.setdefault("train", {}), dict):
+        _override(doc["train"], args, ("seed", "epochs"))
+    job = _read_config(TrainJob, doc)
     try:
-        name, layers = resolve_layer_set(layer_set, layer_count)
+        name, layers = resolve_layer_set(job.layer_set, layer_count)
     except ValueError as exc:
         raise ConfigError(f"layer_set: {exc}") from exc
-    k = doc.get("k", 256)
-    if k is not None and (not isinstance(k, int) or isinstance(k, bool) or k < 1):
-        raise ConfigError("k: expected a positive integer or null")
-    aug = _field(doc, "aug", str, required=False, default="none")
-    if aug != "none" and aug not in AUGMENTATIONS:
-        raise ConfigError(f"aug: unknown augmentation {aug!r}")
-    codebook_seed = _field(doc, "codebook_seed", int, required=False, default=0)
-    train_cfg = _train_config_from(doc.get("train", {}), "train.")
-    return name, layers, k, aug, codebook_seed, train_cfg
+    return name, layers, job
 
 
 def cmd_train(args, argv) -> int:
     started = time.time()
     out = _out_dir(args, "train")
     ds = _load_dataset(args.dataset)
-    doc = _train_doc_from_args(args)
-    name, layers, k, aug, codebook_seed, train_cfg = _validate_train_doc(doc, ds.layer_count)
+    name, layers, job = _validate_train_doc(args, ds.layer_count)
 
     cache = CodebookCache()
     try:
         splits = {
-            split: prepare_items(ds, split, layers, k, cache, codebook_seed, aug)
+            split: prepare_items(ds, split, layers, job.k, cache, job.codebook_seed, job.aug)
             for split in ("train", "dev", "test")
         }
-        result = train(splits["train"], splits["dev"], train_cfg)
+        result = train(splits["train"], splits["dev"], job.train)
     except FloatingPointError as exc:
         raise NumericError(str(exc)) from exc
     except ValueError as exc:
@@ -366,10 +306,10 @@ def cmd_train(args, argv) -> int:
     meta = {
         "layer_set": name,
         "layers": list(layers),
-        "k": k,
-        "aug": aug,
-        "codebook_seed": codebook_seed,
-        "train": vars(train_cfg).copy(),
+        "k": job.k,
+        "aug": job.aug,
+        "codebook_seed": job.codebook_seed,
+        "train": vars(job.train).copy(),
         "train_hash": ds.train_hash,
         "best_epoch": result.best_epoch,
         "dev_macro_f1": result.history[result.best_epoch].dev_macro_f1,
@@ -377,7 +317,7 @@ def cmd_train(args, argv) -> int:
     persist.save_checkpoint(out / "checkpoint", result.params, meta)
     history = [[h.train_loss, h.dev_macro_f1] for h in result.history]
     (out / "history.json").write_text(json.dumps(history) + "\n")
-    _write_metadata(out, "train", argv, meta, [train_cfg.seed], started)
+    _write_metadata(out, "train", argv, meta, [job.train.seed], started)
     print(
         f"checkpoint written to {out / 'checkpoint'} "
         f"(best epoch {result.best_epoch}, dev macro F1 {meta['dev_macro_f1']:.4f})"
@@ -433,7 +373,7 @@ def cmd_eval(args, argv) -> int:
 def cmd_sweep(args, argv) -> int:
     started = time.time()
     out = _out_dir(args, "sweep")
-    grid = _grid_from(_load_json_config(args.grid))
+    grid = _read_config(SweepGrid, _load_json_config(args.grid))
     if args.workers < 1:
         raise ConfigError("--workers: must be >= 1")
     ds = _load_dataset(args.dataset)

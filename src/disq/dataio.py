@@ -15,9 +15,12 @@ external feature extractor.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import struct
+import types
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -270,8 +273,9 @@ class SyntheticSpec:
         self.layer_informativeness = tuple(float(v) for v in self.layer_informativeness)
         if self.n_classes != N_CLASSES:
             raise ValueError(f"n_classes must be {N_CLASSES}, got {self.n_classes}")
-        if self.n_per_class < 1:
-            raise ValueError("n_per_class must be >= 1")
+        for name in ("n_per_class", "layer_count", "feature_dim"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if len(self.layer_informativeness) != self.layer_count:
             raise ValueError("layer_informativeness length must equal layer_count")
         if any(not 0.0 <= v <= 1.0 for v in self.layer_informativeness):
@@ -284,31 +288,77 @@ class SyntheticSpec:
             raise ValueError(f"invalid t_range {self.t_range}")
 
     def to_json(self) -> dict:
-        return {
-            "n_per_class": self.n_per_class,
-            "n_classes": self.n_classes,
-            "layer_count": self.layer_count,
-            "feature_dim": self.feature_dim,
-            "t_range": list(self.t_range),
-            "layer_informativeness": list(self.layer_informativeness),
-            "paralinguistic_gain": self.paralinguistic_gain,
-            "noise_sigma": self.noise_sigma,
-            "seed": self.seed,
-        }
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_json(cls, doc: dict) -> "SyntheticSpec":
-        return cls(
-            n_per_class=int(doc["n_per_class"]),
-            layer_count=int(doc["layer_count"]),
-            feature_dim=int(doc["feature_dim"]),
-            t_range=tuple(doc["t_range"]),
-            layer_informativeness=tuple(doc["layer_informativeness"]),
-            paralinguistic_gain=float(doc["paralinguistic_gain"]),
-            noise_sigma=float(doc["noise_sigma"]),
-            seed=int(doc["seed"]),
-            n_classes=int(doc.get("n_classes", N_CLASSES)),
-        )
+        return from_json(cls, doc)
+
+
+# --- JSON configs ---------------------------------------------------------------
+
+_JSON_NAMES = {
+    type(None): "null", bool: "boolean", int: "integer", float: "number",
+    str: "string", list: "array", tuple: "array", dict: "object",
+}
+
+
+def from_json(cls, doc, path: str = ""):
+    """Read a parsed JSON value as `cls`, a config dataclass or one of its field types.
+
+    Unknown fields, missing required fields and wrong JSON types raise
+    ValueError naming the field's dotted path (`train.beta1`, `ks[0]`). A
+    bool is not a number, an int is accepted where a float goes, a list
+    stands for a tuple (its elements are checked), a nested dataclass is
+    read recursively and `X | None` also takes null. Value rules stay in
+    each dataclass's __post_init__; a nested one's error is prefixed with
+    its path. `path` is where `doc` sits in an enclosing document.
+    """
+    origin, args = typing.get_origin(cls), typing.get_args(cls)
+    if origin in (typing.Union, types.UnionType):
+        if doc is None and type(None) in args:
+            return None
+        (inner,) = (a for a in args if a is not type(None))  # configs only use `X | None`
+        return from_json(inner, doc, path)
+    if origin is tuple:
+        if not isinstance(doc, (list, tuple)):
+            raise _type_error("array", doc, path)
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(doc)
+        elif len(doc) != len(args):
+            raise ValueError(f"{path}: expected {len(args)} elements, got {len(doc)}")
+        return tuple(from_json(a, v, f"{path}[{i}]") for i, (a, v) in enumerate(zip(args, doc)))
+    if not dataclasses.is_dataclass(cls):
+        if cls is float and type(doc) is int:
+            return float(doc)
+        if not isinstance(doc, cls) or isinstance(doc, bool) != (cls is bool):
+            raise _type_error(_JSON_NAMES[cls], doc, path)
+        return doc
+    if not isinstance(doc, dict):
+        raise _type_error("object", doc, path)
+    hints = typing.get_type_hints(cls)
+    fields = {f.name: f for f in dataclasses.fields(cls) if f.init}
+    kwargs = {}
+    for name, value in doc.items():
+        key = f"{path}.{name}".lstrip(".")
+        if name not in fields:
+            raise ValueError(f"{key}: unknown field")
+        kwargs[name] = from_json(hints[name], value, key)
+    for name, f in fields.items():
+        required = f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+        if required and name not in doc:
+            raise ValueError(f"{path}.{name}: missing required field".lstrip("."))
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        if not path:
+            raise
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+def _type_error(expected: str, doc, path: str) -> ValueError:
+    got = _JSON_NAMES.get(type(doc), type(doc).__name__)
+    return ValueError(f"{path or 'config'}: expected {expected}, got {got}")
 
 
 PLACEMENT_RESTARTS = 10

@@ -20,7 +20,7 @@ from .fusion import (
     FusionParams,
     init_fusion_params,
     sigmoid,
-    softplus,
+    temperature_from_raw,
 )
 from .metrics import confusion_matrix, macro_f1
 
@@ -52,12 +52,15 @@ class TrainConfig:
     def __post_init__(self):
         if self.learning_rate < 0:
             raise ValueError("learning_rate must be >= 0")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.hidden < 1:
-            raise ValueError("hidden must be >= 1")
+        for name in ("epochs", "batch_size", "hidden"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        for name in ("beta1", "beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ValueError(f"{name} must be in [0, 1)")
+        for name in ("adam_eps", "clip_norm"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be > 0")
 
 
 @dataclass
@@ -254,7 +257,7 @@ def forward_batch(params: ModelParams, batch: Batch):
 
     # layer summaries and attention weights
     s = np.einsum("bt,bntd->bnd", m, y) / cnt[:, None, None]
-    tau = float(softplus(fp.temperature_raw) + 0.1)
+    tau = temperature_from_raw(fp.temperature_raw)
     u = (s @ fp.attn_w + float(fp.attn_b)) / tau
     u_shift = u - u.max(axis=1, keepdims=True)
     eu = np.exp(u_shift)

@@ -36,6 +36,13 @@ from .quantize import (
 
 AUGMENTATIONS = OPENSMILE_CATEGORIES.names() + ("all",)
 
+
+def check_augmentation(aug: str) -> None:
+    """An augmentation is "none", one paralinguistic category name, or "all"."""
+    if aug != "none" and aug not in AUGMENTATIONS:
+        raise ValueError(f"unknown augmentation {aug!r}")
+
+
 CSV_COLUMNS = (
     ["layer_set", "K", "seed", "aug", "macro_f1"]
     + [f"f1_c{i}" for i in range(N_CLASSES)]
@@ -179,7 +186,7 @@ class CodebookCache:
         cb = self.layer_codebook(ds, layer, k, seed)
 
         def build():
-            return _per_part(
+            return per_part(
                 lambda h: reconstruct(cb, assign(cb, h)).frames.astype(np.float32),
                 [u.layers[layer].frames for u in ds.utterances[split]],
             )
@@ -195,7 +202,7 @@ class CodebookCache:
             for utt in utts:
                 if utt.opensmile is None:
                     raise ValueError(f"{utt.utt_id}: augmentation requested but no opensmile stream")
-            return _per_part(
+            return per_part(
                 lambda h: quantize_opensmile(h, books)[1].frames.astype(np.float32),
                 [u.opensmile.frames for u in utts],
             )
@@ -203,12 +210,19 @@ class CodebookCache:
         return self._recons.get_or_fit(("osm_recon", ds.train_hash, split, seed), build)
 
 
-def _per_part(frame_fn, parts: list[np.ndarray]) -> list[np.ndarray]:
-    """Run a row-wise frame_fn once on all parts' frames, cut back into one array per part."""
+def per_part(frame_fn, parts: list[np.ndarray]) -> list:
+    """Run a row-wise frame_fn once on all parts' frames, cut back per part.
+
+    frame_fn returns one row-aligned array, or a tuple of them; each part
+    gets its rows of that array, or a tuple of its rows of each.
+    """
     if not parts:
         return []
+    cuts = np.cumsum([len(p) for p in parts])[:-1]
     rows = frame_fn(FeatureSequence(np.concatenate(parts)))
-    return np.split(rows, np.cumsum([len(p) for p in parts])[:-1])
+    if isinstance(rows, tuple):
+        return list(zip(*(np.split(r, cuts) for r in rows)))
+    return np.split(rows, cuts)
 
 
 def _osm_block(frames74: np.ndarray, aug: str) -> np.ndarray:
@@ -230,20 +244,23 @@ def prepare_rvq_items(
 
     The quantizer is trained on the train split's frames for `layer`; each
     selected stage's centroid lookup becomes one stream, so the downstream
-    attention head consumes them exactly like per-layer streams.
+    attention head consumes them exactly like per-layer streams. The split
+    is encoded in one pass over its concatenated frames.
     """
     rvq = rvq_fit(_train_frames(ds, layer), n_stages, k_per_stage, seed, stream_id=f"rvq:layer{layer}")
     stages = tuple(range(n_stages)) if stages_used is None else tuple(stages_used)
-    if any(s < 0 or s >= n_stages for s in stages):
+    if not stages or any(s < 0 or s >= n_stages for s in stages):
         raise ValueError(f"stages_used {stages} outside 0..{n_stages - 1}")
-    items = []
-    for utt in ds.utterances[split]:
-        tokens = rvq_encode(rvq, utt.layers[layer])
-        streams = np.stack(
-            [rvq.stages[s].centroids[tokens[s].indices].astype(np.float32) for s in stages]
-        )
-        items.append(PreparedUtterance(utt_id=utt.utt_id, streams=streams, label=utt.label, osm=None))
-    return items
+    utts = ds.utterances[split]
+
+    def stage_rows(h):
+        tokens = rvq_encode(rvq, h)
+        return tuple(rvq.stages[s].centroids[tokens[s].indices].astype(np.float32) for s in stages)
+
+    return [
+        PreparedUtterance(utt_id=utt.utt_id, streams=np.stack(rows), label=utt.label, osm=None)
+        for utt, rows in zip(utts, per_part(stage_rows, [u.layers[layer].frames for u in utts]))
+    ]
 
 
 def prepare_items(
@@ -262,8 +279,7 @@ def prepare_items(
     are aligned to each utterance's frame count here, once, since they are
     frozen during training.
     """
-    if aug != "none" and aug not in AUGMENTATIONS:
-        raise ValueError(f"unknown augmentation {aug!r}")
+    check_augmentation(aug)
     if k is not None and cache is None:
         raise ValueError("quantized preparation needs a CodebookCache")
     utts = ds.utterances[split]
@@ -335,8 +351,7 @@ class SweepGrid:
         if not (self.ks and self.layer_sets and self.seeds and self.augmentations):
             raise ValueError("every grid axis must be non-empty")
         for aug in self.augmentations:
-            if aug != "none" and aug not in AUGMENTATIONS:
-                raise ValueError(f"unknown augmentation {aug!r}")
+            check_augmentation(aug)
 
     def cells(self) -> list[tuple[int | None, str, str]]:
         out: list[tuple[int | None, str, str]] = []
@@ -351,16 +366,7 @@ class SweepGrid:
 
     @classmethod
     def from_json(cls, doc: dict) -> "SweepGrid":
-        train = TrainConfig(**doc.get("train", {}))
-        return cls(
-            ks=tuple(doc["ks"]),
-            layer_sets=tuple(doc["layer_sets"]),
-            seeds=tuple(doc["seeds"]),
-            augmentations=tuple(doc.get("augmentations", ["none"])),
-            include_continuous=bool(doc.get("include_continuous", False)),
-            codebook_seed=int(doc.get("codebook_seed", 0)),
-            train=train,
-        )
+        return dataio.from_json(cls, doc)
 
 
 @dataclass

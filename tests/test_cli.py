@@ -270,3 +270,46 @@ def test_run_dir_env_var(cli_workspace, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert run(["gradcheck", "--seed", 1]) == 0
     assert (tmp_path / "runroot" / "gradcheck" / "gradcheck.json").is_file()
+
+
+@pytest.mark.parametrize("split", ["train", "test"])
+def test_batched_tokenize_equals_per_utterance_encoding(cli_workspace, tmp_path, split):
+    from disq import dataio, persist
+    from disq.quantize import assign, quantize_opensmile, reconstruct
+
+    data, cb = cli_workspace / "data", tmp_path / "cb"
+    assert run(["codebooks", "--dataset", data, "--layers", "1,3", "--k", 8, "--opensmile", "--out", cb]) == 0
+    tok = tmp_path / "tok"
+    assert run(["tokenize", "--dataset", data, "--split", split, "--codebooks", cb, "--out", tok]) == 0
+
+    layer_books = {layer: persist.load_codebook(cb / f"layer_{layer:02d}") for layer in (1, 3)}
+    osm_books = {c.name: persist.load_codebook(cb / f"osm_{c.name}") for c in OPENSMILE_CATEGORIES.categories}
+    manifest = dataio.load_split(data, split)
+    oracle = tmp_path / "oracle.dsqf"
+    for rec in manifest.records:
+        utt = dataio.load_utterance(manifest, rec)
+        utt_dir = tok / "tokens" / rec.utt_id
+        for layer, book in layer_books.items():
+            tokens = assign(book, utt.layers[layer])
+            doc = {"stream_id": book.stream_id, "k": book.k, "indices": tokens.indices.tolist()}
+            assert (utt_dir / f"layer_{layer:02d}.tokens.json").read_text() == json.dumps(doc, sort_keys=True) + "\n"
+            dataio.write_feature_file(reconstruct(book, tokens), oracle)
+            assert (utt_dir / f"layer_{layer:02d}.recon.dsqf").read_bytes() == oracle.read_bytes()
+        tokens, recon = quantize_opensmile(utt.opensmile, osm_books)
+        doc = {name: {"k": seq.k, "indices": seq.indices.tolist()} for name, seq in tokens.items()}
+        assert (utt_dir / "opensmile.tokens.json").read_text() == json.dumps(doc, sort_keys=True) + "\n"
+        dataio.write_feature_file(recon, oracle)
+        assert (utt_dir / "opensmile.recon.dsqf").read_bytes() == oracle.read_bytes()
+    assert sorted(p.name for p in (tok / "tokens").iterdir()) == sorted(r.utt_id for r in manifest.records)
+
+
+def test_tokenize_an_empty_split(tmp_path):
+    data = tmp_path / "data"
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(tiny_spec(n_per_class=4).to_json()))
+    assert run(["gen", "--spec", spec, "--out", data]) == 0
+    assert json.loads((data / "manifest_test.json").read_text())["records"] == []
+    cb = tmp_path / "cb"
+    assert run(["codebooks", "--dataset", data, "--layers", "3", "--k", 4, "--out", cb]) == 0
+    assert run(["tokenize", "--dataset", data, "--split", "test", "--codebooks", cb, "--out", tmp_path / "tok"]) == 0
+    assert not (tmp_path / "tok" / "tokens").exists()

@@ -326,3 +326,29 @@ def test_rvq_stage_streams_train_like_layers(tiny_dataset):
     dv = prepare_rvq_items(tiny_dataset, "dev", layer=3, n_stages=3, k_per_stage=8)
     result = train(tr, dv, tiny_train_config(epochs=3))
     assert len(result.history) == 3
+
+
+@pytest.mark.parametrize("split,stages", [("train", None), ("dev", (2, 0)), ("test", (1,))])
+def test_batched_rvq_items_equal_per_utterance_encoding(tiny_dataset, split, stages):
+    from disq.quantize import rvq_encode, rvq_fit
+    from disq.sweep import prepare_rvq_items
+
+    items = prepare_rvq_items(tiny_dataset, split, layer=2, n_stages=3, k_per_stage=8, seed=4, stages_used=stages)
+    train_frames = np.concatenate([u.layers[2].frames for u in tiny_dataset.utterances["train"]])
+    rvq = rvq_fit(train_frames, 3, 8, 4, stream_id="rvq:layer2")
+    utts = tiny_dataset.utterances[split]
+    assert [it.utt_id for it in items] == [u.utt_id for u in utts]
+    for it, utt in zip(items, utts):
+        tokens = rvq_encode(rvq, utt.layers[2])
+        expected = np.stack(
+            [rvq.stages[s].centroids[tokens[s].indices].astype(np.float32) for s in stages or range(3)]
+        )
+        assert it.label == utt.label and it.osm is None
+        assert it.streams.dtype == expected.dtype and np.array_equal(it.streams, expected)
+
+
+def test_rvq_items_need_a_stage(tiny_dataset):
+    from disq.sweep import prepare_rvq_items
+
+    with pytest.raises(ValueError):
+        prepare_rvq_items(tiny_dataset, "dev", layer=3, n_stages=2, k_per_stage=8, stages_used=())
