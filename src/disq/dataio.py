@@ -175,55 +175,69 @@ def manifest_path(dataset_dir, split: str) -> Path:
     return Path(dataset_dir) / f"manifest_{split}.json"
 
 
+@dataclass
+class _RecordDoc:
+    """One manifest record as it is stored in JSON."""
+
+    utt_id: str
+    label: int
+    layers: tuple[str, ...]
+    opensmile: str | None = None
+
+
+@dataclass
+class _ManifestDoc:
+    """A manifest file's JSON document, read and written through one schema."""
+
+    version: int
+    split: str
+    layer_count: int
+    feature_dim: int
+    records: tuple[_RecordDoc, ...]
+
+
 def save_manifest(manifest: DatasetManifest, path) -> None:
-    doc = {
-        "version": 1,
-        "split": manifest.split,
-        "layer_count": manifest.layer_count,
-        "feature_dim": manifest.feature_dim,
-        "records": [
-            {
-                "utt_id": r.utt_id,
-                "label": r.label,
-                "layers": list(r.layer_paths),
-                "opensmile": r.opensmile_path,
-            }
+    doc = _ManifestDoc(
+        version=1,
+        split=manifest.split,
+        layer_count=manifest.layer_count,
+        feature_dim=manifest.feature_dim,
+        records=tuple(
+            _RecordDoc(r.utt_id, r.label, tuple(r.layer_paths), r.opensmile_path)
             for r in manifest.records
-        ],
-    }
-    Path(path).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+        ),
+    )
+    text = json.dumps(dataclasses.asdict(doc), indent=1, sort_keys=True)
+    Path(path).write_text(text + "\n", encoding="utf-8")
 
 
 def load_manifest(path) -> DatasetManifest:
     """Load and validate a manifest: every listed path must resolve.
 
-    A record may omit its opensmile stream (tokens-only experiments), but a
-    missing layer file is always an error.
+    The document is read through `from_json`, so a missing or unknown field
+    or a wrong JSON type (a label of 2.7) raises ValueError naming the file
+    and the field. A record may omit its opensmile stream (tokens-only
+    experiments), but a missing layer file is always an error.
     """
     path = Path(path)
-    doc = json.loads(path.read_text(encoding="utf-8"))
+    try:
+        doc = from_json(_ManifestDoc, json.loads(path.read_text(encoding="utf-8")))
+    except ValueError as exc:
+        raise ValueError(f"{path.name}: {exc}") from exc
     root = path.parent
     records = []
-    for rec in doc["records"]:
-        layer_paths = list(rec["layers"])
-        if len(layer_paths) != doc["layer_count"]:
+    for rec in doc.records:
+        if len(rec.layers) != doc.layer_count:
             raise ValueError(
-                f"{rec['utt_id']}: {len(layer_paths)} layer paths, expected {doc['layer_count']}"
+                f"{rec.utt_id}: {len(rec.layers)} layer paths, expected {doc.layer_count}"
             )
-        for rel in layer_paths:
+        for rel in rec.layers:
             if not (root / rel).is_file():
-                raise FileNotFoundError(f"{rec['utt_id']}: missing layer file {root / rel}")
-        osm = rec.get("opensmile")
-        if osm is not None and not (root / osm).is_file():
-            raise FileNotFoundError(f"{rec['utt_id']}: missing opensmile file {root / osm}")
-        records.append(ManifestRecord(rec["utt_id"], layer_paths, int(rec["label"]), osm))
-    manifest = DatasetManifest(
-        records=records,
-        layer_count=int(doc["layer_count"]),
-        feature_dim=int(doc["feature_dim"]),
-        split=doc["split"],
-        root=root,
-    )
+                raise FileNotFoundError(f"{rec.utt_id}: missing layer file {root / rel}")
+        if rec.opensmile is not None and not (root / rec.opensmile).is_file():
+            raise FileNotFoundError(f"{rec.utt_id}: missing opensmile file {root / rec.opensmile}")
+        records.append(ManifestRecord(rec.utt_id, list(rec.layers), rec.label, rec.opensmile))
+    manifest = DatasetManifest(records, doc.layer_count, doc.feature_dim, doc.split, root)
     if manifest.split == "train":
         counts = np.bincount(manifest.labels(), minlength=N_CLASSES)
         if (counts == 0).any():

@@ -5,12 +5,16 @@ Forward and reverse passes are written by hand over padded batch tensors
 quantizers and input features sit upstream of every trainable parameter and
 receive no gradient. All math runs in float64 so the gradient checks hold
 at tight tolerances.
+
+The input layer norms split in two: the per-frame standardization x̂ depends
+on no parameter, so `train` and `predict` compute it once per utterance per
+call, and a batch carries x̂; only the affine `gain * x̂ + bias` runs per batch.
 """
 
 from __future__ import annotations
 
 from copy import deepcopy
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -183,18 +187,41 @@ def weighted_ce(logits: np.ndarray, label: int, class_weights: np.ndarray):
 
 @dataclass
 class Batch:
-    x: np.ndarray  # (B, n_layers, T, dim) float64, zero padded
+    """Standardized inputs x̂ (per-frame layer norm without its affine), zero padded."""
+
+    x: np.ndarray  # (B, n_layers, T, dim) float64
     mask: np.ndarray  # (B, T) bool
     labels: np.ndarray  # (B,)
-    osm: np.ndarray | None  # (B, T, osm_dim) float64, zero padded
+    osm: np.ndarray | None  # (B, T, osm_dim) float64
 
     @property
     def size(self) -> int:
         return self.x.shape[0]
 
 
-def collate(items: list[PreparedUtterance]) -> Batch:
-    """Pad a list of utterances to a common frame count."""
+def _standardize(x: np.ndarray):
+    """Per-row (x - mean) / sqrt(var + eps) over the last axis, and 1 / sqrt(var + eps).
+
+    Every row is reduced on its own, so a row gives the same bits alone or
+    inside a larger array.
+    """
+    mean = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
+    xhat = x - mean
+    xhat *= inv
+    return xhat, inv
+
+
+def _standardized(it: PreparedUtterance) -> PreparedUtterance:
+    """A copy of `it` whose streams and opensmile block hold their float64 x̂."""
+    xhat = _standardize(np.ascontiguousarray(it.streams, dtype=np.float64))[0]
+    osm = None if it.osm is None else _standardize(np.ascontiguousarray(it.osm, dtype=np.float64))[0]
+    return replace(it, streams=xhat, osm=osm)
+
+
+def _pad(items: list[PreparedUtterance]) -> Batch:
+    """Zero-pad already standardized utterances to a common frame count."""
     if not items:
         raise ValueError("empty batch")
     n_layers, _, dim = items[0].streams.shape
@@ -220,11 +247,16 @@ def collate(items: list[PreparedUtterance]) -> Batch:
     return Batch(x, mask, labels, osm)
 
 
+def collate(items: list[PreparedUtterance]) -> Batch:
+    """Standardize each utterance and pad the batch to a common frame count.
+
+    Padded frames stay 0, which is what standardizing a zero frame gives.
+    """
+    return _pad([_standardized(it) for it in items])
+
+
 def _ln_forward(x, gain, bias):
-    mean = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
-    xhat = (x - mean) * inv
+    xhat, inv = _standardize(x)
     return gain * xhat + bias, xhat, inv
 
 
@@ -252,8 +284,8 @@ def forward_batch(params: ModelParams, batch: Batch):
     if (cnt < 1).any():
         raise ValueError("utterance with no valid frames")
 
-    # per-layer normalization
-    y, xhat, _ = _ln_forward(x, fp.layer_gain[None, :, None, :], fp.layer_bias[None, :, None, :])
+    # per-layer normalization: the batch already holds x̂
+    y = fp.layer_gain[None, :, None, :] * x + fp.layer_bias[None, :, None, :]
 
     # layer summaries and attention weights
     s = np.einsum("bt,bntd->bnd", m, y) / cnt[:, None, None]
@@ -268,12 +300,12 @@ def forward_batch(params: ModelParams, batch: Batch):
 
     if fp.augmented:
         fhat_out, f_xhat, f_inv = _ln_forward(f, fp.mod_gain_fused, fp.mod_bias_fused)
-        ohat_out, o_xhat, o_inv = _ln_forward(batch.osm, fp.mod_gain_osm, fp.mod_bias_osm)
+        ohat_out = fp.mod_gain_osm * batch.osm + fp.mod_bias_osm
         z = np.concatenate(
             [float(fp.gamma_fused) * fhat_out, float(fp.gamma_osm) * ohat_out], axis=2
         )
     else:
-        fhat_out = f_xhat = f_inv = ohat_out = o_xhat = o_inv = None
+        fhat_out = f_xhat = f_inv = ohat_out = None
         z = f
 
     # attentive statistics pooling over valid frames
@@ -313,7 +345,6 @@ def forward_batch(params: ModelParams, batch: Batch):
         batch=batch,
         m=m,
         cnt=cnt,
-        xhat=xhat,
         y=y,
         s=s,
         tau=tau,
@@ -323,8 +354,6 @@ def forward_batch(params: ModelParams, batch: Batch):
         f_xhat=f_xhat,
         f_inv=f_inv,
         fhat_out=fhat_out,
-        o_xhat=o_xhat,
-        o_inv=o_inv,
         ohat_out=ohat_out,
         z=z,
         a_t=a_t,
@@ -389,9 +418,7 @@ def backward_batch(params: ModelParams, cache) -> dict[str, np.ndarray]:
         df, dgf, dbf = _ln_backward(
             float(fp.gamma_fused) * dzf, cache["f_xhat"], cache["f_inv"], fp.mod_gain_fused, True
         )
-        _, dgo, dbo = _ln_backward(
-            float(fp.gamma_osm) * dzo, cache["o_xhat"], cache["o_inv"], fp.mod_gain_osm, False
-        )
+        _, dgo, dbo = _ln_backward(float(fp.gamma_osm) * dzo, batch.osm, None, fp.mod_gain_osm, False)
         grads["fusion.mod_gain_fused"] = dgf
         grads["fusion.mod_bias_fused"] = dbf
         grads["fusion.mod_gain_osm"] = dgo
@@ -417,8 +444,7 @@ def backward_batch(params: ModelParams, cache) -> dict[str, np.ndarray]:
     dy += np.einsum("bt,bnd->bntd", cache["m"] / cache["cnt"][:, None], ds)
 
     # per-layer norm parameters (inputs are frozen, no dx needed)
-    xhat = cache["xhat"]
-    grads["fusion.layer_gain"] = np.einsum("bntd,bntd->nd", dy, xhat)
+    grads["fusion.layer_gain"] = np.einsum("bntd,bntd->nd", dy, batch.x)
     grads["fusion.layer_bias"] = dy.sum(axis=(0, 2))
     return grads
 
@@ -431,11 +457,15 @@ def predict_batch(params: ModelParams, batch: Batch):
 
 def predict(params: ModelParams, items: list[PreparedUtterance], batch_size: int = 64):
     """Argmax class predictions and per-utterance attention weights."""
+    return _predict_standardized(params, [_standardized(it) for it in items], batch_size)
+
+
+def _predict_standardized(params: ModelParams, items: list[PreparedUtterance], batch_size: int = 64):
     preds = np.empty(len(items), dtype=np.int64)
     alphas = np.empty((len(items), params.fusion.n_layers))
     for start in range(0, len(items), batch_size):
         chunk = items[start : start + batch_size]
-        logits, alpha = predict_batch(params, collate(chunk))
+        logits, alpha = predict_batch(params, _pad(chunk))
         preds[start : start + len(chunk)] = np.argmax(logits, axis=1)
         alphas[start : start + len(chunk)] = alpha
     return preds, alphas
@@ -491,12 +521,6 @@ class TrainResult:
     class_weights: np.ndarray
 
 
-def dev_macro_f1(params: ModelParams, items: list[PreparedUtterance]) -> float:
-    preds, _ = predict(params, items)
-    labels = np.array([it.label for it in items])
-    return macro_f1(confusion_matrix(labels, preds))
-
-
 def train(
     train_items: list[PreparedUtterance],
     dev_items: list[PreparedUtterance],
@@ -506,7 +530,8 @@ def train(
 
     Batches are processed in sorted utterance order within each batch, so
     final parameters depend on batch composition only, not on the order the
-    caller stored the utterances.
+    caller stored the utterances. Each train and dev utterance is
+    standardized once, before the first epoch.
     """
     if not train_items:
         raise ValueError("empty train split")
@@ -517,6 +542,9 @@ def train(
     train_items = sorted(train_items, key=lambda it: it.utt_id)
     labels = [it.label for it in train_items]
     weights = class_weights_from_labels(labels)
+    train_x = [_standardized(it) for it in train_items]
+    dev_x = [_standardized(it) for it in dev_items]
+    dev_labels = np.array([it.label for it in dev_items])
 
     n_layers, _, dim = train_items[0].streams.shape
     osm_dim = None if train_items[0].osm is None else train_items[0].osm.shape[1]
@@ -532,13 +560,14 @@ def train(
         order = np.random.default_rng([config.seed, 13, epoch]).permutation(len(train_items))
         losses = []
         for start in range(0, len(order), config.batch_size):
-            chunk = [train_items[i] for i in order[start : start + config.batch_size]]
+            chunk = [train_x[i] for i in order[start : start + config.batch_size]]
             chunk.sort(key=lambda it: it.utt_id)
-            loss, cache = forward_batch(params, collate(chunk))
+            loss, cache = forward_batch(params, _pad(chunk))
             grads = backward_batch(params, cache)
             opt.step(params, grads)
             losses.append(loss)
-        f1 = dev_macro_f1(params, dev_items)
+        preds, _ = _predict_standardized(params, dev_x)
+        f1 = macro_f1(confusion_matrix(dev_labels, preds))
         history.append(EpochStats(float(np.mean(losses)), f1))
         if f1 > best_f1:
             best_f1 = f1

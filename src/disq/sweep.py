@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import numbers
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -344,8 +345,12 @@ class SweepGrid:
     train: TrainConfig = field(default_factory=TrainConfig)
 
     def __post_init__(self):
-        self.ks = tuple(int(k) for k in self.ks)
-        self.seeds = tuple(int(s) for s in self.seeds)
+        for name in ("ks", "seeds"):
+            values = tuple(getattr(self, name))
+            for i, v in enumerate(values):
+                if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+                    raise ValueError(f"{name}[{i}]: expected an integer, got {v!r}")
+            setattr(self, name, tuple(int(v) for v in values))
         self.layer_sets = tuple(self.layer_sets)
         self.augmentations = tuple(self.augmentations)
         if not (self.ks and self.layer_sets and self.seeds and self.augmentations):

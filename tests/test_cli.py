@@ -313,3 +313,26 @@ def test_tokenize_an_empty_split(tmp_path):
     assert run(["codebooks", "--dataset", data, "--layers", "3", "--k", 4, "--out", cb]) == 0
     assert run(["tokenize", "--dataset", data, "--split", "test", "--codebooks", cb, "--out", tmp_path / "tok"]) == 0
     assert not (tmp_path / "tok" / "tokens").exists()
+
+
+@pytest.mark.parametrize(
+    "edit, field",
+    [
+        (lambda doc: doc.pop("feature_dim"), "feature_dim: missing required field"),
+        (lambda doc: doc["records"][1].update(label=2.7), "records[1].label: expected integer"),
+        (lambda doc: doc["records"][0].update(label=True), "records[0].label: expected integer"),
+        (lambda doc: doc.update(layers=4), "layers: unknown field"),
+        (lambda doc: doc["records"][0].update(layers="l.dsqf"), "records[0].layers: expected array"),
+    ],
+    ids=["no_feature_dim", "float_label", "bool_label", "unknown_field", "string_layers"],
+)
+def test_malformed_manifest_exits_3_naming_the_field(cli_workspace, tmp_path, capsys, edit, field):
+    data = tmp_path / "data"
+    shutil.copytree(cli_workspace / "data", data)
+    doc = json.loads((data / "manifest_dev.json").read_text())
+    edit(doc)
+    (data / "manifest_dev.json").write_text(json.dumps(doc))
+    argv = ["tokenize", "--dataset", data, "--split", "dev", "--codebooks", tmp_path / "none", "--out", tmp_path / "t"]
+    assert run(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: data:") and f"manifest_dev.json: {field}" in err

@@ -22,6 +22,7 @@ from disq.dataio import (
     load_utterance,
     manifest_path,
     read_feature_file,
+    save_manifest,
     synthetic_class_means,
     write_feature_file,
 )
@@ -234,3 +235,13 @@ def test_class_means_restart_a_stuck_placement(seed):
         dots = means @ means.T
         assert np.allclose(np.diag(dots), 1.0)
         assert dots[~np.eye(len(means), dtype=bool)].max() <= 0.2
+
+
+def test_manifest_reads_back_and_rewrites_byte_identically(tmp_path):
+    manifests = generate_synthetic(tiny_spec(n_per_class=3), tmp_path)
+    for split, manifest in manifests.items():
+        path = manifest_path(tmp_path, split)
+        loaded = load_manifest(path)
+        assert loaded == manifest
+        save_manifest(loaded, tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == path.read_bytes()

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+import disq.model as model
 from disq.dataio import generate_synthetic
 from disq.fusion import (
+    LAYER_NORM_EPS,
     fuse_layers,
     layer_attention,
     layer_norm,
@@ -286,6 +288,90 @@ def test_copy_shares_no_array(rng, osm_dim):
             else:
                 assert not np.shares_memory(arr, twin), name
                 assert np.array_equal(arr, twin), name
+
+
+# --- standardized inputs ------------------------------------------------------------
+
+
+def reference_standardized_batch(items):
+    """Inputs as a batch held them before the hoist: pad the raw streams with
+    zeros, then standardize every frame of the padded batch in one go."""
+    n_layers, _, dim = items[0].streams.shape
+    t_max = max(it.streams.shape[1] for it in items)
+    x = np.zeros((len(items), n_layers, t_max, dim))
+    osm = None if items[0].osm is None else np.zeros((len(items), t_max, items[0].osm.shape[1]))
+    for i, it in enumerate(items):
+        t = it.streams.shape[1]
+        x[i, :, :t] = it.streams
+        if osm is not None:
+            osm[i, :t] = it.osm
+
+    def standardize(a):
+        mean = a.mean(axis=-1, keepdims=True)
+        var = a.var(axis=-1, keepdims=True)
+        return (a - mean) * (1.0 / np.sqrt(var + LAYER_NORM_EPS))
+
+    return standardize(x), None if osm is None else standardize(osm)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("osm_dim", [None, 7])
+def test_collate_equals_standardizing_the_padded_batch_bitwise(rng, dtype, osm_dim):
+    items = random_items(rng, n_items=6, n_layers=3, dim=32, osm_dim=osm_dim, t_range=(2, 12))
+    items[0].streams = rng.standard_normal((3, 12, 32))  # the longest: every other item pads
+    if osm_dim:
+        items[0].osm = rng.standard_normal((12, osm_dim))
+    for it in items:
+        it.streams = (5.0 * it.streams + 3.0).astype(dtype)
+        if osm_dim:
+            it.osm = it.osm.astype(dtype)
+    assert len({it.streams.shape[1] for it in items}) > 1
+    batch = collate(items)
+    ref_x, ref_osm = reference_standardized_batch(items)
+    assert batch.x.dtype == np.float64
+    assert batch.x.shape == ref_x.shape and batch.x.tobytes() == ref_x.tobytes()
+    if osm_dim is None:
+        assert batch.osm is None
+    else:
+        assert batch.osm.dtype == np.float64
+        assert batch.osm.shape == ref_osm.shape and batch.osm.tobytes() == ref_osm.tobytes()
+
+
+def count_standardized(monkeypatch) -> list:
+    """Patch the per-utterance standardization to record every utterance it sees."""
+    seen = []
+    real = model._standardized
+
+    def counting(it):
+        seen.append(it)
+        return real(it)
+
+    monkeypatch.setattr(model, "_standardized", counting)
+    return seen
+
+
+@pytest.mark.parametrize("epochs", [1, 3])
+def test_train_standardizes_each_utterance_once_per_call(rng, monkeypatch, epochs):
+    train_items = random_items(rng, n_items=20, n_layers=2, dim=5, osm_dim=3)
+    for i, it in enumerate(train_items):
+        it.label = i % 8
+    dev_items = random_items(rng, n_items=7, n_layers=2, dim=5, osm_dim=3)
+    seen = count_standardized(monkeypatch)
+    train(train_items, dev_items, TrainConfig(epochs=epochs, batch_size=4, hidden=4))
+    assert sorted(map(id, seen)) == sorted(map(id, train_items + dev_items))
+    seen.clear()
+    train(train_items, dev_items, TrainConfig(epochs=epochs, batch_size=4, hidden=4))
+    assert len(seen) == len(train_items) + len(dev_items)
+
+
+def test_predict_standardizes_each_utterance_once_per_call(rng, monkeypatch):
+    items = random_items(rng, n_items=10, n_layers=2, dim=5)
+    params = init_model_params(rng, 2, 5, None, 4)
+    expected = predict(params, items, batch_size=3)
+    seen = count_standardized(monkeypatch)
+    preds, alphas = predict(params, items, batch_size=3)
+    assert sorted(map(id, seen)) == sorted(map(id, items))
+    assert np.array_equal(preds, expected[0]) and np.array_equal(alphas, expected[1])
 
 
 # --- training loop ------------------------------------------------------------------

@@ -277,6 +277,16 @@ def test_grid_validation():
     }
 
 
+@pytest.mark.parametrize("axis", ["ks", "seeds"])
+@pytest.mark.parametrize("value", [8.7, 8.0, True, "8"])
+def test_grid_rejects_non_integral_ks_and_seeds(axis, value):
+    kwargs = {"ks": (8,), "layer_sets": ("all",), "seeds": (0,), axis: (4, value)}
+    with pytest.raises(ValueError, match=rf"{axis}\[1\]: expected an integer"):
+        SweepGrid(**kwargs)
+    grid = SweepGrid(**dict(kwargs, **{axis: [4, np.int64(9)]}))
+    assert getattr(grid, axis) == (4, 9) and type(getattr(grid, axis)[1]) is int
+
+
 def test_prepare_items_aug_variants(tiny_dataset, tiny_cache):
     _, layers = resolve_layer_set("2,3", 4)
     items = prepare_items(tiny_dataset, "dev", layers, 8, tiny_cache, aug="prosody")
