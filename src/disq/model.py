@@ -1,20 +1,22 @@
 """Trainable downstream head: attentive statistics pooling, MLP, weighted CE.
 
-Forward and reverse passes are written by hand over padded batch tensors
-(B, n_layers, T, dim) and verified against central finite differences; the
-quantizers and input features sit upstream of every trainable parameter and
-receive no gradient. All math runs in float64 so the gradient checks hold
-at tight tolerances.
+Forward and reverse passes are written by hand over padded batch tensors and
+verified against central finite differences; the quantizers and input
+features sit upstream of every trainable parameter and receive no gradient.
+All math runs in float64 so the gradient checks hold at tight tolerances.
 
-The input layer norms split in two: the per-frame standardization x̂ depends
-on no parameter, so `train` and `predict` compute it once per utterance per
-call, and a batch carries x̂; only the affine `gain * x̂ + bias` runs per batch.
+The input layer norms split in two: the per-frame standardization x̂ and its
+frame mean ŝ depend on no parameter, so `train` and `predict` compute them
+once per utterance per call, and a batch carries x̂, held (B, dim, T,
+n_layers), and ŝ. The affine y = g·x̂ + b is never formed: the layer summaries
+are g·ŝ + b, the fused sequence is one contraction of x̂ over layers, and the
+gradients of the layer block come from one contraction of x̂ over frames.
 """
 
 from __future__ import annotations
 
 from copy import deepcopy
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -187,9 +189,14 @@ def weighted_ce(logits: np.ndarray, label: int, class_weights: np.ndarray):
 
 @dataclass
 class Batch:
-    """Standardized inputs x̂ (per-frame layer norm without its affine), zero padded."""
+    """Standardized inputs x̂ (per-frame layer norm without its affine), zero padded, and ŝ.
 
-    x: np.ndarray  # (B, n_layers, T, dim) float64
+    x̂ is held dim-major so that the layer block's contractions over layers
+    (forward) and over frames (backward) are each one batched matmul.
+    """
+
+    x: np.ndarray  # (B, dim, T, n_layers) float64
+    s_hat: np.ndarray  # (B, n_layers, dim): mean of x̂ over each utterance's valid frames
     mask: np.ndarray  # (B, T) bool
     labels: np.ndarray  # (B,)
     osm: np.ndarray | None  # (B, T, osm_dim) float64
@@ -197,6 +204,17 @@ class Batch:
     @property
     def size(self) -> int:
         return self.x.shape[0]
+
+
+@dataclass
+class _Standardized:
+    """One utterance's parameter-free model inputs."""
+
+    utt_id: str
+    xhat: np.ndarray  # (dim, T, n_layers)
+    s_hat: np.ndarray  # (n_layers, dim)
+    label: int
+    osm: np.ndarray | None  # (T, osm_dim) x̂
 
 
 def _standardize(x: np.ndarray):
@@ -213,38 +231,41 @@ def _standardize(x: np.ndarray):
     return xhat, inv
 
 
-def _standardized(it: PreparedUtterance) -> PreparedUtterance:
-    """A copy of `it` whose streams and opensmile block hold their float64 x̂."""
+def _standardized(it: PreparedUtterance) -> _Standardized:
+    """The float64 x̂ of an utterance's streams (dim-major) and opensmile block, and ŝ."""
     xhat = _standardize(np.ascontiguousarray(it.streams, dtype=np.float64))[0]
     osm = None if it.osm is None else _standardize(np.ascontiguousarray(it.osm, dtype=np.float64))[0]
-    return replace(it, streams=xhat, osm=osm)
+    dtn = np.ascontiguousarray(xhat.transpose(2, 1, 0))
+    return _Standardized(it.utt_id, dtn, xhat.mean(axis=1), it.label, osm)
 
 
-def _pad(items: list[PreparedUtterance]) -> Batch:
+def _pad(items: list[_Standardized]) -> Batch:
     """Zero-pad already standardized utterances to a common frame count."""
     if not items:
         raise ValueError("empty batch")
-    n_layers, _, dim = items[0].streams.shape
+    dim, _, n_layers = items[0].xhat.shape
     has_osm = items[0].osm is not None
-    t_max = max(it.streams.shape[1] for it in items)
-    x = np.zeros((len(items), n_layers, t_max, dim))
+    t_max = max(it.xhat.shape[1] for it in items)
+    x = np.zeros((len(items), dim, t_max, n_layers))
+    s_hat = np.empty((len(items), n_layers, dim))
     mask = np.zeros((len(items), t_max), dtype=bool)
     osm = None
     if has_osm:
         osm = np.zeros((len(items), t_max, items[0].osm.shape[1]))
     labels = np.empty(len(items), dtype=np.int64)
     for i, it in enumerate(items):
-        if it.streams.shape[0] != n_layers or it.streams.shape[2] != dim:
+        if it.xhat.shape[0] != dim or it.xhat.shape[2] != n_layers:
             raise ValueError(f"{it.utt_id}: stream shape mismatch in batch")
         if (it.osm is not None) != has_osm:
             raise ValueError("batch mixes utterances with and without an opensmile branch")
-        t = it.streams.shape[1]
-        x[i, :, :t] = it.streams
+        t = it.xhat.shape[1]
+        x[i, :, :t] = it.xhat
+        s_hat[i] = it.s_hat
         mask[i, :t] = True
         if has_osm:
             osm[i, :t] = it.osm
         labels[i] = it.label
-    return Batch(x, mask, labels, osm)
+    return Batch(x, s_hat, mask, labels, osm)
 
 
 def collate(items: list[PreparedUtterance]) -> Batch:
@@ -255,22 +276,16 @@ def collate(items: list[PreparedUtterance]) -> Batch:
     return _pad([_standardized(it) for it in items])
 
 
-def _ln_forward(x, gain, bias):
-    xhat, inv = _standardize(x)
-    return gain * xhat + bias, xhat, inv
-
-
-def _ln_backward(dy, xhat, inv, gain, need_dx: bool):
+def _affine_backward(dy, xhat):
+    """Gradients of gain and bias in y = gain * x̂ + bias, summed over all leading axes."""
     axes = tuple(range(dy.ndim - 1))
-    dgain = (dy * xhat).sum(axis=axes)
-    dbias = dy.sum(axis=axes)
-    dx = None
-    if need_dx:
-        dxh = dy * gain
-        dx = inv * (
-            dxh - dxh.mean(axis=-1, keepdims=True) - xhat * (dxh * xhat).mean(axis=-1, keepdims=True)
-        )
-    return dx, dgain, dbias
+    return (dy * xhat).sum(axis=axes), dy.sum(axis=axes)
+
+
+def _ln_backward(dy, xhat, inv, gain):
+    dxh = dy * gain
+    dx = inv * (dxh - dxh.mean(axis=-1, keepdims=True) - xhat * (dxh * xhat).mean(axis=-1, keepdims=True))
+    return (dx, *_affine_backward(dy, xhat))
 
 
 def forward_batch(params: ModelParams, batch: Batch):
@@ -278,28 +293,25 @@ def forward_batch(params: ModelParams, batch: Batch):
     fp, hp = params.fusion, params.head
     if fp.augmented != (batch.osm is not None):
         raise ValueError("model and batch disagree about the opensmile branch")
-    x, mask = batch.x, batch.mask
-    m = mask.astype(np.float64)
-    cnt = m.sum(axis=1)
-    if (cnt < 1).any():
+    if not batch.mask.any(axis=1).all():
         raise ValueError("utterance with no valid frames")
 
-    # per-layer normalization: the batch already holds x̂
-    y = fp.layer_gain[None, :, None, :] * x + fp.layer_bias[None, :, None, :]
-
-    # layer summaries and attention weights
-    s = np.einsum("bt,bntd->bnd", m, y) / cnt[:, None, None]
+    # layer summaries, the valid-frame means of y = g x̂ + b, and attention weights
+    s = fp.layer_gain * batch.s_hat + fp.layer_bias
     tau = temperature_from_raw(fp.temperature_raw)
     u = (s @ fp.attn_w + float(fp.attn_b)) / tau
     u_shift = u - u.max(axis=1, keepdims=True)
     eu = np.exp(u_shift)
     alpha = eu / eu.sum(axis=1, keepdims=True)
 
-    # fused sequence
-    f = np.einsum("bn,bntd->btd", alpha, y)
+    # fused sequence f = Σₙ (αₙ gₙ) x̂ₙ + Σₙ αₙ bₙ, one matvec per utterance and dim
+    ag = alpha[:, None, :] * fp.layer_gain.T
+    f = np.matmul(batch.x, ag[..., None])[..., 0].transpose(0, 2, 1).copy()
+    f += (alpha @ fp.layer_bias)[:, None, :]
 
     if fp.augmented:
-        fhat_out, f_xhat, f_inv = _ln_forward(f, fp.mod_gain_fused, fp.mod_bias_fused)
+        f_xhat, f_inv = _standardize(f)
+        fhat_out = fp.mod_gain_fused * f_xhat + fp.mod_bias_fused
         ohat_out = fp.mod_gain_osm * batch.osm + fp.mod_bias_osm
         z = np.concatenate(
             [float(fp.gamma_fused) * fhat_out, float(fp.gamma_osm) * ohat_out], axis=2
@@ -310,7 +322,7 @@ def forward_batch(params: ModelParams, batch: Batch):
 
     # attentive statistics pooling over valid frames
     e = z @ hp.pool_v + float(hp.pool_b)
-    e = np.where(mask, e, -np.inf)
+    e = np.where(batch.mask, e, -np.inf)
     e_shift = e - e.max(axis=1, keepdims=True)
     ee = np.exp(e_shift)
     a_t = ee / ee.sum(axis=1, keepdims=True)
@@ -342,30 +354,10 @@ def forward_batch(params: ModelParams, batch: Batch):
         raise FloatingPointError("non-finite values in tensor 'loss'")
 
     cache = dict(
-        batch=batch,
-        m=m,
-        cnt=cnt,
-        y=y,
-        s=s,
-        tau=tau,
-        u=u,
-        alpha=alpha,
-        f=f,
-        f_xhat=f_xhat,
-        f_inv=f_inv,
-        fhat_out=fhat_out,
-        ohat_out=ohat_out,
-        z=z,
-        a_t=a_t,
-        mu=mu,
-        var=var,
-        sd=sd,
-        p=p,
-        hh=hh,
-        logits=logits,
-        probs=probs,
-        wv=wv,
-        wsum=wsum,
+        batch=batch, s=s, tau=tau, u=u, alpha=alpha,
+        f_xhat=f_xhat, f_inv=f_inv, fhat_out=fhat_out, ohat_out=ohat_out,
+        z=z, a_t=a_t, mu=mu, var=var, sd=sd, p=p,
+        hh=hh, logits=logits, probs=probs, wv=wv, wsum=wsum,
     )
     return loss, cache
 
@@ -416,9 +408,9 @@ def backward_batch(params: ModelParams, cache) -> dict[str, np.ndarray]:
         grads["fusion.gamma_fused"] = np.array((dzf * cache["fhat_out"]).sum())
         grads["fusion.gamma_osm"] = np.array((dzo * cache["ohat_out"]).sum())
         df, dgf, dbf = _ln_backward(
-            float(fp.gamma_fused) * dzf, cache["f_xhat"], cache["f_inv"], fp.mod_gain_fused, True
+            float(fp.gamma_fused) * dzf, cache["f_xhat"], cache["f_inv"], fp.mod_gain_fused
         )
-        _, dgo, dbo = _ln_backward(float(fp.gamma_osm) * dzo, batch.osm, None, fp.mod_gain_osm, False)
+        dgo, dbo = _affine_backward(float(fp.gamma_osm) * dzo, batch.osm)
         grads["fusion.mod_gain_fused"] = dgf
         grads["fusion.mod_bias_fused"] = dbf
         grads["fusion.mod_gain_osm"] = dgo
@@ -426,10 +418,12 @@ def backward_batch(params: ModelParams, cache) -> dict[str, np.ndarray]:
     else:
         df = dz
 
-    # fused sum: gradients fan out to alpha and to every normalized layer
-    y, alpha = cache["y"], cache["alpha"]
-    dalpha = np.einsum("btd,bntd->bn", df, y)
-    dy = np.einsum("bn,btd->bntd", alpha, df)
+    # fused sum: one contraction over frames, G[b, d, n] = Σₜ df[b, t, d] x̂[b, d, t, n];
+    # df is 0 on padded frames, where the pooling weight is 0
+    alpha = cache["alpha"]
+    g = np.matmul(np.ascontiguousarray(df.transpose(0, 2, 1))[:, :, None, :], batch.x)[:, :, 0, :]
+    df_sum = df.sum(axis=1)
+    dalpha = np.einsum("bdn,nd->bn", g, fp.layer_gain) + df_sum @ fp.layer_bias.T
 
     # attention softmax, temperature, scorer
     s, u, tau = cache["s"], cache["u"], cache["tau"]
@@ -440,12 +434,10 @@ def backward_batch(params: ModelParams, cache) -> dict[str, np.ndarray]:
     dtau = -float((du * u).sum()) / tau
     grads["fusion.temperature_raw"] = np.array(dtau * float(sigmoid(fp.temperature_raw)))
 
-    # masked average pooling back into the normalized layers
-    dy += np.einsum("bt,bnd->bntd", cache["m"] / cache["cnt"][:, None], ds)
-
-    # per-layer norm parameters (inputs are frozen, no dx needed)
-    grads["fusion.layer_gain"] = np.einsum("bntd,bntd->nd", dy, batch.x)
-    grads["fusion.layer_bias"] = dy.sum(axis=(0, 2))
+    # per-layer norm parameters through dy = αₙ df + ds / cnt on valid frames
+    # (inputs are frozen, no dx needed)
+    grads["fusion.layer_gain"] = np.einsum("bn,bdn->nd", alpha, g) + (ds * batch.s_hat).sum(axis=0)
+    grads["fusion.layer_bias"] = alpha.T @ df_sum + ds.sum(axis=0)
     return grads
 
 
@@ -457,17 +449,22 @@ def predict_batch(params: ModelParams, batch: Batch):
 
 def predict(params: ModelParams, items: list[PreparedUtterance], batch_size: int = 64):
     """Argmax class predictions and per-utterance attention weights."""
-    return _predict_standardized(params, [_standardized(it) for it in items], batch_size)
+    x = [_standardized(it) for it in items]
+    return _predict_batches(params, _padded_batches(x, batch_size), len(x))
 
 
-def _predict_standardized(params: ModelParams, items: list[PreparedUtterance], batch_size: int = 64):
-    preds = np.empty(len(items), dtype=np.int64)
-    alphas = np.empty((len(items), params.fusion.n_layers))
-    for start in range(0, len(items), batch_size):
-        chunk = items[start : start + batch_size]
-        logits, alpha = predict_batch(params, _pad(chunk))
-        preds[start : start + len(chunk)] = np.argmax(logits, axis=1)
-        alphas[start : start + len(chunk)] = alpha
+def _padded_batches(items: list[_Standardized], batch_size: int):
+    return (_pad(items[start : start + batch_size]) for start in range(0, len(items), batch_size))
+
+
+def _predict_batches(params: ModelParams, batches, n_items: int):
+    preds = np.empty(n_items, dtype=np.int64)
+    alphas = np.empty((n_items, params.fusion.n_layers))
+    start = 0
+    for batch in batches:
+        logits, alphas[start : start + batch.size] = predict_batch(params, batch)
+        preds[start : start + batch.size] = np.argmax(logits, axis=1)
+        start += batch.size
     return preds, alphas
 
 
@@ -531,7 +528,8 @@ def train(
     Batches are processed in sorted utterance order within each batch, so
     final parameters depend on batch composition only, not on the order the
     caller stored the utterances. Each train and dev utterance is
-    standardized once, before the first epoch.
+    standardized once, and dev is padded into batches once, before the
+    first epoch.
     """
     if not train_items:
         raise ValueError("empty train split")
@@ -543,7 +541,7 @@ def train(
     labels = [it.label for it in train_items]
     weights = class_weights_from_labels(labels)
     train_x = [_standardized(it) for it in train_items]
-    dev_x = [_standardized(it) for it in dev_items]
+    dev_batches = list(_padded_batches([_standardized(it) for it in dev_items], 64))
     dev_labels = np.array([it.label for it in dev_items])
 
     n_layers, _, dim = train_items[0].streams.shape
@@ -566,7 +564,7 @@ def train(
             grads = backward_batch(params, cache)
             opt.step(params, grads)
             losses.append(loss)
-        preds, _ = _predict_standardized(params, dev_x)
+        preds, _ = _predict_batches(params, dev_batches, len(dev_items))
         f1 = macro_f1(confusion_matrix(dev_labels, preds))
         history.append(EpochStats(float(np.mean(losses)), f1))
         if f1 > best_f1:

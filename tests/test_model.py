@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from disq.fusion import (
     layer_norm,
     masked_average_pool,
     modality_fuse,
+    sigmoid,
 )
 from disq.model import (
     Adam,
@@ -212,7 +215,8 @@ def test_padded_frames_contribute_nothing(rng):
 
     t = items[0].streams.shape[1]
     padded = Batch(
-        x=np.concatenate([batch.x, rng.standard_normal((1, n_layers, 5, dim))], axis=2),
+        x=np.concatenate([batch.x, rng.standard_normal((1, dim, 5, n_layers))], axis=2),
+        s_hat=batch.s_hat,
         mask=np.concatenate([batch.mask, np.zeros((1, 5), bool)], axis=1),
         labels=batch.labels,
         osm=np.concatenate([batch.osm, rng.standard_normal((1, 5, 3))], axis=1),
@@ -328,6 +332,7 @@ def test_collate_equals_standardizing_the_padded_batch_bitwise(rng, dtype, osm_d
     assert len({it.streams.shape[1] for it in items}) > 1
     batch = collate(items)
     ref_x, ref_osm = reference_standardized_batch(items)
+    ref_x = ref_x.transpose(0, 3, 2, 1)
     assert batch.x.dtype == np.float64
     assert batch.x.shape == ref_x.shape and batch.x.tobytes() == ref_x.tobytes()
     if osm_dim is None:
@@ -372,6 +377,153 @@ def test_predict_standardizes_each_utterance_once_per_call(rng, monkeypatch):
     preds, alphas = predict(params, items, batch_size=3)
     assert sorted(map(id, seen)) == sorted(map(id, items))
     assert np.array_equal(preds, expected[0]) and np.array_equal(alphas, expected[1])
+
+
+def count_padded(monkeypatch) -> Counter:
+    """Patch the batch padding to count how often each utterance id is padded."""
+    padded = Counter()
+    real = model._pad
+
+    def counting(items):
+        padded.update(it.utt_id for it in items)
+        return real(items)
+
+    monkeypatch.setattr(model, "_pad", counting)
+    return padded
+
+
+@pytest.mark.parametrize("epochs", [1, 3])
+def test_train_pads_dev_once_per_call(rng, monkeypatch, epochs):
+    train_items = random_items(rng, n_items=20, n_layers=2, dim=5, osm_dim=3)
+    for i, it in enumerate(train_items):
+        it.label = i % 8
+    dev_items = random_items(rng, n_items=7, n_layers=2, dim=5, osm_dim=3)
+    for i, it in enumerate(dev_items):
+        it.utt_id = f"d{i}"
+    padded = count_padded(monkeypatch)
+    train(train_items, dev_items, TrainConfig(epochs=epochs, batch_size=4, hidden=4))
+    assert padded == Counter({it.utt_id: 1 for it in dev_items} | {it.utt_id: epochs for it in train_items})
+
+
+# --- the layer block against the einsum oracle ---------------------------------------
+
+
+def einsum_forward_backward(params, x, mask, labels, osm):
+    """Loss, alpha and gradients as the model computed them before the layer block was
+    factored: y = g * x̂ + b and its gradient dy, both (B, n_layers, T, dim), are built
+    in full. x and osm are x̂ in that layout (see `reference_standardized_batch`)."""
+    fp, hp = params.fusion, params.head
+    m = mask.astype(np.float64)
+    cnt = m.sum(axis=1)
+    y = fp.layer_gain[None, :, None, :] * x + fp.layer_bias[None, :, None, :]
+    s = np.einsum("bt,bntd->bnd", m, y) / cnt[:, None, None]
+    tau = fp.temperature()
+    u = (s @ fp.attn_w + float(fp.attn_b)) / tau
+    eu = np.exp(u - u.max(axis=1, keepdims=True))
+    alpha = eu / eu.sum(axis=1, keepdims=True)
+    f = np.einsum("bn,bntd->btd", alpha, y)
+    if fp.augmented:
+        f_mean = f.mean(axis=-1, keepdims=True)
+        f_inv = 1.0 / np.sqrt(f.var(axis=-1, keepdims=True) + LAYER_NORM_EPS)
+        f_xhat = (f - f_mean) * f_inv
+        fhat_out = fp.mod_gain_fused * f_xhat + fp.mod_bias_fused
+        ohat_out = fp.mod_gain_osm * osm + fp.mod_bias_osm
+        z = np.concatenate([float(fp.gamma_fused) * fhat_out, float(fp.gamma_osm) * ohat_out], axis=2)
+    else:
+        z = f
+    e = np.where(mask, z @ hp.pool_v + float(hp.pool_b), -np.inf)
+    ee = np.exp(e - e.max(axis=1, keepdims=True))
+    a_t = ee / ee.sum(axis=1, keepdims=True)
+    mu = np.einsum("bt,btf->bf", a_t, z)
+    var = np.einsum("bt,btf->bf", a_t, z * z) - mu * mu
+    sd = np.sqrt(np.maximum(var, model.VAR_FLOOR))
+    p = np.concatenate([mu, sd], axis=1)
+    hh = np.tanh(p @ hp.w1.T + hp.b1)
+    logits = hh @ hp.w2.T + hp.b2
+    wv = hp.class_weights[labels]
+    shift = logits - logits.max(axis=1, keepdims=True)
+    logp = shift - np.log(np.exp(shift).sum(axis=1, keepdims=True))
+    rows = np.arange(len(labels))
+    loss = float(-(wv * logp[rows, labels]).sum() / wv.sum())
+
+    g = {}
+    dlogits = np.exp(logp)
+    dlogits[rows, labels] -= 1.0
+    dlogits *= wv[:, None] / wv.sum()
+    g["head.w2"] = dlogits.T @ hh
+    g["head.b2"] = dlogits.sum(axis=0)
+    dz1 = (dlogits @ hp.w2) * (1.0 - hh * hh)
+    g["head.w1"] = dz1.T @ p
+    g["head.b1"] = dz1.sum(axis=0)
+    dp = dz1 @ hp.w1
+    feat = z.shape[2]
+    dvar = np.where(var > model.VAR_FLOOR, dp[:, feat:] * 0.5 / sd, 0.0)
+    dmu = dp[:, :feat] - 2.0 * mu * dvar
+    dz = a_t[:, :, None] * (dmu[:, None, :] + 2.0 * z * dvar[:, None, :])
+    da = np.einsum("btf,bf->bt", z, dmu) + np.einsum("btf,bf->bt", z * z, dvar)
+    de = a_t * (da - (a_t * da).sum(axis=1, keepdims=True))
+    g["head.pool_v"] = np.einsum("bt,btf->f", de, z)
+    g["head.pool_b"] = np.array(de.sum())
+    dz += de[:, :, None] * hp.pool_v
+    if fp.augmented:
+        dzf, dzo = dz[:, :, : fp.dim], dz[:, :, fp.dim :]
+        g["fusion.gamma_fused"] = np.array((dzf * fhat_out).sum())
+        g["fusion.gamma_osm"] = np.array((dzo * ohat_out).sum())
+        dyf, dyo = float(fp.gamma_fused) * dzf, float(fp.gamma_osm) * dzo
+        g["fusion.mod_gain_fused"] = (dyf * f_xhat).sum(axis=(0, 1))
+        g["fusion.mod_bias_fused"] = dyf.sum(axis=(0, 1))
+        g["fusion.mod_gain_osm"] = (dyo * osm).sum(axis=(0, 1))
+        g["fusion.mod_bias_osm"] = dyo.sum(axis=(0, 1))
+        dxh = dyf * fp.mod_gain_fused
+        df = f_inv * (
+            dxh - dxh.mean(axis=-1, keepdims=True) - f_xhat * (dxh * f_xhat).mean(axis=-1, keepdims=True)
+        )
+    else:
+        df = dz
+    dalpha = np.einsum("btd,bntd->bn", df, y)
+    dy = np.einsum("bn,btd->bntd", alpha, df)
+    du = alpha * (dalpha - (alpha * dalpha).sum(axis=1, keepdims=True))
+    g["fusion.attn_w"] = np.einsum("bn,bnd->d", du, s) / tau
+    g["fusion.attn_b"] = np.array(du.sum() / tau)
+    ds = du[:, :, None] * (fp.attn_w / tau)
+    dtau = -float((du * u).sum()) / tau
+    g["fusion.temperature_raw"] = np.array(dtau * float(sigmoid(fp.temperature_raw)))
+    dy += np.einsum("bt,bnd->bntd", m / cnt[:, None], ds)
+    g["fusion.layer_gain"] = np.einsum("bntd,bntd->nd", dy, x)
+    g["fusion.layer_bias"] = dy.sum(axis=(0, 2))
+    return loss, alpha, g
+
+
+# softmax shift invariance makes these two gradients exactly 0; both sides return rounding noise
+ZERO_GRADIENTS = {"head.pool_b", "fusion.attn_b"}
+
+
+@pytest.mark.parametrize("osm_dim", [None, 5])
+@pytest.mark.parametrize("seed", range(4))
+def test_layer_block_matches_the_einsum_oracle(seed, osm_dim):
+    rng = np.random.default_rng([seed, 29])
+    n_layers, dim = 4, 6
+    items = random_items(rng, n_items=5, n_layers=n_layers, dim=dim, osm_dim=osm_dim, t_range=(2, 11))
+    assert len({it.streams.shape[1] for it in items}) > 1
+    params = init_model_params(rng, n_layers, dim, osm_dim, hidden=7, class_weights=rng.uniform(0.5, 2, 8))
+    for _, arr in params.param_items():  # gains and biases away from their 1 / 0 initialization
+        arr += 0.5 * rng.standard_normal(arr.shape)
+    loss, cache = forward_batch(params, collate(items))
+    grads = backward_batch(params, cache)
+
+    x, osm = reference_standardized_batch(items)
+    mask = np.arange(x.shape[2]) < np.array([it.streams.shape[1] for it in items])[:, None]
+    labels = np.array([it.label for it in items])
+    ref_loss, ref_alpha, ref_grads = einsum_forward_backward(params, x, mask, labels, osm)
+
+    assert abs(loss - ref_loss) <= 1e-10 * abs(ref_loss)
+    assert np.abs(cache["alpha"] - ref_alpha).max() <= 1e-10 * np.abs(ref_alpha).max()
+    assert set(grads) == set(ref_grads) == {name for name, _ in params.param_items()}
+    largest = max(np.abs(g).max() for g in ref_grads.values())
+    for name, ref in ref_grads.items():
+        err = np.abs(grads[name] - ref).max()
+        bound = 1e-12 * largest if name in ZERO_GRADIENTS else 1e-10 * np.abs(ref).max()
+        assert err <= bound, (name, err, bound)
 
 
 # --- training loop ------------------------------------------------------------------
