@@ -27,7 +27,7 @@ layers = [rng.standard_normal((t, dim)) * scale for scale in (1.0, 50.0, 0.02)]
 normed = [layer_norm(h, params.layer_gain[i], params.layer_bias[i]) for i, h in enumerate(layers)]
 mask = np.ones(t, dtype=bool)
 summaries = np.stack([masked_average_pool(h, mask) for h in normed])
-alpha = layer_attention(summaries, params.attn_w, params.attn_b, params.temperature())
+alpha = layer_attention(summaries, params.attn_w, params.temperature())
 print(f"layer scales 1 / 50 / 0.02 -> attention weights {np.round(alpha, 4)}")
 
 fused = fuse_layers(normed, alpha)
@@ -40,5 +40,5 @@ combined = modality_fuse(fused, osm, params)
 print(f"after modality fusion: {combined.shape} (= {dim} + 74 columns)")
 
 # attentive statistics pooling: weighted mean and spread per feature
-pooled = attentive_stats_pool(combined, mask, rng.standard_normal(combined.shape[1]) * 0.1, 0.0)
+pooled = attentive_stats_pool(combined, mask, rng.standard_normal(combined.shape[1]) * 0.1)
 print(f"pooled vector: {pooled.shape} (mean || std)")

@@ -41,6 +41,8 @@ from .sweep import (
 )
 
 GRADCHECK_THRESHOLD = 1e-3
+# what `eval` reads from a checkpoint's meta.json
+CHECKPOINT_META_FIELDS = ("layer_set", "layers", "k", "aug", "codebook_seed", "train", "train_hash")
 
 
 class ConfigError(Exception):
@@ -141,6 +143,12 @@ def _write_metadata(out: Path, command: str, argv, config_payload, seeds, starte
 # --- shared data helpers ---------------------------------------------------------
 
 
+def _require_fields(doc: dict, path, names) -> None:
+    missing = [name for name in names if name not in doc]
+    if missing:
+        raise DataError(f"{path}: missing {', '.join(missing)}")
+
+
 def _load_dataset(dataset_dir):
     try:
         return load_dataset(dataset_dir)
@@ -159,6 +167,8 @@ def cmd_gen(args, argv) -> int:
     out = _out_dir(args, "gen")
     try:
         dataio.generate_synthetic(spec, out)
+    except ValueError as exc:  # e.g. no room for the class directions in feature_dim dims
+        raise ConfigError(f"{args.spec}: {exc}") from exc
     except OSError as exc:
         raise DataError(str(exc)) from exc
     _write_metadata(out, "gen", argv, spec.to_json(), [spec.seed], started)
@@ -203,9 +213,7 @@ def _load_codebook_dir(codebook_dir):
     if not index_path.is_file():
         raise DataError(f"{codebook_dir}: missing index.json")
     index = json.loads(index_path.read_text())
-    missing = sorted({"k", "seed", "layers"} - set(index))
-    if missing:
-        raise DataError(f"{index_path}: missing {', '.join(missing)}")
+    _require_fields(index, index_path, ("k", "seed", "layers"))
     layer_books = {
         layer: persist.load_codebook(codebook_dir / f"layer_{layer:02d}") for layer in index["layers"]
     }
@@ -298,8 +306,6 @@ def cmd_train(args, argv) -> int:
             for split in ("train", "dev", "test")
         }
         result = train(splits["train"], splits["dev"], job.train)
-    except FloatingPointError as exc:
-        raise NumericError(str(exc)) from exc
     except ValueError as exc:
         raise DataError(str(exc)) from exc
 
@@ -335,6 +341,7 @@ def cmd_eval(args, argv) -> int:
         params, meta = persist.load_checkpoint(args.checkpoint)
     except (FileNotFoundError, json.JSONDecodeError, dataio.FeatureFileError, KeyError) as exc:
         raise DataError(f"checkpoint {args.checkpoint}: {exc}") from exc
+    _require_fields(meta, Path(args.checkpoint) / "meta.json", CHECKPOINT_META_FIELDS)
     if meta["train_hash"] != ds.train_hash:
         raise DataError("checkpoint was trained on a different dataset (train manifest hash mismatch)")
 
@@ -352,8 +359,6 @@ def cmd_eval(args, argv) -> int:
             seed=meta["train"]["seed"],
             aug=meta["aug"],
         )
-    except FloatingPointError as exc:
-        raise NumericError(str(exc)) from exc
     except ValueError as exc:
         raise DataError(str(exc)) from exc
 
@@ -377,6 +382,11 @@ def cmd_sweep(args, argv) -> int:
     if args.workers < 1:
         raise ConfigError("--workers: must be >= 1")
     ds = _load_dataset(args.dataset)
+    for i, entry in enumerate(grid.layer_sets):
+        try:
+            resolve_layer_set(entry, ds.layer_count)
+        except ValueError as exc:
+            raise ConfigError(f"layer_sets[{i}]: {exc}") from exc
     result = run_sweep(grid, ds, workers=args.workers)
     if not result.rows:
         for failure in result.failures:

@@ -376,31 +376,34 @@ def _type_error(expected: str, doc, path: str) -> ValueError:
 
 
 PLACEMENT_RESTARTS = 10
+PLACEMENT_TRIES = 20000
+MAX_DOT = 0.2  # largest dot product between two class-mean directions
 
 
-def separated_unit_vectors(rng, n: int, dim: int, max_dot: float = 0.2, max_tries: int = 20000):
-    """Draw n unit vectors with pairwise dot products <= max_dot (rejection sampled).
+def separated_unit_vectors(rng, n: int, dim: int):
+    """Draw n unit vectors with pairwise dot products <= MAX_DOT (rejection sampled).
 
     Greedy placement can get stuck with a set that leaves no room for the
-    next vector; after max_tries draws it starts again from an empty set, at
-    most PLACEMENT_RESTARTS times. A placement that fits in its first
-    max_tries draws never restarts, so the restarts change no such draw.
+    next vector; after PLACEMENT_TRIES draws it starts again from an empty
+    set, at most PLACEMENT_RESTARTS times. A placement that fits in its
+    first PLACEMENT_TRIES draws never restarts, so the restarts change no
+    such draw. Raises ValueError when no attempt places all n.
     """
     for _ in range(PLACEMENT_RESTARTS + 1):
         rows: list[np.ndarray] = []
         tries = 0
-        while len(rows) < n and tries < max_tries:
+        while len(rows) < n and tries < PLACEMENT_TRIES:
             tries += 1
             v = rng.standard_normal(dim)
             norm = np.linalg.norm(v)
             if norm < 1e-12:
                 continue
             v = v / norm
-            if all(float(v @ r) <= max_dot for r in rows):
+            if all(float(v @ r) <= MAX_DOT for r in rows):
                 rows.append(v)
         if len(rows) == n:
             return np.stack(rows)
-    raise RuntimeError(f"could not place {n} separated vectors in {dim} dims")
+    raise ValueError(f"could not place {n} separated vectors in {dim} dims")
 
 
 def synthetic_class_means(spec: SyntheticSpec):

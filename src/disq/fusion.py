@@ -78,7 +78,6 @@ class FusionParams:
     layer_gain: np.ndarray  # (n_layers, dim)
     layer_bias: np.ndarray  # (n_layers, dim)
     attn_w: np.ndarray  # (dim,)
-    attn_b: np.ndarray  # ()
     temperature_raw: np.ndarray  # ()
     mod_gain_fused: np.ndarray | None = None  # (dim,)
     mod_bias_fused: np.ndarray | None = None  # (dim,)
@@ -125,13 +124,12 @@ def init_fusion_params(
         layer_gain=np.ones((n_layers, dim)),
         layer_bias=np.zeros((n_layers, dim)),
         attn_w=0.01 * rng.standard_normal(dim),
-        attn_b=np.array(0.0),
         temperature_raw=np.array(raw_from_temperature(1.0)),
         **kwargs,
     )
 
 
-def layer_norm(h: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = LAYER_NORM_EPS):
+def layer_norm(h: np.ndarray, gain: np.ndarray, bias: np.ndarray):
     """Per-frame standardization over the feature axis, then affine."""
     h = np.asarray(h, dtype=np.float64)
     if h.shape[-1] < 1:
@@ -141,7 +139,7 @@ def layer_norm(h: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = L
         raise ValueError(f"gain shape {gain.shape} does not match frame dim {h.shape[-1]}")
     mean = h.mean(axis=-1, keepdims=True)
     var = h.var(axis=-1, keepdims=True)
-    return gain * (h - mean) / np.sqrt(var + eps) + np.asarray(bias, dtype=np.float64)
+    return gain * (h - mean) / np.sqrt(var + LAYER_NORM_EPS) + np.asarray(bias, dtype=np.float64)
 
 
 def masked_average_pool(h: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -155,13 +153,12 @@ def masked_average_pool(h: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return h[mask].mean(axis=0)
 
 
-def layer_attention(
-    summaries: np.ndarray, w: np.ndarray, b, temperature: float
-) -> np.ndarray:
+def layer_attention(summaries: np.ndarray, w: np.ndarray, temperature: float) -> np.ndarray:
     """Softmax weights over layers from their pooled summaries.
 
-    One logit per layer, (w . s_l + b) / temperature; weights are strictly
-    positive and sum to 1.
+    One logit per layer, w . s_l / temperature; weights are strictly
+    positive and sum to 1. A scalar offset on every logit would not change
+    them, so the scorer has none.
     """
     summaries = np.asarray(summaries, dtype=np.float64)
     if summaries.ndim != 2 or summaries.shape[0] < 1:
@@ -170,7 +167,7 @@ def layer_attention(
         raise ValueError("non-finite summaries")
     if temperature <= 0:
         raise ValueError("temperature must be positive")
-    logits = (summaries @ np.asarray(w, dtype=np.float64) + float(b)) / float(temperature)
+    logits = summaries @ np.asarray(w, dtype=np.float64) / float(temperature)
     logits -= logits.max()
     e = np.exp(logits)
     return e / e.sum()

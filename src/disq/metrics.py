@@ -7,7 +7,7 @@ import numpy as np
 from .dataio import N_CLASSES
 
 
-def confusion_matrix(y_true, y_pred, n_classes: int = N_CLASSES) -> np.ndarray:
+def confusion_matrix(y_true, y_pred) -> np.ndarray:
     """Count matrix with rows = true class, columns = predicted class."""
     y_true = np.asarray(y_true, dtype=np.int64)
     y_pred = np.asarray(y_pred, dtype=np.int64)
@@ -16,9 +16,9 @@ def confusion_matrix(y_true, y_pred, n_classes: int = N_CLASSES) -> np.ndarray:
     if y_true.size == 0:
         raise ValueError("no samples")
     for name, arr in (("y_true", y_true), ("y_pred", y_pred)):
-        if arr.min() < 0 or arr.max() >= n_classes:
-            raise ValueError(f"{name} contains labels outside 0..{n_classes - 1}")
-    cm = np.zeros((n_classes, n_classes), dtype=np.int64)
+        if arr.min() < 0 or arr.max() >= N_CLASSES:
+            raise ValueError(f"{name} contains labels outside 0..{N_CLASSES - 1}")
+    cm = np.zeros((N_CLASSES, N_CLASSES), dtype=np.int64)
     np.add.at(cm, (y_true, y_pred), 1)
     return cm
 

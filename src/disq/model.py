@@ -74,7 +74,6 @@ class HeadParams:
     """Pooling scorer and two-layer tanh MLP; class_weights are data-derived, not trained."""
 
     pool_v: np.ndarray  # (feat,)
-    pool_b: np.ndarray  # ()
     w1: np.ndarray  # (hidden, 2*feat)
     b1: np.ndarray  # (hidden,)
     w2: np.ndarray  # (n_classes, hidden)
@@ -109,21 +108,16 @@ class ModelParams:
 
 
 def init_head_params(
-    rng: np.random.Generator,
-    feat_dim: int,
-    hidden: int,
-    n_classes: int = N_CLASSES,
-    class_weights=None,
+    rng: np.random.Generator, feat_dim: int, hidden: int, class_weights=None
 ) -> HeadParams:
     in_dim = 2 * feat_dim
     return HeadParams(
         pool_v=0.01 * rng.standard_normal(feat_dim),
-        pool_b=np.array(0.0),
         w1=rng.standard_normal((hidden, in_dim)) / np.sqrt(in_dim),
         b1=np.zeros(hidden),
-        w2=rng.standard_normal((n_classes, hidden)) / np.sqrt(hidden),
-        b2=np.zeros(n_classes),
-        class_weights=np.ones(n_classes) if class_weights is None else class_weights,
+        w2=rng.standard_normal((N_CLASSES, hidden)) / np.sqrt(hidden),
+        b2=np.zeros(N_CLASSES),
+        class_weights=np.ones(N_CLASSES) if class_weights is None else class_weights,
     )
 
 
@@ -143,13 +137,17 @@ def init_model_params(
 # --- reference single-utterance operations ---------------------------------
 
 
-def attentive_stats_pool(h: np.ndarray, mask: np.ndarray, v: np.ndarray, b) -> np.ndarray:
-    """Attention-weighted mean and std of the valid frames, concatenated."""
+def attentive_stats_pool(h: np.ndarray, mask: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Attention-weighted mean and std of the valid frames, concatenated.
+
+    The frame scores are h . v; like the layer scorer, it has no offset,
+    which the softmax over frames would cancel.
+    """
     h = np.asarray(h, dtype=np.float64)
     mask = np.asarray(mask, dtype=bool)
     if not mask.any():
         raise ValueError("all frames masked")
-    e = np.where(mask, h @ np.asarray(v, dtype=np.float64) + float(b), -np.inf)
+    e = np.where(mask, h @ np.asarray(v, dtype=np.float64), -np.inf)
     e = e - e.max()
     a = np.exp(e)
     a /= a.sum()
@@ -299,7 +297,7 @@ def forward_batch(params: ModelParams, batch: Batch):
     # layer summaries, the valid-frame means of y = g x̂ + b, and attention weights
     s = fp.layer_gain * batch.s_hat + fp.layer_bias
     tau = temperature_from_raw(fp.temperature_raw)
-    u = (s @ fp.attn_w + float(fp.attn_b)) / tau
+    u = s @ fp.attn_w / tau
     u_shift = u - u.max(axis=1, keepdims=True)
     eu = np.exp(u_shift)
     alpha = eu / eu.sum(axis=1, keepdims=True)
@@ -321,8 +319,7 @@ def forward_batch(params: ModelParams, batch: Batch):
         z = f
 
     # attentive statistics pooling over valid frames
-    e = z @ hp.pool_v + float(hp.pool_b)
-    e = np.where(batch.mask, e, -np.inf)
+    e = np.where(batch.mask, z @ hp.pool_v, -np.inf)
     e_shift = e - e.max(axis=1, keepdims=True)
     ee = np.exp(e_shift)
     a_t = ee / ee.sum(axis=1, keepdims=True)
@@ -398,7 +395,6 @@ def backward_batch(params: ModelParams, cache) -> dict[str, np.ndarray]:
     da = np.einsum("btf,bf->bt", z, dmu) + np.einsum("btf,bf->bt", z * z, dq)
     de = a_t * (da - (a_t * da).sum(axis=1, keepdims=True))
     grads["head.pool_v"] = np.einsum("bt,btf->f", de, z)
-    grads["head.pool_b"] = np.array(de.sum())
     dz += de[:, :, None] * hp.pool_v
 
     # modality normalizer
@@ -429,7 +425,6 @@ def backward_batch(params: ModelParams, cache) -> dict[str, np.ndarray]:
     s, u, tau = cache["s"], cache["u"], cache["tau"]
     du = alpha * (dalpha - (alpha * dalpha).sum(axis=1, keepdims=True))
     grads["fusion.attn_w"] = np.einsum("bn,bnd->d", du, s) / tau
-    grads["fusion.attn_b"] = np.array(du.sum() / tau)
     ds = du[:, :, None] * (fp.attn_w / tau)
     dtau = -float((du * u).sum()) / tau
     grads["fusion.temperature_raw"] = np.array(dtau * float(sigmoid(fp.temperature_raw)))
@@ -439,12 +434,6 @@ def backward_batch(params: ModelParams, cache) -> dict[str, np.ndarray]:
     grads["fusion.layer_gain"] = np.einsum("bn,bdn->nd", alpha, g) + (ds * batch.s_hat).sum(axis=0)
     grads["fusion.layer_bias"] = alpha.T @ df_sum + ds.sum(axis=0)
     return grads
-
-
-def predict_batch(params: ModelParams, batch: Batch):
-    """Logits and attention weights; the loss side of the forward is discarded."""
-    _, cache = forward_batch(params, batch)
-    return cache["logits"], cache["alpha"]
 
 
 def predict(params: ModelParams, items: list[PreparedUtterance], batch_size: int = 64):
@@ -462,8 +451,9 @@ def _predict_batches(params: ModelParams, batches, n_items: int):
     alphas = np.empty((n_items, params.fusion.n_layers))
     start = 0
     for batch in batches:
-        logits, alphas[start : start + batch.size] = predict_batch(params, batch)
-        preds[start : start + batch.size] = np.argmax(logits, axis=1)
+        _, cache = forward_batch(params, batch)
+        preds[start : start + batch.size] = np.argmax(cache["logits"], axis=1)
+        alphas[start : start + batch.size] = cache["alpha"]
         start += batch.size
     return preds, alphas
 
@@ -495,13 +485,13 @@ class Adam:
             arr[...] = arr - cfg.learning_rate * step
 
 
-def class_weights_from_labels(labels, n_classes: int = N_CLASSES) -> np.ndarray:
-    """Inverse-frequency weights N / (n_classes * N_c); errors on absent classes."""
-    counts = np.bincount(np.asarray(labels, dtype=np.int64), minlength=n_classes)
+def class_weights_from_labels(labels) -> np.ndarray:
+    """Inverse-frequency weights N / (N_CLASSES * N_c); errors on absent classes."""
+    counts = np.bincount(np.asarray(labels, dtype=np.int64), minlength=N_CLASSES)
     if (counts == 0).any():
         missing = np.flatnonzero(counts == 0).tolist()
         raise ValueError(f"classes absent from train split: {missing}")
-    return counts.sum() / (n_classes * counts.astype(np.float64))
+    return counts.sum() / (N_CLASSES * counts.astype(np.float64))
 
 
 @dataclass
@@ -578,10 +568,9 @@ def train(
 # --- finite-difference verification ------------------------------------------
 
 
-def finite_difference_check(
-    params: ModelParams, batch: Batch, eps: float = 1e-3
-) -> tuple[float, dict[str, float]]:
-    """Max relative error between analytic and central-difference gradients."""
+def finite_difference_check(params: ModelParams, batch: Batch) -> tuple[float, dict[str, float]]:
+    """Max relative error between analytic and central-difference gradients (step 1e-3)."""
+    eps = 1e-3
     _, cache = forward_batch(params, batch)
     grads = backward_batch(params, cache)
 
@@ -611,19 +600,14 @@ def finite_difference_check(
     return worst, per_param
 
 
-def gradient_check(
-    seed: int = 0,
-    n_layers: int = 3,
-    dim: int = 8,
-    osm_dim: int | None = 6,
-    hidden: int = 16,
-    eps: float = 1e-3,
-) -> float:
+def gradient_check(seed: int = 0) -> float:
     """Run the full-pipeline check on a small random two-utterance batch.
 
-    Uses unequal frame counts so the padding masks are exercised, and a
-    paralinguistic branch so every parameter group receives gradient.
+    Three 8-dim layers, a 6-dim paralinguistic branch (so every parameter
+    group receives gradient) and a 16-unit hidden layer; unequal frame
+    counts exercise the padding masks.
     """
+    n_layers, dim, osm_dim, hidden = 3, 8, 6, 16
     rng = np.random.default_rng([seed, 17])
     items = []
     for i, t in enumerate((5, 7)):
@@ -632,11 +616,11 @@ def gradient_check(
                 utt_id=f"g{i}",
                 streams=rng.standard_normal((n_layers, t, dim)),
                 label=int(rng.integers(N_CLASSES)),
-                osm=None if osm_dim is None else rng.standard_normal((t, osm_dim)),
+                osm=rng.standard_normal((t, osm_dim)),
             )
         )
     params = init_model_params(
         rng, n_layers, dim, osm_dim, hidden, class_weights=rng.uniform(0.5, 2.0, N_CLASSES)
     )
-    worst, _ = finite_difference_check(params, collate(items), eps=eps)
+    worst, _ = finite_difference_check(params, collate(items))
     return worst

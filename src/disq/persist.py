@@ -38,9 +38,16 @@ def save_codebook(cb: Codebook, base_path, extra: dict | None = None) -> None:
     )
 
 
+SIDECAR_FIELDS = ("stream_id", "k", "seed", "final_distortion", "iterations_run")
+
+
 def load_codebook(base_path) -> Codebook:
     base = Path(base_path)
-    sidecar = json.loads(base.with_suffix(".json").read_text(encoding="utf-8"))
+    sidecar_path = base.with_suffix(".json")
+    sidecar = json.loads(sidecar_path.read_text(encoding="utf-8"))
+    missing = [name for name in SIDECAR_FIELDS if name not in sidecar]
+    if missing:
+        raise ValueError(f"{sidecar_path}: missing {', '.join(missing)}")
     seq = read_feature_file(base.with_suffix(".dsqf"), stream_id=sidecar["stream_id"])
     centroids = seq.frames.astype(np.float64)
     if centroids.shape[0] != sidecar["k"]:

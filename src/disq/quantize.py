@@ -20,6 +20,10 @@ from .dataio import OPENSMILE_DIM, FeatureSequence
 # covers float64 rounding at plateaus only.
 _MONOTONE_SLACK = 1e-9
 
+# Lloyd's algorithm stops once one pass improves the distortion by less than
+# this fraction.
+_REL_TOL = 1e-6
+
 
 @dataclass
 class Codebook:
@@ -151,13 +155,12 @@ def kmeans_fit(
     k: int,
     seed: int,
     max_iters: int = 100,
-    rel_tol: float = 1e-6,
     stream_id: str = "",
 ) -> Codebook:
     """Lloyd's algorithm with k-means++ seeding, seeded and deterministic.
 
     Stops once the relative distortion improvement over one iteration falls
-    below rel_tol (repair iterations never stop early) or after max_iters
+    below 1e-6 (repair iterations never stop early) or after max_iters
     assignment passes. Empty clusters are reseeded to the point farthest
     from its assigned centroid, so all k rows stay live. The recorded
     distortion sequence is asserted non-increasing.
@@ -187,7 +190,7 @@ def kmeans_fit(
             assert mse <= history[-1] + _MONOTONE_SLACK * max(1.0, history[-1]), (
                 f"Lloyd distortion increased: {history[-1]} -> {mse}"
             )
-            stop = not repaired and (history[-1] - mse) < rel_tol * max(
+            stop = not repaired and (history[-1] - mse) < _REL_TOL * max(
                 history[-1], np.finfo(float).tiny
             )
         else:
@@ -253,8 +256,6 @@ def rvq_fit(
     n_stages: int,
     k_per_stage: int,
     seed: int,
-    max_iters: int = 100,
-    rel_tol: float = 1e-6,
     stream_id: str = "rvq",
 ) -> RvqCodebook:
     """Train a residual quantizer: each stage runs kmeans_fit on what is left.
@@ -270,9 +271,7 @@ def rvq_fit(
     stages: list[Codebook] = []
     energies: list[float] = []
     for s in range(n_stages):
-        cb = kmeans_fit(
-            residual, k_per_stage, seed + s, max_iters, rel_tol, stream_id=f"{stream_id}:stage{s}"
-        )
+        cb = kmeans_fit(residual, k_per_stage, seed + s, stream_id=f"{stream_id}:stage{s}")
         _, idx = nearest_centroids(residual, cb.centroids)
         residual -= cb.centroids[idx]
         energy = float(np.einsum("nd,nd->n", residual, residual).mean())
@@ -343,19 +342,13 @@ def knee_by_chord(ks, distortions) -> int:
     return ks[1 + int(np.argmax(dist))]
 
 
-def elbow_k(
-    x: np.ndarray,
-    candidate_ks,
-    seed: int,
-    max_iters: int = 100,
-    rel_tol: float = 1e-6,
-) -> int:
+def elbow_k(x: np.ndarray, candidate_ks, seed: int) -> int:
     """Fit every candidate K (same seed) and pick the distortion-curve knee."""
     candidate_ks = [int(k) for k in candidate_ks]
     n = np.asarray(x).shape[0]
     if any(k > n for k in candidate_ks):
         raise ValueError("every candidate K must be <= number of points")
-    ds = [kmeans_fit(x, k, seed, max_iters, rel_tol).final_distortion for k in candidate_ks]
+    ds = [kmeans_fit(x, k, seed).final_distortion for k in candidate_ks]
     return knee_by_chord(candidate_ks, ds)
 
 
@@ -413,30 +406,18 @@ OPENSMILE_CATEGORIES = CategoryTable(
 )
 
 
-def fit_opensmile_codebooks(
-    frames: np.ndarray,
-    seed: int,
-    table: CategoryTable = OPENSMILE_CATEGORIES,
-    max_iters: int = 100,
-    rel_tol: float = 1e-6,
-) -> dict[str, Codebook]:
+def fit_opensmile_codebooks(frames: np.ndarray, seed: int, max_iters: int = 100) -> dict[str, Codebook]:
     """One codebook per category, trained on that category's column block."""
     frames = np.asarray(frames, dtype=np.float64)
     if frames.ndim != 2 or frames.shape[1] != OPENSMILE_DIM:
         raise ValueError(f"expected N x {OPENSMILE_DIM} frames, got shape {frames.shape}")
     books = {}
-    for cat, cols in table.slices():
-        books[cat.name] = kmeans_fit(
-            frames[:, cols], cat.k, seed, max_iters, rel_tol, stream_id=f"osm:{cat.name}"
-        )
+    for cat, cols in OPENSMILE_CATEGORIES.slices():
+        books[cat.name] = kmeans_fit(frames[:, cols], cat.k, seed, max_iters, stream_id=f"osm:{cat.name}")
     return books
 
 
-def quantize_opensmile(
-    h_os: FeatureSequence,
-    codebooks: dict[str, Codebook],
-    table: CategoryTable = OPENSMILE_CATEGORIES,
-):
+def quantize_opensmile(h_os: FeatureSequence, codebooks: dict[str, Codebook]):
     """Discretize each category block and re-concatenate the reconstructions.
 
     Returns (per-category TokenSequence dict, 74-dim reconstructed frames).
@@ -445,7 +426,7 @@ def quantize_opensmile(
         raise ValueError(f"expected {OPENSMILE_DIM}-dim frames, got {h_os.dim}")
     tokens: dict[str, TokenSequence] = {}
     parts = []
-    for cat, cols in table.slices():
+    for cat, cols in OPENSMILE_CATEGORIES.slices():
         cb = codebooks[cat.name]
         if cb.k != cat.k:
             raise ValueError(f"{cat.name}: codebook k={cb.k} != table k={cat.k}")

@@ -139,15 +139,10 @@ class CodebookCache:
     dataset by accident. `misses` counts actual codebook fits.
     """
 
-    def __init__(
-        self,
-        kmeans_max_iters: int = 100,
-        kmeans_rel_tol: float = 1e-6,
-    ):
+    def __init__(self, kmeans_max_iters: int = 100):
         self._books = _KeyedCache()
         self._recons = _KeyedCache()
         self.max_iters = kmeans_max_iters
-        self.rel_tol = kmeans_rel_tol
 
     @property
     def hits(self) -> int:
@@ -161,14 +156,7 @@ class CodebookCache:
         key = ("layer", ds.train_hash, layer, k, seed)
         return self._books.get_or_fit(
             key,
-            lambda: kmeans_fit(
-                _train_frames(ds, layer),
-                k,
-                seed,
-                self.max_iters,
-                self.rel_tol,
-                stream_id=f"layer:{layer}",
-            ),
+            lambda: kmeans_fit(_train_frames(ds, layer), k, seed, self.max_iters, stream_id=f"layer:{layer}"),
         )
 
     def osm_codebooks(self, ds: LoadedDataset, seed: int) -> dict[str, Codebook]:
@@ -176,9 +164,7 @@ class CodebookCache:
             frames = [u.opensmile.frames for u in ds.utterances["train"] if u.opensmile is not None]
             if not frames:
                 raise ValueError("no opensmile streams in the train split")
-            return fit_opensmile_codebooks(
-                np.concatenate(frames), seed, max_iters=self.max_iters, rel_tol=self.rel_tol
-            )
+            return fit_opensmile_codebooks(np.concatenate(frames), seed, self.max_iters)
 
         return self._books.get_or_fit(("osm", ds.train_hash, seed), fit)
 

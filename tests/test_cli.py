@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import disq.cli as cli
 from disq.cli import build_parser, main
 from disq.dataio import read_feature_file
 from disq.quantize import OPENSMILE_CATEGORIES
@@ -99,6 +100,15 @@ def test_gen_flag_overrides(cli_workspace, tmp_path):
     spec = cli_workspace / "spec.json"
     assert run(["gen", "--spec", spec, "--seed", 9, "--out", tmp_path / "c"]) == 0
     assert dir_digest(tmp_path / "c") != dir_digest(cli_workspace / "data")
+
+
+def test_gen_rejects_a_spec_it_cannot_place(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(tiny_spec(feature_dim=1).to_json()))
+    assert run(["gen", "--spec", spec, "--out", tmp_path / "data"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config:") and err.count("\n") == 1
+    assert "could not place 8 separated vectors in 1 dims" in err
 
 
 def test_codebooks_tokenize_roundtrip(cli_workspace, tmp_path):
@@ -196,6 +206,18 @@ def test_sweep_outputs(cli_workspace, tmp_path):
     out2 = tmp_path / "sw2"
     assert run(["sweep", "--dataset", data, "--grid", cli_workspace / "grid.json", "--out", out2]) == 0
     assert dir_digest(out) == dir_digest(out2)
+
+
+@pytest.mark.parametrize("layer_sets, bad", [(["2,3", "0,9"], 1), (["sparse"], 0)])
+def test_sweep_rejects_layer_sets_the_dataset_lacks(
+    cli_workspace, tmp_path, capsys, monkeypatch, layer_sets, bad
+):
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"ks": [8], "layer_sets": layer_sets, "seeds": [0], "train": {"epochs": 1}}))
+    monkeypatch.setattr(cli, "run_sweep", lambda *args, **kwargs: pytest.fail("the sweep started"))
+    assert run(["sweep", "--dataset", cli_workspace / "data", "--grid", grid, "--out", tmp_path / "sw"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config: layer_sets[{bad}]:") and "outside 0..3" in err
 
 
 def test_gradcheck_command(tmp_path, capsys):
@@ -336,3 +358,38 @@ def test_malformed_manifest_exits_3_naming_the_field(cli_workspace, tmp_path, ca
     assert run(argv) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: data:") and f"manifest_dev.json: {field}" in err
+
+
+@pytest.fixture(scope="module")
+def artifacts(cli_workspace):
+    """A codebook directory and a checkpoint made from the shared dataset."""
+    data, root = cli_workspace / "data", cli_workspace / "artifacts"
+    assert run(["codebooks", "--dataset", data, "--layers", "3", "--k", 8, "--out", root / "cb"]) == 0
+    assert run(["train", "--dataset", data, "--layer-set", "3", "--k", 8, "--epochs", 1, "--out", root / "tr"]) == 0
+    return root
+
+
+@pytest.mark.parametrize(
+    "artifact, doc_name, field",
+    [
+        ("cb", "layer_03.json", "stream_id"),
+        ("tr", "checkpoint/meta.json", "train_hash"),
+        ("tr", "checkpoint/meta.json", "layers"),
+    ],
+)
+def test_damaged_artifact_exits_3_naming_file_and_field(
+    cli_workspace, artifacts, tmp_path, capsys, artifact, doc_name, field
+):
+    damaged = tmp_path / artifact
+    shutil.copytree(artifacts / artifact, damaged)
+    doc = json.loads((damaged / doc_name).read_text())
+    del doc[field]
+    (damaged / doc_name).write_text(json.dumps(doc))
+    data, out = cli_workspace / "data", tmp_path / "out"
+    if artifact == "cb":
+        argv = ["tokenize", "--dataset", data, "--codebooks", damaged, "--out", out]
+    else:
+        argv = ["eval", "--checkpoint", damaged / "checkpoint", "--dataset", data, "--out", out]
+    assert run(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: data:") and f"{damaged / doc_name}: missing {field}" in err

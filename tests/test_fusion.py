@@ -100,21 +100,21 @@ def test_masked_average_pool_all_false():
 
 def test_attention_identical_summaries_uniform():
     s = np.tile(np.array([1.0, -2.0, 0.5]), (6, 1))
-    alpha = layer_attention(s, np.array([0.3, 0.1, -0.4]), 0.2, temperature=1.0)
+    alpha = layer_attention(s, np.array([0.3, 0.1, -0.4]), temperature=1.0)
     assert alpha == pytest.approx(np.full(6, 1 / 6))
 
 
 def test_attention_high_temperature_flattens():
     rng = np.random.default_rng(2)
     s = rng.standard_normal((5, 4))
-    alpha = layer_attention(s, rng.standard_normal(4), 0.0, temperature=1000.0)
+    alpha = layer_attention(s, rng.standard_normal(4), temperature=1000.0)
     assert np.abs(alpha - 0.2).max() < 0.01
 
 
 def test_attention_matches_independent_softmax():
     # summaries and scorer constructed so the logits are exactly (2, 1, 0)
     s = np.array([[2.0, 5.0], [1.0, 5.0], [0.0, 5.0]])
-    alpha = layer_attention(s, np.array([1.0, 0.0]), 0.0, temperature=1.0)
+    alpha = layer_attention(s, np.array([1.0, 0.0]), temperature=1.0)
     expected = np.exp([2.0, 1.0, 0.0])
     expected /= expected.sum()
     assert alpha == pytest.approx([0.6652, 0.2447, 0.0900], abs=1e-4)
@@ -125,13 +125,14 @@ def test_attention_simplex_and_shift_invariance():
     rng = np.random.default_rng(3)
     s = rng.standard_normal((7, 6))
     w = rng.standard_normal(6)
-    alpha = layer_attention(s, w, 0.5, temperature=0.7)
+    alpha = layer_attention(s, w, temperature=0.7)
     assert alpha.min() > 0
     assert alpha.sum() == pytest.approx(1.0, abs=1e-12)
-    shifted = layer_attention(s + np.ones(6) * 0, w, 0.5 + 3.0, temperature=0.7)
+    # adding one vector c to every summary adds w . c to every logit
+    shifted = layer_attention(s + rng.standard_normal(6), w, temperature=0.7)
     assert np.argmax(shifted) == np.argmax(alpha)  # constant logit shift
     with pytest.raises(ValueError):
-        layer_attention(np.array([[np.inf, 0.0]]), np.ones(2), 0.0, temperature=1.0)
+        layer_attention(np.array([[np.inf, 0.0]]), np.ones(2), temperature=1.0)
 
 
 def test_temperature_parameterization():
@@ -269,7 +270,7 @@ def test_end_to_end_scale_invariance(rng):
             for i, h in enumerate(h_list)
         ]
         summaries = np.stack([masked_average_pool(h, np.ones(t, bool)) for h in normed])
-        alpha = layer_attention(summaries, params.attn_w, params.attn_b, params.temperature())
+        alpha = layer_attention(summaries, params.attn_w, params.temperature())
         return fuse_layers(normed, alpha)
 
     base = fused(hs)

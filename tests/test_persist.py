@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import pytest
 
@@ -52,3 +53,19 @@ def test_checkpoint_missing_required_tensor(tmp_path, rng, missing):
     meta_path.write_text(json.dumps(meta))
     with pytest.raises(KeyError):
         load_checkpoint(tmp_path / "ckpt")
+
+
+def test_checkpoint_with_extra_tensor_files_loads(tmp_path, rng):
+    """A checkpoint that stores tensors the model no longer has (as older ones
+    store the scorers' scalar offsets) loads; the extra files are ignored."""
+    params = init_model_params(rng, 3, 5, 6, hidden=7)
+    save_checkpoint(tmp_path / "ckpt", params, {})
+    meta_path = tmp_path / "ckpt" / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    stored = tmp_path / "ckpt" / "params"
+    for name in ("fusion.attn_b", "head.pool_b"):
+        shutil.copy(stored / "fusion.temperature_raw.dsqf", stored / f"{name}.dsqf")
+        meta["param_shapes"][name] = []
+    meta_path.write_text(json.dumps(meta))
+    back, _ = load_checkpoint(tmp_path / "ckpt")
+    assert [name for name, _ in back.param_items()] == [name for name, _ in params.param_items()]
