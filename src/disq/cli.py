@@ -321,6 +321,14 @@ def cmd_train(args, argv) -> int:
         "dev_macro_f1": result.history[result.best_epoch].dev_macro_f1,
     }
     persist.save_checkpoint(out / "checkpoint", result.params, meta)
+    if job.k is not None:  # the exact codebooks the streams were made with, for eval
+        books = {f"layer_{l:02d}": cache.layer_codebook(ds, l, job.k, job.codebook_seed) for l in layers}
+        if job.aug != "none":
+            books.update({f"osm_{n}": cb for n, cb in cache.osm_codebooks(ds, job.codebook_seed).items()})
+        book_dir = out / "checkpoint" / "codebooks"
+        book_dir.mkdir(exist_ok=True)
+        for stem, cb in books.items():
+            persist.save_exact_codebook(cb, book_dir / stem)
     history = [[h.train_loss, h.dev_macro_f1] for h in result.history]
     (out / "history.json").write_text(json.dumps(history) + "\n")
     _write_metadata(out, "train", argv, meta, [job.train.seed], started)
@@ -329,6 +337,37 @@ def cmd_train(args, argv) -> int:
         f"(best epoch {result.best_epoch}, dev macro F1 {meta['dev_macro_f1']:.4f})"
     )
     return 0
+
+
+def _hold_checkpoint_codebooks(cache: CodebookCache, ds, ckpt: Path, meta: dict) -> None:
+    """Give `cache` the codebooks `train` saved, each checked against meta.json.
+
+    A continuous checkpoint has none, and one saved before `train` kept its
+    codebooks has no codebooks/; eval then fits them as `train` did.
+    """
+    book_dir = ckpt / "codebooks"
+    if meta["k"] is None or not book_dir.is_dir():
+        return
+
+    def load(stem: str, stream_id: str, k: int):
+        base = book_dir / stem
+        try:
+            cb = persist.load_exact_codebook(base)
+        except (OSError, ValueError) as exc:  # a parse error does not name the file
+            raise DataError(str(exc) if str(base) in str(exc) else f"{base}: {exc}") from exc
+        want = {"stream_id": stream_id, "k": k, "seed": meta["codebook_seed"]}
+        got = {name: getattr(cb, name) for name in want}
+        if got != want:
+            raise DataError(f"{base.with_suffix('.json')}: holds {got}, meta.json asks for {want}")
+        return cb
+
+    layer_books = {l: load(f"layer_{l:02d}", f"layer:{l}", meta["k"]) for l in meta["layers"]}
+    osm_books = None
+    if meta["aug"] != "none":
+        osm_books = {
+            c.name: load(f"osm_{c.name}", f"osm:{c.name}", c.k) for c in OPENSMILE_CATEGORIES.categories
+        }
+    cache.hold(ds, meta["codebook_seed"], layer_books, osm_books)
 
 
 def cmd_eval(args, argv) -> int:
@@ -341,11 +380,15 @@ def cmd_eval(args, argv) -> int:
         params, meta = persist.load_checkpoint(args.checkpoint)
     except (FileNotFoundError, json.JSONDecodeError, dataio.FeatureFileError, KeyError) as exc:
         raise DataError(f"checkpoint {args.checkpoint}: {exc}") from exc
-    _require_fields(meta, Path(args.checkpoint) / "meta.json", CHECKPOINT_META_FIELDS)
+    meta_path = Path(args.checkpoint) / "meta.json"
+    _require_fields(meta, meta_path, CHECKPOINT_META_FIELDS)
+    if not isinstance(meta["train"], dict) or "seed" not in meta["train"]:
+        raise DataError(f"{meta_path}: missing train.seed")
     if meta["train_hash"] != ds.train_hash:
         raise DataError("checkpoint was trained on a different dataset (train manifest hash mismatch)")
 
     cache = CodebookCache()
+    _hold_checkpoint_codebooks(cache, ds, Path(args.checkpoint), meta)
     try:
         items = prepare_items(
             ds, args.split, tuple(meta["layers"]), meta["k"], cache, meta["codebook_seed"], meta["aug"]

@@ -3,7 +3,9 @@
 Codebooks travel as a DSQF centroid matrix plus a JSON sidecar carrying
 provenance; checkpoints are a directory of one DSQF payload per parameter
 tensor plus JSON metadata. Tensors are stored float32; logical shapes that
-are not 2-D are recorded in the metadata and restored on load.
+are not 2-D are recorded in the metadata and restored on load. The codebooks
+a checkpoint was trained on are kept exact instead: float64 `.npy` centroids
+next to the same sidecar, so that eval quantizes with the very same books.
 """
 
 from __future__ import annotations
@@ -20,10 +22,7 @@ from .model import HeadParams, ModelParams
 from .quantize import Codebook
 
 
-def save_codebook(cb: Codebook, base_path, extra: dict | None = None) -> None:
-    """Write <base>.dsqf (centroids) and <base>.json (provenance)."""
-    base = Path(base_path)
-    write_feature_file(FeatureSequence(cb.centroids, stream_id=cb.stream_id), base.with_suffix(".dsqf"))
+def _write_sidecar(cb: Codebook, base: Path, extra: dict | None) -> None:
     sidecar = {
         "stream_id": cb.stream_id,
         "k": cb.k,
@@ -38,20 +37,35 @@ def save_codebook(cb: Codebook, base_path, extra: dict | None = None) -> None:
     )
 
 
+def save_codebook(cb: Codebook, base_path, extra: dict | None = None) -> None:
+    """Write <base>.dsqf (centroids) and <base>.json (provenance)."""
+    base = Path(base_path)
+    write_feature_file(FeatureSequence(cb.centroids, stream_id=cb.stream_id), base.with_suffix(".dsqf"))
+    _write_sidecar(cb, base, extra)
+
+
+def save_exact_codebook(cb: Codebook, base_path) -> None:
+    """Write <base>.npy (float64 centroids, bit for bit) and <base>.json."""
+    base = Path(base_path)
+    np.save(base.with_suffix(".npy"), np.asarray(cb.centroids, dtype=np.float64), allow_pickle=False)
+    _write_sidecar(cb, base, None)
+
+
 SIDECAR_FIELDS = ("stream_id", "k", "seed", "final_distortion", "iterations_run")
 
 
-def load_codebook(base_path) -> Codebook:
-    base = Path(base_path)
+def _read_sidecar(base: Path) -> dict:
     sidecar_path = base.with_suffix(".json")
     sidecar = json.loads(sidecar_path.read_text(encoding="utf-8"))
     missing = [name for name in SIDECAR_FIELDS if name not in sidecar]
     if missing:
         raise ValueError(f"{sidecar_path}: missing {', '.join(missing)}")
-    seq = read_feature_file(base.with_suffix(".dsqf"), stream_id=sidecar["stream_id"])
-    centroids = seq.frames.astype(np.float64)
-    if centroids.shape[0] != sidecar["k"]:
-        raise ValueError(f"{base}: payload has {centroids.shape[0]} rows, sidecar says k={sidecar['k']}")
+    return sidecar
+
+
+def _codebook(base: Path, centroids: np.ndarray, sidecar: dict) -> Codebook:
+    if centroids.ndim != 2 or centroids.shape[0] != sidecar["k"]:
+        raise ValueError(f"{base}: payload has shape {centroids.shape}, sidecar says k={sidecar['k']}")
     return Codebook(
         centroids=centroids,
         stream_id=sidecar["stream_id"],
@@ -60,6 +74,24 @@ def load_codebook(base_path) -> Codebook:
         final_distortion=float(sidecar["final_distortion"]),
         iterations_run=int(sidecar["iterations_run"]),
     )
+
+
+def load_codebook(base_path) -> Codebook:
+    """Read a codebook written by `save_codebook`."""
+    base = Path(base_path)
+    sidecar = _read_sidecar(base)
+    seq = read_feature_file(base.with_suffix(".dsqf"), stream_id=sidecar["stream_id"])
+    return _codebook(base, seq.frames.astype(np.float64), sidecar)
+
+
+def load_exact_codebook(base_path) -> Codebook:
+    """Read a codebook written by `save_exact_codebook`."""
+    base = Path(base_path)
+    sidecar = _read_sidecar(base)
+    centroids = np.load(base.with_suffix(".npy"), allow_pickle=False)
+    if centroids.dtype != np.float64:
+        raise ValueError(f"{base.with_suffix('.npy')}: centroids are {centroids.dtype}, not float64")
+    return _codebook(base, centroids, sidecar)
 
 
 def _as_matrix(arr: np.ndarray) -> np.ndarray:

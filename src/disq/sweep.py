@@ -44,11 +44,15 @@ def check_augmentation(aug: str) -> None:
         raise ValueError(f"unknown augmentation {aug!r}")
 
 
-CSV_COLUMNS = (
-    ["layer_set", "K", "seed", "aug", "macro_f1"]
-    + [f"f1_c{i}" for i in range(N_CLASSES)]
-    + [f"alpha_l{i}" for i in range(24)]
-)
+def _csv_header(n_alpha: int) -> list[str]:
+    return (
+        ["layer_set", "K", "seed", "aug", "macro_f1"]
+        + [f"f1_c{i}" for i in range(N_CLASSES)]
+        + [f"alpha_l{i}" for i in range(n_alpha)]
+    )
+
+
+CSV_COLUMNS = _csv_header(24)  # the header while no row uses a layer past 23
 
 
 @dataclass
@@ -131,6 +135,21 @@ class _KeyedCache:
                 raise cell["error"]
         return cell["value"]
 
+    def put(self, key, value) -> None:
+        """Hold a value made elsewhere; counts neither a hit nor a miss."""
+        cell = {"event": threading.Event(), "value": value, "error": None}
+        cell["event"].set()
+        with self._lock:
+            self._cells[key] = cell
+
+
+def _layer_key(ds: LoadedDataset, layer: int, k: int, seed: int) -> tuple:
+    return ("layer", ds.train_hash, layer, k, seed)
+
+
+def _osm_key(ds: LoadedDataset, seed: int) -> tuple:
+    return ("osm", ds.train_hash, seed)
+
 
 class CodebookCache:
     """Caches trained codebooks and frozen reconstructions for one dataset.
@@ -152,10 +171,26 @@ class CodebookCache:
     def misses(self) -> int:
         return self._books.misses
 
+    def hold(
+        self,
+        ds: LoadedDataset,
+        seed: int,
+        layer_books: dict[int, Codebook],
+        osm_books: dict[str, Codebook] | None,
+    ) -> None:
+        """Serve codebooks fitted earlier (a checkpoint's) as if fitted here.
+
+        Each is stored under the key its fit would have had, so lookups for
+        it return it; holding a codebook counts no fit.
+        """
+        for layer, cb in layer_books.items():
+            self._books.put(_layer_key(ds, layer, cb.k, seed), cb)
+        if osm_books is not None:
+            self._books.put(_osm_key(ds, seed), osm_books)
+
     def layer_codebook(self, ds: LoadedDataset, layer: int, k: int, seed: int) -> Codebook:
-        key = ("layer", ds.train_hash, layer, k, seed)
         return self._books.get_or_fit(
-            key,
+            _layer_key(ds, layer, k, seed),
             lambda: kmeans_fit(_train_frames(ds, layer), k, seed, self.max_iters, stream_id=f"layer:{layer}"),
         )
 
@@ -166,7 +201,7 @@ class CodebookCache:
                 raise ValueError("no opensmile streams in the train split")
             return fit_opensmile_codebooks(np.concatenate(frames), seed, self.max_iters)
 
-        return self._books.get_or_fit(("osm", ds.train_hash, seed), fit)
+        return self._books.get_or_fit(_osm_key(ds, seed), fit)
 
     def layer_recon(self, ds: LoadedDataset, split: str, layer: int, k: int, seed: int):
         """Per-utterance reconstructed frames for one (layer, K), frozen float32."""
@@ -458,10 +493,15 @@ def _fmt(x: float) -> str:
 
 
 def rows_to_csv(rows: list[ResultRow]) -> str:
-    """Machine contract: fixed column set, blanks for absent layers."""
+    """Machine contract: CSV_COLUMNS, blanks for absent layers.
+
+    Rows over layers past 23 widen the alpha columns to their highest layer,
+    so that no fusion weight is dropped.
+    """
+    n_alpha = max([24] + [layer + 1 for row in rows for layer in row.mean_alpha])
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
+    writer.writerow(_csv_header(n_alpha))
     for row in rows:
         record = [
             row.layer_set,
@@ -471,7 +511,7 @@ def rows_to_csv(rows: list[ResultRow]) -> str:
             _fmt(row.macro_f1),
         ]
         record += [_fmt(v) for v in row.per_class_f1]
-        record += [_fmt(row.mean_alpha[i]) if i in row.mean_alpha else "" for i in range(24)]
+        record += [_fmt(row.mean_alpha[i]) if i in row.mean_alpha else "" for i in range(n_alpha)]
         writer.writerow(record)
     return buf.getvalue()
 

@@ -375,6 +375,7 @@ def artifacts(cli_workspace):
         ("cb", "layer_03.json", "stream_id"),
         ("tr", "checkpoint/meta.json", "train_hash"),
         ("tr", "checkpoint/meta.json", "layers"),
+        ("tr", "checkpoint/meta.json", "train.seed"),
     ],
 )
 def test_damaged_artifact_exits_3_naming_file_and_field(
@@ -383,7 +384,8 @@ def test_damaged_artifact_exits_3_naming_file_and_field(
     damaged = tmp_path / artifact
     shutil.copytree(artifacts / artifact, damaged)
     doc = json.loads((damaged / doc_name).read_text())
-    del doc[field]
+    owner, _, key = field.rpartition(".")
+    del (doc[owner] if owner else doc)[key]
     (damaged / doc_name).write_text(json.dumps(doc))
     data, out = cli_workspace / "data", tmp_path / "out"
     if artifact == "cb":
@@ -393,3 +395,73 @@ def test_damaged_artifact_exits_3_naming_file_and_field(
     assert run(argv) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: data:") and f"{damaged / doc_name}: missing {field}" in err
+
+
+@pytest.fixture(scope="module")
+def aug_run(cli_workspace):
+    """A quantized checkpoint with the paralinguistic branch (layers 0-3, K=8, prosody)."""
+    run_dir = cli_workspace / "aug_run"
+    assert run(["train", "--dataset", cli_workspace / "data", "--config", cli_workspace / "train.json", "--out", run_dir]) == 0
+    return run_dir / "checkpoint"
+
+
+def test_checkpoint_codebooks_are_the_ones_train_fitted(cli_workspace, aug_run, artifacts):
+    ds, cache = load_dataset(cli_workspace / "data"), CodebookCache()
+    expected = {f"layer_{l:02d}": cache.layer_codebook(ds, l, 8, 0) for l in range(4)}
+    expected.update({f"osm_{n}": cb for n, cb in cache.osm_codebooks(ds, 0).items()})
+    book_dir = aug_run / "codebooks"
+    assert sorted(p.name for p in book_dir.iterdir()) == sorted(
+        f"{stem}{suffix}" for stem in expected for suffix in (".json", ".npy")
+    )
+    for stem, cb in expected.items():
+        saved = np.load(book_dir / f"{stem}.npy", allow_pickle=False)
+        assert saved.dtype == np.float64 and saved.tobytes() == cb.centroids.tobytes()
+        sidecar = json.loads((book_dir / f"{stem}.json").read_text())
+        assert (sidecar["stream_id"], sidecar["k"], sidecar["seed"]) == (cb.stream_id, cb.k, 0)
+    # without the paralinguistic branch only the layer books are kept
+    assert sorted(p.name for p in (artifacts / "tr" / "checkpoint" / "codebooks").iterdir()) == [
+        "layer_03.json",
+        "layer_03.npy",
+    ]
+
+
+def test_eval_fits_no_codebook_and_matches_fitting_them(cli_workspace, aug_run, tmp_path, monkeypatch):
+    data = cli_workspace / "data"
+    fitted = tmp_path / "fitted"
+    shutil.copytree(aug_run, fitted)
+    shutil.rmtree(fitted / "codebooks")  # as a checkpoint saved before train kept its codebooks
+    assert run(["eval", "--checkpoint", fitted, "--dataset", data, "--out", tmp_path / "ev_fit"]) == 0
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("eval fitted a codebook")
+
+    monkeypatch.setattr("disq.sweep.kmeans_fit", no_fit)
+    monkeypatch.setattr("disq.sweep.fit_opensmile_codebooks", no_fit)
+    assert run(["eval", "--checkpoint", aug_run, "--dataset", data, "--out", tmp_path / "ev"]) == 0
+    for name in ("metrics.json", "row.csv"):
+        assert (tmp_path / "ev" / name).read_bytes() == (tmp_path / "ev_fit" / name).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "stem, edit",
+    [
+        ("layer_02", lambda doc: doc.update(k=9)),
+        ("layer_02", lambda doc: doc.update(seed=1)),
+        ("osm_prosody", lambda doc: doc.update(stream_id="osm:spectral")),
+        ("osm_mfcc", None),  # a book eval needs is missing
+    ],
+)
+def test_damaged_checkpoint_codebook_exits_3_naming_the_file(cli_workspace, aug_run, tmp_path, capsys, stem, edit):
+    damaged = tmp_path / "checkpoint"
+    shutil.copytree(aug_run, damaged)
+    sidecar = damaged / "codebooks" / f"{stem}.json"
+    if edit is None:
+        sidecar.unlink()
+        (damaged / "codebooks" / f"{stem}.npy").unlink()
+    else:
+        doc = json.loads(sidecar.read_text())
+        edit(doc)
+        sidecar.write_text(json.dumps(doc))
+    assert run(["eval", "--checkpoint", damaged, "--dataset", cli_workspace / "data", "--out", tmp_path / "ev"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: data:") and str(damaged / "codebooks" / stem) in err

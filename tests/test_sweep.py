@@ -228,6 +228,20 @@ def test_csv_quoting_and_alpha_blanks(tiny_dataset):
     assert rows_to_text([row]).count("\n") >= 3
 
 
+def test_csv_keeps_every_alpha_of_a_26_layer_row():
+    def row(mean_alpha):
+        return ResultRow("x", 8, 0, "none", 0.5, np.zeros(8), mean_alpha)
+
+    wide = row({0: 0.2, 24: 0.3, 25: 0.5})
+    parsed = list(csv.reader(io.StringIO(rows_to_csv([row({1: 1.0}), wide]))))
+    assert parsed[0] == CSV_COLUMNS + ["alpha_l24", "alpha_l25"]
+    assert all(len(r) == len(parsed[0]) for r in parsed[1:])
+    assert parsed[2][13:] == ["0.2"] + [""] * 23 + ["0.3", "0.5"]
+    assert parsed[1][13:] == ["", "1"] + [""] * 24
+    # up to 24 layers the header is the fixed one
+    assert rows_to_csv([row({23: 1.0})]).splitlines()[0] == ",".join(CSV_COLUMNS)
+
+
 def _avg_row(layer_set, k, aug, f1):
     return ResultRow(
         layer_set=layer_set,
