@@ -149,9 +149,9 @@ def _require_fields(doc: dict, path, names) -> None:
         raise DataError(f"{path}: missing {', '.join(missing)}")
 
 
-def _load_dataset(dataset_dir):
+def _load_dataset(dataset_dir, splits=dataio.SPLITS, layers=None):
     try:
-        return load_dataset(dataset_dir)
+        return load_dataset(dataset_dir, splits, layers)
     except (FileNotFoundError, dataio.FeatureFileError, ValueError, json.JSONDecodeError) as exc:
         raise DataError(f"dataset {dataset_dir}: {exc}") from exc
 
@@ -257,7 +257,7 @@ def cmd_tokenize(args, argv) -> int:
 
     # each stream is encoded once, over the split's concatenated frames
     try:
-        utts = [dataio.load_utterance(manifest, rec) for rec in manifest.records]
+        utts = [dataio.load_utterance(manifest, rec, sorted(layer_books)) for rec in manifest.records]
         for utt in utts:
             (out / "tokens" / utt.utt_id).mkdir(parents=True, exist_ok=True)
         for layer, cb in layer_books.items():
@@ -340,16 +340,10 @@ def cmd_train(args, argv) -> int:
 
 
 def _hold_checkpoint_codebooks(cache: CodebookCache, ds, ckpt: Path, meta: dict) -> None:
-    """Give `cache` the codebooks `train` saved, each checked against meta.json.
-
-    A continuous checkpoint has none, and one saved before `train` kept its
-    codebooks has no codebooks/; eval then fits them as `train` did.
-    """
+    """Give `cache` the codebooks `train` saved, each checked against meta.json and `ds`."""
     book_dir = ckpt / "codebooks"
-    if meta["k"] is None or not book_dir.is_dir():
-        return
 
-    def load(stem: str, stream_id: str, k: int):
+    def load(stem: str, stream_id: str, k: int, dim: int):
         base = book_dir / stem
         try:
             cb = persist.load_exact_codebook(base)
@@ -359,13 +353,17 @@ def _hold_checkpoint_codebooks(cache: CodebookCache, ds, ckpt: Path, meta: dict)
         got = {name: getattr(cb, name) for name in want}
         if got != want:
             raise DataError(f"{base.with_suffix('.json')}: holds {got}, meta.json asks for {want}")
+        if cb.centroids.shape[1] != dim:
+            raise DataError(
+                f"{base.with_suffix('.npy')}: centroids have {cb.centroids.shape[1]} columns, the stream {dim}"
+            )
         return cb
 
-    layer_books = {l: load(f"layer_{l:02d}", f"layer:{l}", meta["k"]) for l in meta["layers"]}
+    layer_books = {l: load(f"layer_{l:02d}", f"layer:{l}", meta["k"], ds.feature_dim) for l in meta["layers"]}
     osm_books = None
     if meta["aug"] != "none":
         osm_books = {
-            c.name: load(f"osm_{c.name}", f"osm:{c.name}", c.k) for c in OPENSMILE_CATEGORIES.categories
+            c.name: load(f"osm_{c.name}", f"osm:{c.name}", c.k, c.dim) for c in OPENSMILE_CATEGORIES.categories
         }
     cache.hold(ds, meta["codebook_seed"], layer_books, osm_books)
 
@@ -375,7 +373,6 @@ def cmd_eval(args, argv) -> int:
     out = _out_dir(args, "eval")
     if args.split not in dataio.SPLITS:
         raise ConfigError(f"--split: must be one of {dataio.SPLITS}")
-    ds = _load_dataset(args.dataset)
     try:
         params, meta = persist.load_checkpoint(args.checkpoint)
     except (FileNotFoundError, json.JSONDecodeError, dataio.FeatureFileError, KeyError) as exc:
@@ -384,11 +381,19 @@ def cmd_eval(args, argv) -> int:
     _require_fields(meta, meta_path, CHECKPOINT_META_FIELDS)
     if not isinstance(meta["train"], dict) or "seed" not in meta["train"]:
         raise DataError(f"{meta_path}: missing train.seed")
+    # A continuous checkpoint needs no codebooks, and one saved before `train`
+    # kept its codebooks has no codebooks/: eval then fits them as `train` did.
+    # It reads the checkpoint's layers of one split, and of the train split
+    # when it fits.
+    holds = meta["k"] is not None and (Path(args.checkpoint) / "codebooks").is_dir()
+    fits = meta["k"] is not None and not holds
+    ds = _load_dataset(args.dataset, ("train", args.split) if fits else (args.split,), meta["layers"])
     if meta["train_hash"] != ds.train_hash:
         raise DataError("checkpoint was trained on a different dataset (train manifest hash mismatch)")
 
     cache = CodebookCache()
-    _hold_checkpoint_codebooks(cache, ds, Path(args.checkpoint), meta)
+    if holds:
+        _hold_checkpoint_codebooks(cache, ds, Path(args.checkpoint), meta)
     try:
         items = prepare_items(
             ds, args.split, tuple(meta["layers"]), meta["k"], cache, meta["codebook_seed"], meta["aug"]

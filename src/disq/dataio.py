@@ -246,17 +246,19 @@ def load_manifest(path) -> DatasetManifest:
     return manifest
 
 
-def load_utterance(manifest: DatasetManifest, record: ManifestRecord) -> UtteranceRecord:
-    layers = {}
-    for idx, rel in enumerate(record.layer_paths):
-        seq = read_feature_file(manifest.root / rel, stream_id=f"layer:{idx}")
+def load_utterance(manifest: DatasetManifest, record: ManifestRecord, layers=None) -> UtteranceRecord:
+    """Read one utterance's opensmile stream and its `layers` (default: every layer)."""
+    wanted = range(len(record.layer_paths)) if layers is None else layers
+    streams = {}
+    for idx in wanted:
+        seq = read_feature_file(manifest.root / record.layer_paths[idx], stream_id=f"layer:{idx}")
         if seq.dim != manifest.feature_dim:
             raise ValueError(f"{record.utt_id} layer {idx}: dim {seq.dim} != {manifest.feature_dim}")
-        layers[idx] = seq
+        streams[idx] = seq
     osm = None
     if record.opensmile_path is not None:
         osm = read_feature_file(manifest.root / record.opensmile_path, stream_id="osm")
-    return UtteranceRecord(record.utt_id, layers, osm, record.label)
+    return UtteranceRecord(record.utt_id, streams, osm, record.label)
 
 
 def load_split(dataset_dir, split: str) -> DatasetManifest:

@@ -91,6 +91,8 @@ def load_exact_codebook(base_path) -> Codebook:
     centroids = np.load(base.with_suffix(".npy"), allow_pickle=False)
     if centroids.dtype != np.float64:
         raise ValueError(f"{base.with_suffix('.npy')}: centroids are {centroids.dtype}, not float64")
+    if not np.isfinite(centroids).all():
+        raise ValueError(f"{base.with_suffix('.npy')}: non-finite centroids")
     return _codebook(base, centroids, sidecar)
 
 

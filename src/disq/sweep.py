@@ -70,7 +70,7 @@ class ResultRow:
 
 @dataclass
 class LoadedDataset:
-    """All splits resident in memory, plus a content hash of the train split."""
+    """The splits' manifests, the utterances read into memory, and a content hash of the train split."""
 
     root: str
     manifests: dict[str, DatasetManifest]
@@ -80,11 +80,16 @@ class LoadedDataset:
     train_hash: str
 
 
-def load_dataset(dataset_dir) -> LoadedDataset:
+def load_dataset(dataset_dir, splits=dataio.SPLITS, layers=None) -> LoadedDataset:
+    """Read every split's manifest, and the feature files of `splits` and `layers`.
+
+    The default reads everything; a caller that needs less (eval: one split
+    and the checkpoint's layers) leaves the rest on disk.
+    """
     manifests = {split: dataio.load_split(dataset_dir, split) for split in dataio.SPLITS}
     utterances = {
-        split: [dataio.load_utterance(man, rec) for rec in man.records]
-        for split, man in manifests.items()
+        split: [dataio.load_utterance(manifests[split], rec, layers) for rec in manifests[split].records]
+        for split in splits
     }
     train_bytes = dataio.manifest_path(dataset_dir, "train").read_bytes()
     return LoadedDataset(

@@ -442,26 +442,91 @@ def test_eval_fits_no_codebook_and_matches_fitting_them(cli_workspace, aug_run, 
         assert (tmp_path / "ev" / name).read_bytes() == (tmp_path / "ev_fit" / name).read_bytes()
 
 
+def _edit_sidecar(**changes):
+    def edit(base):
+        doc = json.loads(base.with_suffix(".json").read_text())
+        doc.update(changes)
+        base.with_suffix(".json").write_text(json.dumps(doc))
+
+    return edit
+
+
+def _edit_centroids(change):
+    def edit(base):
+        path = base.with_suffix(".npy")
+        np.save(path, change(np.load(path, allow_pickle=False)), allow_pickle=False)
+
+    return edit
+
+
+def _remove_book(base):
+    base.with_suffix(".json").unlink()
+    base.with_suffix(".npy").unlink()
+
+
+def _nan_row(centroids):
+    centroids[-1, 0] = np.nan
+    return centroids
+
+
 @pytest.mark.parametrize(
     "stem, edit",
     [
-        ("layer_02", lambda doc: doc.update(k=9)),
-        ("layer_02", lambda doc: doc.update(seed=1)),
-        ("osm_prosody", lambda doc: doc.update(stream_id="osm:spectral")),
-        ("osm_mfcc", None),  # a book eval needs is missing
+        pytest.param("layer_02", _edit_sidecar(k=9), id="wrong_k"),
+        pytest.param("layer_02", _edit_sidecar(seed=1), id="wrong_seed"),
+        pytest.param("osm_prosody", _edit_sidecar(stream_id="osm:spectral"), id="wrong_stream_id"),
+        pytest.param("osm_mfcc", _remove_book, id="missing"),  # a book eval needs
+        pytest.param("layer_00", _edit_centroids(_nan_row), id="nan_centroid"),
+        pytest.param("layer_01", _edit_centroids(lambda c: c[:, :-1]), id="narrow_centroids"),
     ],
 )
 def test_damaged_checkpoint_codebook_exits_3_naming_the_file(cli_workspace, aug_run, tmp_path, capsys, stem, edit):
     damaged = tmp_path / "checkpoint"
     shutil.copytree(aug_run, damaged)
-    sidecar = damaged / "codebooks" / f"{stem}.json"
-    if edit is None:
-        sidecar.unlink()
-        (damaged / "codebooks" / f"{stem}.npy").unlink()
-    else:
-        doc = json.loads(sidecar.read_text())
-        edit(doc)
-        sidecar.write_text(json.dumps(doc))
+    edit(damaged / "codebooks" / stem)
     assert run(["eval", "--checkpoint", damaged, "--dataset", cli_workspace / "data", "--out", tmp_path / "ev"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: data:") and str(damaged / "codebooks" / stem) in err
+
+
+def test_eval_and_tokenize_read_only_the_feature_files_they_use(cli_workspace, tmp_path, monkeypatch):
+    from disq import dataio
+
+    data = cli_workspace / "data"
+    read = []
+    real_read = dataio.read_feature_file
+
+    def spy(path, *args, **kwargs):
+        read.append(Path(path))
+        return real_read(path, *args, **kwargs)
+
+    def files(split, layers):
+        manifest = dataio.load_split(data, split)
+        return {
+            manifest.root / rel
+            for rec in manifest.records
+            for rel in [rec.layer_paths[l] for l in layers] + [rec.opensmile_path]
+        }
+
+    def reads(argv):
+        read.clear()
+        assert run(argv) == 0
+        return {p for p in read if p.is_relative_to(data)}
+
+    train_argv = ["train", "--dataset", data, "--layer-set", "1,3", "--k", 8, "--aug", "prosody", "--epochs", 1]
+    assert run(train_argv + ["--out", tmp_path / "run"]) == 0
+    ckpt, fitted = tmp_path / "run" / "checkpoint", tmp_path / "fitted"
+    shutil.copytree(ckpt, fitted)
+    shutil.rmtree(fitted / "codebooks")
+    cb = tmp_path / "cb"
+    assert run(["codebooks", "--dataset", data, "--layers", "1,3", "--k", 8, "--opensmile", "--out", cb]) == 0
+
+    monkeypatch.setattr("disq.dataio.read_feature_file", spy)
+    eval_argv = ["eval", "--dataset", data, "--split", "dev"]
+    assert reads(eval_argv + ["--checkpoint", ckpt, "--out", tmp_path / "ev"]) == files("dev", (1, 3))
+    # without saved codebooks eval fits them, from the train split
+    assert reads(eval_argv + ["--checkpoint", fitted, "--out", tmp_path / "ev_fit"]) == files("dev", (1, 3)) | files(
+        "train", (1, 3)
+    )
+    tok_argv = ["tokenize", "--dataset", data, "--split", "test", "--codebooks", cb, "--out", tmp_path / "tok"]
+    assert reads(tok_argv) == files("test", (1, 3))
