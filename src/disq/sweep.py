@@ -87,6 +87,10 @@ def load_dataset(dataset_dir, splits=dataio.SPLITS, layers=None) -> LoadedDatase
     and the checkpoint's layers) leaves the rest on disk.
     """
     manifests = {split: dataio.load_split(dataset_dir, split) for split in dataio.SPLITS}
+    layer_count = manifests["train"].layer_count
+    outside = sorted(set(layers or ()) - set(range(layer_count)))
+    if outside:
+        raise ValueError(f"layers {outside} are not in the dataset's 0..{layer_count - 1}")
     utterances = {
         split: [dataio.load_utterance(manifests[split], rec, layers) for rec in manifests[split].records]
         for split in splits
@@ -96,7 +100,7 @@ def load_dataset(dataset_dir, splits=dataio.SPLITS, layers=None) -> LoadedDatase
         root=str(dataset_dir),
         manifests=manifests,
         utterances=utterances,
-        layer_count=manifests["train"].layer_count,
+        layer_count=layer_count,
         feature_dim=manifests["train"].feature_dim,
         train_hash=hashlib.sha256(train_bytes).hexdigest(),
     )

@@ -397,6 +397,17 @@ def test_damaged_artifact_exits_3_naming_file_and_field(
     assert err.startswith("error: data:") and f"{damaged / doc_name}: missing {field}" in err
 
 
+@pytest.mark.parametrize("layer", [9, -1])
+def test_eval_rejects_checkpoint_layers_the_dataset_lacks(cli_workspace, artifacts, tmp_path, capsys, layer):
+    damaged = tmp_path / "tr"
+    shutil.copytree(artifacts / "tr", damaged)
+    meta_path = damaged / "checkpoint" / "meta.json"
+    meta_path.write_text(json.dumps({**json.loads(meta_path.read_text()), "layers": [layer]}))
+    argv = ["eval", "--checkpoint", damaged / "checkpoint", "--dataset", cli_workspace / "data", "--out", tmp_path / "out"]
+    assert run(argv) == 3
+    assert f"layers [{layer}] are not in the dataset's 0..3" in capsys.readouterr().err
+
+
 @pytest.fixture(scope="module")
 def aug_run(cli_workspace):
     """A quantized checkpoint with the paralinguistic branch (layers 0-3, K=8, prosody)."""
