@@ -444,7 +444,7 @@ def cmd_sweep(args, argv) -> int:
     (out / "results.csv").write_text(rows_to_csv(result.rows))
     (out / "results.txt").write_text(rows_to_text(result.rows))
     if any(r.aug != "none" for r in result.rows):
-        gains = augmentation_report(result.rows)
+        gains = augmentation_report(result.rows, ds.layer_count)
         (out / "aug_report.csv").write_text(gains_to_csv(gains))
     if result.failures:
         lines = [

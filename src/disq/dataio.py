@@ -221,7 +221,7 @@ def load_manifest(path) -> DatasetManifest:
     """
     path = Path(path)
     try:
-        doc = from_json(_ManifestDoc, json.loads(path.read_text(encoding="utf-8")))
+        doc = from_json(_ManifestDoc, json.loads(path.read_text(encoding="utf-8")), doc_name="")
     except ValueError as exc:
         raise ValueError(f"{path.name}: {exc}") from exc
     root = path.parent
@@ -319,7 +319,7 @@ _JSON_NAMES = {
 }
 
 
-def from_json(cls, doc, path: str = ""):
+def from_json(cls, doc, path: str = "", doc_name: str = "config"):
     """Read a parsed JSON value as `cls`, a config dataclass or one of its field types.
 
     Unknown fields, missing required fields and wrong JSON types raise
@@ -328,17 +328,19 @@ def from_json(cls, doc, path: str = ""):
     stands for a tuple (its elements are checked), a nested dataclass is
     read recursively and `X | None` also takes null. Value rules stay in
     each dataclass's __post_init__; a nested one's error is prefixed with
-    its path. `path` is where `doc` sits in an enclosing document.
+    its path. `path` is where `doc` sits in an enclosing document;
+    `doc_name` is what an error about the whole document calls it ("" when
+    the caller prefixes its own file name).
     """
     origin, args = typing.get_origin(cls), typing.get_args(cls)
     if origin in (typing.Union, types.UnionType):
         if doc is None and type(None) in args:
             return None
         (inner,) = (a for a in args if a is not type(None))  # configs only use `X | None`
-        return from_json(inner, doc, path)
+        return from_json(inner, doc, path, doc_name)
     if origin is tuple:
         if not isinstance(doc, (list, tuple)):
-            raise _type_error("array", doc, path)
+            raise _type_error("array", doc, path or doc_name)
         if args[-1] is Ellipsis:
             args = args[:1] * len(doc)
         elif len(doc) != len(args):
@@ -348,10 +350,10 @@ def from_json(cls, doc, path: str = ""):
         if cls is float and type(doc) is int:
             return float(doc)
         if not isinstance(doc, cls) or isinstance(doc, bool) != (cls is bool):
-            raise _type_error(_JSON_NAMES[cls], doc, path)
+            raise _type_error(_JSON_NAMES[cls], doc, path or doc_name)
         return doc
     if not isinstance(doc, dict):
-        raise _type_error("object", doc, path)
+        raise _type_error("object", doc, path or doc_name)
     hints = typing.get_type_hints(cls)
     fields = {f.name: f for f in dataclasses.fields(cls) if f.init}
     kwargs = {}
@@ -372,9 +374,10 @@ def from_json(cls, doc, path: str = ""):
         raise ValueError(f"{path}: {exc}") from exc
 
 
-def _type_error(expected: str, doc, path: str) -> ValueError:
+def _type_error(expected: str, doc, where: str) -> ValueError:
     got = _JSON_NAMES.get(type(doc), type(doc).__name__)
-    return ValueError(f"{path or 'config'}: expected {expected}, got {got}")
+    prefix = f"{where}: " if where else ""
+    return ValueError(f"{prefix}expected {expected}, got {got}")
 
 
 PLACEMENT_RESTARTS = 10

@@ -10,14 +10,32 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Named layer configurations over a 24-layer stack.
-LAYER_SETS: dict[str, tuple[int, ...]] = {
-    "all": tuple(range(24)),
-    "all_but_last": tuple(range(23)),
-    "last_only": (23,),
+# Named sets counted from the top of the stack follow the dataset's depth:
+# `all` on a 26-layer dataset is layers 0..25. `sparse` and `ten` name fixed
+# layers of a 24-layer stack.
+_DEPTH_SETS = {
+    "all": lambda n: range(n),
+    "all_but_last": lambda n: range(n - 1),
+    "last_only": lambda n: range(n - 1, n),
+    "last8": lambda n: range(n - 8, n),
+}
+_FIXED_SETS = {
     "sparse": (1, 3, 7, 12, 18, 23),
-    "last8": tuple(range(16, 24)),
     "ten": (0, 1, 2, 4, 6, 9, 12, 16, 20, 23),
+}
+
+
+def _named_layer_set(name: str, layer_count: int) -> tuple[int, ...]:
+    """The layers a named set covers on a `layer_count`-layer stack (KeyError if unknown)."""
+    if name in _DEPTH_SETS:
+        return tuple(_DEPTH_SETS[name](layer_count))
+    return _FIXED_SETS[name]
+
+
+# Every named layer set, as it reads on the reference 24-layer stack.
+LAYER_SETS: dict[str, tuple[int, ...]] = {
+    name: _named_layer_set(name, 24)
+    for name in ("all", "all_but_last", "last_only", "sparse", "last8", "ten")
 }
 
 TEMPERATURE_FLOOR = 0.1
@@ -25,10 +43,14 @@ LAYER_NORM_EPS = 1e-5
 
 
 def resolve_layer_set(entry, layer_count: int) -> tuple[str, tuple[int, ...]]:
-    """Accept a named set, a comma string like "1,3,7", or an index sequence."""
+    """Accept a named set, a comma string like "1,3,7", or an index sequence.
+
+    Named sets resolve against `layer_count` (see `_named_layer_set`); every
+    set must lie within 0..layer_count - 1.
+    """
     if isinstance(entry, str):
         if entry in LAYER_SETS:
-            name, layers = entry, LAYER_SETS[entry]
+            name, layers = entry, _named_layer_set(entry, layer_count)
         else:
             try:
                 layers = tuple(int(tok) for tok in entry.split(","))

@@ -97,23 +97,64 @@ def nearest_centroids(x: np.ndarray, centroids: np.ndarray):
     return out_d2, out_idx
 
 
-def _kmeanspp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    n = x.shape[0]
-    centroids = np.empty((k, x.shape[1]))
-    chosen = np.zeros(n, dtype=bool)
-    # one dim-major copy of x: each distance pass is d contiguous row updates
-    xt = np.ascontiguousarray(x.T)
-    scratch = np.empty_like(xt)
+def _column_sq_dist(xt: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Squared distance from c to each column of the C-contiguous (d, m) block xt.
 
-    def sq_dist(c):
-        np.subtract(xt, c[:, None], out=scratch)
-        np.square(scratch, out=scratch)
-        return scratch.sum(axis=0)
+    Subtract, square, then sum the d rows in row order. numpy reduces axis 0
+    of a C-contiguous block row by row whatever m is, except that it sums a
+    lone column pairwise, so one column is summed beside a copy of itself.
+    """
+    diff = xt - c[:, None]
+    np.square(diff, out=diff)
+    if diff.shape[1] == 1:
+        return np.repeat(diff, 2, axis=1).sum(axis=0)[:1]
+    return diff.sum(axis=0)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a bound may overflow; NaN is rescored
+def _kmeanspp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k-means++ seeding that computes a full distance only where a point can move.
+
+    After centre c is drawn, d2 becomes min(d2, D) with D the exact
+    subtract/square/sum distance of `_column_sq_dist`. A cheap lower bound
+    on D comes first:
+
+        L = |x|^2 - 2 x.c + |c|^2 - beta (|x| + |c|)^2 - eta
+
+    with beta = 4 (d + 2) u, u = 2^-53 and eta = (2d + 3) 2^-1074. Evaluated
+    in float64, the expansion with its bound term lands within about
+    (2d + 5) u (|x| + |c|)^2 of its exact value, and D within (d + 2) u
+    |x - c|^2 <= (d + 2) u (|x| + |c|)^2 of |x - c|^2; beta leaves
+    (d + 1) u (|x| + |c|)^2 to spare. Products that underflow lose at most
+    2^-1075 each, about 4d + 4 of them in all, which eta covers. So computed
+    L <= D, and where L >= d2 the minimum keeps d2 bit for bit: only the
+    other points (NaN counts as one) get their exact D. d2, and with it every
+    rng draw, is bitwise what a full distance pass at every step gives.
+
+    Norms are computed once per fit. Rows [x | |x| | (1 - beta)|x|^2 | 1] are
+    held dim-major, so L for every point is one GEMV against
+    [-2c, -2 beta |c|, 1, (1 - beta)|c|^2 - eta].
+    """
+    n, d = x.shape
+    centroids = np.empty((k, d))
+    chosen = np.zeros(n, dtype=bool)
+    beta = 4 * (d + 2) * 2.0**-53
+    eta = (2 * d + 3) * 2.0**-1074
+    aug = np.empty((d + 3, n))
+    xt = aug[:d]  # dim-major x: each exact pass is d contiguous row updates
+    xt[...] = x.T
+    sq = np.einsum("dn,dn->n", xt, xt)
+    np.sqrt(sq, out=aug[d])
+    np.multiply(sq, 1.0 - beta, out=aug[d + 1])
+    aug[d + 2] = 1.0
+    w = np.empty(d + 3)
+    w[d + 1] = 1.0
+    low = np.empty(n)
 
     first = int(rng.integers(n))
     centroids[0] = x[first]
     chosen[first] = True
-    d2 = sq_dist(centroids[0])
+    d2 = _column_sq_dist(xt, centroids[0])
     for j in range(1, k):
         total = float(d2.sum())
         if total > 0.0:
@@ -125,7 +166,16 @@ def _kmeanspp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
             idx = int(pool[rng.integers(pool.size)])
         centroids[j] = x[idx]
         chosen[idx] = True
-        np.minimum(d2, sq_dist(centroids[j]), out=d2)
+        if j == k - 1:
+            break
+        np.multiply(centroids[j], -2.0, out=w[:d])
+        w[d] = -2.0 * beta * aug[d, idx]
+        w[d + 2] = aug[d + 1, idx] - eta
+        np.matmul(w, aug, out=low)
+        cols = np.flatnonzero(~(low >= d2))
+        if cols.size:
+            exact = _column_sq_dist(np.take(xt, cols, axis=1), centroids[j])
+            d2[cols] = np.minimum(d2[cols], exact)
     return centroids
 
 

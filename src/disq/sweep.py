@@ -557,17 +557,18 @@ class AugGain:
     gain_pct: float
 
 
-def _set_size(name: str) -> int:
+def _set_size(name: str, layer_count: int) -> int:
     if name in LAYER_SETS:
-        return len(LAYER_SETS[name])
+        return len(resolve_layer_set(name, layer_count)[1])
     return len(name.split(","))
 
 
-def augmentation_report(rows: list[ResultRow]) -> list[AugGain]:
+def augmentation_report(rows: list[ResultRow], layer_count: int = 24) -> list[AugGain]:
     """Percentage gain of each augmentation over its no-augmentation baseline.
 
     Works on seed-averaged rows and orders the table sparse to dense (by
-    layer-set size).
+    layer-set size, with named sets resolved against `layer_count`, the
+    depth of the dataset the rows come from).
     """
     avg = [r for r in rows if r.seed == "avg"]
     baselines = {(r.layer_set, r.k): r for r in avg if r.aug == "none"}
@@ -591,7 +592,7 @@ def augmentation_report(rows: list[ResultRow]) -> list[AugGain]:
             )
         )
     order = {name: i for i, name in enumerate(AUGMENTATIONS)}
-    gains.sort(key=lambda g: (_set_size(g.layer_set), g.layer_set, order.get(g.category, 99)))
+    gains.sort(key=lambda g: (_set_size(g.layer_set, layer_count), g.layer_set, order.get(g.category, 99)))
     return gains
 
 

@@ -179,6 +179,42 @@ def test_train_flag_overrides_and_continuous(cli_workspace, tmp_path):
     assert meta["train"]["seed"] == 1 and meta["train"]["epochs"] == 2
 
 
+@pytest.mark.parametrize("layer_count", [4, 26])
+def test_depth_relative_layer_sets_follow_the_dataset(tmp_path, capsys, layer_count):
+    spec = tiny_spec(
+        n_per_class=6,
+        layer_count=layer_count,
+        layer_informativeness=tuple(np.linspace(0.1, 1.0, layer_count)),
+    )
+    (tmp_path / "spec.json").write_text(json.dumps(spec.to_json()))
+    data = tmp_path / "data"
+    assert run(["gen", "--spec", tmp_path / "spec.json", "--out", data]) == 0
+    top = layer_count - 1
+    expected = {"all": list(range(layer_count)), "last_only": [top], "last8": list(range(top - 7, top + 1))}
+    for name, layers in expected.items():
+        out = tmp_path / name
+        code = run(["train", "--dataset", data, "--layer-set", name, "--continuous", "--epochs", 1, "--out", out])
+        if layers[0] < 0:  # fewer than eight layers
+            assert code == 2 and "outside 0..3" in capsys.readouterr().err
+            continue
+        assert code == 0
+        assert json.loads((out / "checkpoint" / "meta.json").read_text())["layers"] == layers
+    # fixed-index sets still need their layers
+    code = run(["train", "--dataset", data, "--layer-set", "sparse", "--continuous", "--epochs", 1, "--out", tmp_path / "sp"])
+    assert code == (2 if layer_count < 24 else 0)
+
+
+def test_manifest_that_is_not_an_object_exits_3(cli_workspace, tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(cli_workspace / "data", data)
+    doc = json.loads((data / "manifest_dev.json").read_text())
+    (data / "manifest_dev.json").write_text(json.dumps([doc]))
+    argv = ["tokenize", "--dataset", data, "--split", "dev", "--codebooks", tmp_path / "none", "--out", tmp_path / "t"]
+    assert run(argv) == 3
+    err = capsys.readouterr().err
+    assert "manifest_dev.json: expected object, got array" in err and "config" not in err
+
+
 def test_eval_rejects_wrong_dataset(cli_workspace, tmp_path):
     data = cli_workspace / "data"
     other = tmp_path / "other_data"

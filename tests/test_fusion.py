@@ -33,6 +33,25 @@ def test_named_layer_sets():
         resolve_layer_set("nonsense", 8)
 
 
+def test_named_layer_sets_follow_the_layer_count():
+    for name, layers in LAYER_SETS.items():
+        assert resolve_layer_set(name, 24) == (name, layers)
+    assert resolve_layer_set("all", 4) == ("all", (0, 1, 2, 3))
+    assert resolve_layer_set("all_but_last", 4) == ("all_but_last", (0, 1, 2))
+    assert resolve_layer_set("last_only", 4) == ("last_only", (3,))
+    assert resolve_layer_set("all", 26) == ("all", tuple(range(26)))
+    assert resolve_layer_set("all_but_last", 26) == ("all_but_last", tuple(range(25)))
+    assert resolve_layer_set("last_only", 26) == ("last_only", (25,))
+    assert resolve_layer_set("last8", 26) == ("last8", tuple(range(18, 26)))
+    assert resolve_layer_set("sparse", 26) == ("sparse", LAYER_SETS["sparse"])
+    assert resolve_layer_set("ten", 26) == ("ten", LAYER_SETS["ten"])
+    for name in ("last8", "sparse", "ten"):
+        with pytest.raises(ValueError, match="outside 0..3"):
+            resolve_layer_set(name, 4)
+    with pytest.raises(ValueError, match="empty"):
+        resolve_layer_set("all_but_last", 1)
+
+
 # --- layer_norm ------------------------------------------------------------------
 
 

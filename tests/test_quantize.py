@@ -9,6 +9,7 @@ from disq.quantize import (
     CategoryTable,
     FeatureCategory,
     TokenSequence,
+    _column_sq_dist,
     _kmeanspp_init,
     _lloyd_update,
     assign,
@@ -137,6 +138,64 @@ def test_kmeanspp_init_degenerate_fallback_matches_reference(x, k):
         assert np.array_equal(got, want)
         # both consumed the same draws
         assert rng_got.integers(1 << 30) == rng_want.integers(1 << 30)
+
+
+def _bound_stress_cases():
+    """Data on which the expansion |x|^2 - 2 x.c + |c|^2 is far from the exact distance."""
+    rng = np.random.default_rng(71)
+    base = rng.standard_normal(6)
+    bumps = rng.integers(0, 2, size=(80, 6)).astype(bool)
+    return {
+        # the expansion cancels 1e8-sized terms down to 1e-6-sized distances
+        "common_offset": (1e4 + 1e-3 * rng.standard_normal((300, 8)), 40),
+        "tiny_scale": (1e-150 * rng.standard_normal((200, 6)), 30),
+        # |x|^2 overflows, so the bound is NaN and every point is rescored
+        "overflowing_norms": (1e160 + 1e150 * rng.standard_normal((100, 4)), 20),
+        # squares below 2^-1022: each product may lose up to half a subnormal step
+        "subnormal_grid": (1e-162 * rng.integers(-3, 4, size=(400, 3)), 30),
+        "mixed_row_scales": (rng.standard_normal((200, 5)) * 10.0 ** rng.uniform(-100, 100, (200, 1)), 30),
+        # 64 distinct rows, one ulp apart per coordinate: the uniform fallback runs too
+        "one_ulp_apart": (np.where(bumps, np.nextafter(base, np.inf), base), 24),
+        "d_is_1": (rng.standard_normal((100, 1)), 30),
+        "k_is_n": (rng.standard_normal((25, 3)), 25),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_bound_stress_cases()))
+def test_kmeanspp_init_bound_stress_matches_reference(case):
+    x, k = _bound_stress_cases()[case]
+    for seed in range(6):
+        rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = _kmeanspp_init(x, k, rng_got)
+        want = reference_kmeanspp_init(x, k, rng_want)
+        assert np.array_equal(got, want)
+        assert rng_got.integers(1 << 30) == rng_want.integers(1 << 30)
+
+
+def test_column_sq_dist_is_the_same_for_any_column_count():
+    rng = np.random.default_rng(73)
+    xt = np.ascontiguousarray(rng.standard_normal((32, 50)) * 10.0 ** rng.uniform(-3, 3, (32, 1)))
+    c = rng.standard_normal(32)
+    full = _column_sq_dist(xt, c)
+    for cols in ([7], [0, 49], list(range(1, 50, 3))):
+        assert np.array_equal(_column_sq_dist(np.take(xt, cols, axis=1), c), full[cols])
+
+
+def test_kmeanspp_init_rescores_few_points(tiny_dataset, monkeypatch):
+    """Only points the bound cannot rule out get an exact distance after the first centre."""
+    x = np.concatenate([u.layers[3].frames for u in tiny_dataset.utterances["train"]])
+    n, k = len(x), 64
+    columns = []
+
+    def counting(xt, c):
+        columns.append(xt.shape[1])
+        return _column_sq_dist(xt, c)
+
+    monkeypatch.setattr("disq.quantize._column_sq_dist", counting)
+    got = _kmeanspp_init(x, k, np.random.default_rng(0))
+    assert np.array_equal(got, reference_kmeanspp_init(x, k, np.random.default_rng(0)))
+    assert columns[0] == n  # the first centre scores every point
+    assert sum(columns[1:]) < 0.25 * n * (k - 1)
 
 
 @pytest.mark.parametrize("n,d,k", KERNEL_SHAPES)

@@ -270,6 +270,17 @@ def test_augmentation_report_gains():
     assert "gain_pct" in gains_to_csv(gains).splitlines()[0]
 
 
+def test_augmentation_report_sizes_named_sets_by_the_layer_count():
+    first25 = ",".join(str(i) for i in range(25))
+    rows = [
+        _avg_row(name, 8, aug, f1)
+        for name in ("all", first25)
+        for aug, f1 in (("none", 0.4), ("prosody", 0.5))
+    ]
+    assert [g.layer_set for g in augmentation_report(rows)] == ["all", first25]
+    assert [g.layer_set for g in augmentation_report(rows, layer_count=26)] == [first25, "all"]
+
+
 def test_augmentation_report_requires_baseline():
     with pytest.raises(ValueError):
         augmentation_report([_avg_row("sparse", 8, "prosody", 0.5)])
