@@ -15,7 +15,6 @@ import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +23,7 @@ from . import __version__, dataio, persist
 from .dataio import FeatureSequence, SyntheticSpec
 from .fusion import resolve_layer_set
 from .model import TrainConfig, gradient_check, train
-from .quantize import OPENSMILE_CATEGORIES, assign, quantize_opensmile, reconstruct
+from .quantize import OPENSMILE_CATEGORIES
 from .sweep import (
     CodebookCache,
     SweepGrid,
@@ -33,7 +32,6 @@ from .sweep import (
     evaluate,
     gains_to_csv,
     load_dataset,
-    per_part,
     prepare_items,
     rows_to_csv,
     rows_to_text,
@@ -179,7 +177,7 @@ def cmd_gen(args, argv) -> int:
 def cmd_codebooks(args, argv) -> int:
     started = time.time()
     out = _out_dir(args, "codebooks")
-    ds = _load_dataset(args.dataset)
+    ds = _load_dataset(args.dataset, ("train",))
     try:
         _, layers = resolve_layer_set(args.layers, ds.layer_count)
     except ValueError as exc:
@@ -207,72 +205,80 @@ def cmd_codebooks(args, argv) -> int:
     return 0
 
 
-def _load_codebook_dir(codebook_dir):
-    codebook_dir = Path(codebook_dir)
-    index_path = codebook_dir / "index.json"
-    if not index_path.is_file():
-        raise DataError(f"{codebook_dir}: missing index.json")
-    index = json.loads(index_path.read_text())
-    _require_fields(index, index_path, ("k", "seed", "layers"))
-    layer_books = {
-        layer: persist.load_codebook(codebook_dir / f"layer_{layer:02d}") for layer in index["layers"]
-    }
+def _hold_codebooks(cache: CodebookCache, ds, load, book_dir: Path, layers, k, seed, opensmile: bool):
+    """Give `cache` the codebooks saved in `book_dir`, each checked against the run and `ds`.
+
+    `load` is the persist reader of the directory's format. Returns the layer
+    books and the opensmile books (None unless `opensmile`).
+    """
+
+    def book(stem: str, stream_id: str, k: int, dim: int):
+        base = book_dir / stem
+        try:
+            cb = load(base)
+        except (OSError, ValueError, dataio.FeatureFileError) as exc:  # a parse error does not name the file
+            raise DataError(str(exc) if str(base) in str(exc) else f"{base}: {exc}") from exc
+        want = {"stream_id": stream_id, "k": k, "seed": seed}
+        got = {name: getattr(cb, name) for name in want}
+        if got != want:
+            raise DataError(f"{base.with_suffix('.json')}: holds {got}, the run asks for {want}")
+        if cb.dim != dim:
+            raise DataError(f"{base}: centroids have {cb.dim} columns, the stream {dim}")
+        return cb
+
+    layer_books = {l: book(f"layer_{l:02d}", f"layer:{l}", k, ds.feature_dim) for l in layers}
     osm_books = None
-    if index.get("opensmile"):
+    if opensmile:
         osm_books = {
-            cat.name: persist.load_codebook(codebook_dir / f"osm_{cat.name}")
-            for cat in OPENSMILE_CATEGORIES.categories
+            c.name: book(f"osm_{c.name}", f"osm:{c.name}", c.k, c.dim) for c in OPENSMILE_CATEGORIES.categories
         }
-    return index, layer_books, osm_books
-
-
-def _layer_rows(cb, h):
-    tokens = assign(cb, h)
-    return reconstruct(cb, tokens).frames, tokens.indices
-
-
-def _osm_rows(books, h):
-    tokens, recon = quantize_opensmile(h, books)
-    return (recon.frames, *(tokens[name].indices for name in books))
+    cache.hold(ds, seed, layer_books, osm_books)
+    return layer_books, osm_books
 
 
 def cmd_tokenize(args, argv) -> int:
     started = time.time()
     out = _out_dir(args, "tokenize")
+    book_dir = Path(args.codebooks)
+    index_path = book_dir / "index.json"
+    if not index_path.is_file():
+        raise DataError(f"{book_dir}: missing index.json")
     try:
-        manifest = dataio.load_split(args.dataset, args.split)
-        index, layer_books, osm_books = _load_codebook_dir(args.codebooks)
-    except (FileNotFoundError, ValueError, json.JSONDecodeError, dataio.FeatureFileError) as exc:
-        raise DataError(str(exc)) from exc
-    outside = sorted(set(layer_books) - set(range(manifest.layer_count)))
-    if outside:
-        raise DataError(
-            f"codebooks cover layers {outside}, but the dataset has layers 0..{manifest.layer_count - 1}"
-        )
+        index = json.loads(index_path.read_text())
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{index_path}: {exc}") from exc
+    _require_fields(index, index_path, ("k", "seed", "layers"))
+    ds = _load_dataset(args.dataset, (args.split,), index["layers"])
+    cache, seed = CodebookCache(), index["seed"]
+    layer_books, osm_books = _hold_codebooks(
+        cache, ds, persist.load_codebook, book_dir, index["layers"], index["k"], seed, index.get("opensmile")
+    )
+
+    utts = ds.utterances[args.split]
+    for utt in utts:
+        (out / "tokens" / utt.utt_id).mkdir(parents=True, exist_ok=True)
 
     def write(utt, stem, tokens, recon):
         utt_dir = out / "tokens" / utt.utt_id
         (utt_dir / f"{stem}.tokens.json").write_text(json.dumps(tokens, sort_keys=True) + "\n")
         dataio.write_feature_file(FeatureSequence(recon), utt_dir / f"{stem}.recon.dsqf")
 
-    # each stream is encoded once, over the split's concatenated frames
+    # the recon files hold float32(C)[idx], the frames prepare_items builds
     try:
-        utts = [dataio.load_utterance(manifest, rec, sorted(layer_books)) for rec in manifest.records]
-        for utt in utts:
-            (out / "tokens" / utt.utt_id).mkdir(parents=True, exist_ok=True)
         for layer, cb in layer_books.items():
-            parts = per_part(partial(_layer_rows, cb), [u.layers[layer].frames for u in utts])
-            for utt, (recon, idx) in zip(utts, parts):
+            c32 = cb.centroids.astype(np.float32)
+            for utt, idx in zip(utts, cache.layer_tokens(ds, args.split, layer, cb.k, seed)):
                 doc = {"stream_id": cb.stream_id, "k": cb.k, "indices": idx.tolist()}
-                write(utt, f"layer_{layer:02d}", doc, recon)
-        osm_utts = [u for u in utts if u.opensmile is not None and osm_books is not None]
-        parts = per_part(partial(_osm_rows, osm_books), [u.opensmile.frames for u in osm_utts])
-        for utt, (recon, *idx) in zip(osm_utts, parts):
-            doc = {name: {"k": osm_books[name].k, "indices": i.tolist()} for name, i in zip(osm_books, idx)}
-            write(utt, "opensmile", doc, recon)
-    except (ValueError, dataio.FeatureFileError) as exc:
+                write(utt, f"layer_{layer:02d}", doc, c32[idx])
+        if osm_books is not None:
+            c32 = {name: cb.centroids.astype(np.float32) for name, cb in osm_books.items()}
+            for utt, tokens in zip(utts, cache.osm_tokens(ds, args.split, seed)):
+                if tokens is not None:
+                    doc = {name: {"k": osm_books[name].k, "indices": i.tolist()} for name, i in tokens.items()}
+                    write(utt, "opensmile", doc, np.concatenate([c32[n][i] for n, i in tokens.items()], axis=1))
+    except ValueError as exc:
         raise DataError(str(exc)) from exc
-    _write_metadata(out, "tokenize", argv, {"split": args.split, "k": index["k"]}, [index["seed"]], started)
+    _write_metadata(out, "tokenize", argv, {"split": args.split, "k": index["k"]}, [seed], started)
     print(f"tokens written to {out}")
     return 0
 
@@ -296,14 +302,14 @@ def _validate_train_doc(args, layer_count: int):
 def cmd_train(args, argv) -> int:
     started = time.time()
     out = _out_dir(args, "train")
-    ds = _load_dataset(args.dataset)
+    ds = _load_dataset(args.dataset, ("train", "dev"))
     name, layers, job = _validate_train_doc(args, ds.layer_count)
 
     cache = CodebookCache()
     try:
         splits = {
             split: prepare_items(ds, split, layers, job.k, cache, job.codebook_seed, job.aug)
-            for split in ("train", "dev", "test")
+            for split in ("train", "dev")
         }
         result = train(splits["train"], splits["dev"], job.train)
     except ValueError as exc:
@@ -339,35 +345,6 @@ def cmd_train(args, argv) -> int:
     return 0
 
 
-def _hold_checkpoint_codebooks(cache: CodebookCache, ds, ckpt: Path, meta: dict) -> None:
-    """Give `cache` the codebooks `train` saved, each checked against meta.json and `ds`."""
-    book_dir = ckpt / "codebooks"
-
-    def load(stem: str, stream_id: str, k: int, dim: int):
-        base = book_dir / stem
-        try:
-            cb = persist.load_exact_codebook(base)
-        except (OSError, ValueError) as exc:  # a parse error does not name the file
-            raise DataError(str(exc) if str(base) in str(exc) else f"{base}: {exc}") from exc
-        want = {"stream_id": stream_id, "k": k, "seed": meta["codebook_seed"]}
-        got = {name: getattr(cb, name) for name in want}
-        if got != want:
-            raise DataError(f"{base.with_suffix('.json')}: holds {got}, meta.json asks for {want}")
-        if cb.centroids.shape[1] != dim:
-            raise DataError(
-                f"{base.with_suffix('.npy')}: centroids have {cb.centroids.shape[1]} columns, the stream {dim}"
-            )
-        return cb
-
-    layer_books = {l: load(f"layer_{l:02d}", f"layer:{l}", meta["k"], ds.feature_dim) for l in meta["layers"]}
-    osm_books = None
-    if meta["aug"] != "none":
-        osm_books = {
-            c.name: load(f"osm_{c.name}", f"osm:{c.name}", c.k, c.dim) for c in OPENSMILE_CATEGORIES.categories
-        }
-    cache.hold(ds, meta["codebook_seed"], layer_books, osm_books)
-
-
 def cmd_eval(args, argv) -> int:
     started = time.time()
     out = _out_dir(args, "eval")
@@ -393,7 +370,11 @@ def cmd_eval(args, argv) -> int:
 
     cache = CodebookCache()
     if holds:
-        _hold_checkpoint_codebooks(cache, ds, Path(args.checkpoint), meta)
+        book_dir = Path(args.checkpoint) / "codebooks"
+        _hold_codebooks(
+            cache, ds, persist.load_exact_codebook, book_dir, meta["layers"], meta["k"], meta["codebook_seed"],
+            meta["aug"] != "none",
+        )
     try:
         items = prepare_items(
             ds, args.split, tuple(meta["layers"]), meta["k"], cache, meta["codebook_seed"], meta["aug"]

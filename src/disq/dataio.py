@@ -2,9 +2,11 @@
 
 Feature files use a small fixed container ("DSQF"): a 16-byte header
 (magic, format version, reserved word, row and column counts) followed by
-the frame matrix as little-endian float32 in row-major order. Everything
-the pipeline persists (per-layer hidden-state sequences, paralinguistic
-frames, codebook centroids, checkpoint tensors) travels in this one format.
+the frame matrix as little-endian float32 in row-major order. Per-layer
+hidden-state sequences, paralinguistic frames, token reconstructions, the
+centroids `disq codebooks` writes and checkpoint parameter tensors travel in
+this format; the codebooks a checkpoint keeps are float64 `.npy` instead
+(see `persist`), since float32 would move their centroids.
 
 The synthetic generator plants controllable class structure: each layer
 carries a tunable fraction of a seeded per-class mean direction, and the

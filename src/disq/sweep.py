@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import dataio
-from .dataio import N_CLASSES, DatasetManifest, FeatureSequence, UtteranceRecord
+from .dataio import N_CLASSES, FeatureSequence, UtteranceRecord
 from .fusion import LAYER_SETS, resolve_layer_set, resample
 from .metrics import confusion_matrix, macro_f1, per_class_f1
 from .model import ModelParams, PreparedUtterance, TrainConfig, predict, train
@@ -30,7 +30,6 @@ from .quantize import (
     fit_opensmile_codebooks,
     kmeans_fit,
     quantize_opensmile,
-    reconstruct,
     rvq_encode,
     rvq_fit,
 )
@@ -70,10 +69,9 @@ class ResultRow:
 
 @dataclass
 class LoadedDataset:
-    """The splits' manifests, the utterances read into memory, and a content hash of the train split."""
+    """The utterances of the loaded splits and a content hash of the train split."""
 
     root: str
-    manifests: dict[str, DatasetManifest]
     utterances: dict[str, list[UtteranceRecord]]
     layer_count: int
     feature_dim: int
@@ -81,27 +79,30 @@ class LoadedDataset:
 
 
 def load_dataset(dataset_dir, splits=dataio.SPLITS, layers=None) -> LoadedDataset:
-    """Read every split's manifest, and the feature files of `splits` and `layers`.
+    """Read the manifests of `splits`, and their feature files of `layers`.
 
     The default reads everything; a caller that needs less (eval: one split
-    and the checkpoint's layers) leaves the rest on disk.
+    and the checkpoint's layers) leaves the rest on disk. The train split's
+    hash is taken from its manifest's bytes, whether or not it is loaded.
     """
-    manifests = {split: dataio.load_split(dataset_dir, split) for split in dataio.SPLITS}
-    layer_count = manifests["train"].layer_count
+    manifests = {split: dataio.load_split(dataset_dir, split) for split in dict.fromkeys(splits)}
+    shapes = {(m.layer_count, m.feature_dim) for m in manifests.values()}
+    if len(shapes) != 1:
+        listing = ", ".join(f"{s}: {m.layer_count} x {m.feature_dim}" for s, m in manifests.items())
+        raise ValueError(f"manifests disagree on layer count x feature dim ({listing})")
+    ((layer_count, feature_dim),) = shapes
     outside = sorted(set(layers or ()) - set(range(layer_count)))
     if outside:
         raise ValueError(f"layers {outside} are not in the dataset's 0..{layer_count - 1}")
     utterances = {
-        split: [dataio.load_utterance(manifests[split], rec, layers) for rec in manifests[split].records]
-        for split in splits
+        split: [dataio.load_utterance(m, rec, layers) for rec in m.records] for split, m in manifests.items()
     }
     train_bytes = dataio.manifest_path(dataset_dir, "train").read_bytes()
     return LoadedDataset(
         root=str(dataset_dir),
-        manifests=manifests,
         utterances=utterances,
         layer_count=layer_count,
-        feature_dim=manifests["train"].feature_dim,
+        feature_dim=feature_dim,
         train_hash=hashlib.sha256(train_bytes).hexdigest(),
     )
 
@@ -161,15 +162,18 @@ def _osm_key(ds: LoadedDataset, seed: int) -> tuple:
 
 
 class CodebookCache:
-    """Caches trained codebooks and frozen reconstructions for one dataset.
+    """Caches trained codebooks and each split's tokens for one dataset.
 
+    A split is encoded once per codebook: its token entry holds one 1-D
+    integer index array per utterance (the paralinguistic entry one per
+    category), and `prepare_items` looks the frames up in the codebook.
     Keys include the train-split hash so a cache can never serve a different
     dataset by accident. `misses` counts actual codebook fits.
     """
 
     def __init__(self, kmeans_max_iters: int = 100):
         self._books = _KeyedCache()
-        self._recons = _KeyedCache()
+        self._tokens = _KeyedCache()
         self.max_iters = kmeans_max_iters
 
     @property
@@ -212,33 +216,31 @@ class CodebookCache:
 
         return self._books.get_or_fit(_osm_key(ds, seed), fit)
 
-    def layer_recon(self, ds: LoadedDataset, split: str, layer: int, k: int, seed: int):
-        """Per-utterance reconstructed frames for one (layer, K), frozen float32."""
-        cb = self.layer_codebook(ds, layer, k, seed)
+    def layer_tokens(self, ds: LoadedDataset, split: str, layer: int, k: int, seed: int) -> list[np.ndarray]:
+        """Per-utterance token indices of one (layer, K) stream."""
 
         def build():
-            return per_part(
-                lambda h: reconstruct(cb, assign(cb, h)).frames.astype(np.float32),
-                [u.layers[layer].frames for u in ds.utterances[split]],
-            )
+            cb = self.layer_codebook(ds, layer, k, seed)
+            return per_part(lambda h: assign(cb, h).indices, [u.layers[layer].frames for u in ds.utterances[split]])
 
-        return self._recons.get_or_fit(("layer_recon", ds.train_hash, split, layer, k, seed), build)
+        return self._tokens.get_or_fit(("layer", ds.train_hash, split, layer, k, seed), build)
 
-    def osm_recon(self, ds: LoadedDataset, split: str, seed: int):
-        """Per-utterance 74-dim reconstructions of the opensmile stream."""
-        books = self.osm_codebooks(ds, seed)
+    def osm_tokens(self, ds: LoadedDataset, split: str, seed: int) -> list[dict[str, np.ndarray] | None]:
+        """Per-utterance token indices of each opensmile category; None where a stream is missing."""
 
         def build():
+            books = self.osm_codebooks(ds, seed)
             utts = ds.utterances[split]
-            for utt in utts:
-                if utt.opensmile is None:
-                    raise ValueError(f"{utt.utt_id}: augmentation requested but no opensmile stream")
-            return per_part(
-                lambda h: quantize_opensmile(h, books)[1].frames.astype(np.float32),
-                [u.opensmile.frames for u in utts],
+            rows = iter(
+                per_part(
+                    lambda h: tuple(t.indices for t in quantize_opensmile(h, books)[0].values()),
+                    [u.opensmile.frames for u in utts if u.opensmile is not None],
+                )
             )
+            names = OPENSMILE_CATEGORIES.names()
+            return [None if u.opensmile is None else dict(zip(names, next(rows))) for u in utts]
 
-        return self._recons.get_or_fit(("osm_recon", ds.train_hash, split, seed), build)
+        return self._tokens.get_or_fit(("osm", ds.train_hash, split, seed), build)
 
 
 def per_part(frame_fn, parts: list[np.ndarray]) -> list:
@@ -314,21 +316,28 @@ def prepare_items(
     if k is not None and cache is None:
         raise ValueError("quantized preparation needs a CodebookCache")
     utts = ds.utterances[split]
-    if k is None:
-        per_layer = [[u.layers[l].frames.astype(np.float32) for u in utts] for l in layers]
-        osm74 = [u.opensmile.frames if u.opensmile is not None else None for u in utts]
-    else:
-        per_layer = [cache.layer_recon(ds, split, l, k, codebook_seed) for l in layers]
-        osm74 = cache.osm_recon(ds, split, codebook_seed) if aug != "none" else [None] * len(utts)
+    if k is not None:  # float32(C)[idx] has the bits of float32(C[idx])
+        books = [cache.layer_codebook(ds, l, k, codebook_seed).centroids.astype(np.float32) for l in layers]
+        tokens = [cache.layer_tokens(ds, split, l, k, codebook_seed) for l in layers]
+        if aug != "none":
+            osm_books = {n: cb.centroids.astype(np.float32) for n, cb in cache.osm_codebooks(ds, codebook_seed).items()}
+            osm_tokens = cache.osm_tokens(ds, split, codebook_seed)
 
     items = []
     for i, utt in enumerate(utts):
-        streams = np.stack([per_layer[j][i] for j in range(len(layers))])
+        if k is None:
+            streams = np.stack([utt.layers[l].frames for l in layers]).astype(np.float32, copy=False)
+        else:
+            streams = np.stack([c[t[i]] for c, t in zip(books, tokens)])
         osm = None
         if aug != "none":
-            if osm74[i] is None:
+            if utt.opensmile is None:
                 raise ValueError(f"{utt.utt_id}: augmentation requested but no opensmile stream")
-            osm = resample(_osm_block(np.asarray(osm74[i]), aug), streams.shape[1])
+            if k is None:
+                osm74 = utt.opensmile.frames
+            else:
+                osm74 = np.concatenate([osm_books[n][idx] for n, idx in osm_tokens[i].items()], axis=1)
+            osm = resample(_osm_block(osm74, aug), streams.shape[1])
         items.append(PreparedUtterance(utt_id=utt.utt_id, streams=streams, label=utt.label, osm=osm))
     return items
 
@@ -447,10 +456,7 @@ def run_cell(
 ) -> tuple[list[ResultRow], list[CellFailure]]:
     """Train and evaluate one cell across its seeds; reconstructions are shared."""
     name, layers = resolve_layer_set(layer_set, ds.layer_count)
-    splits = {
-        split: prepare_items(ds, split, layers, k, cache, codebook_seed, aug)
-        for split in ("train", "dev", "test")
-    }
+    splits = {split: prepare_items(ds, split, layers, k, cache, codebook_seed, aug) for split in dataio.SPLITS}
     rows, failures = [], []
     for seed in seeds:
         try:

@@ -204,12 +204,21 @@ def test_depth_relative_layer_sets_follow_the_dataset(tmp_path, capsys, layer_co
     assert code == (2 if layer_count < 24 else 0)
 
 
-def test_manifest_that_is_not_an_object_exits_3(cli_workspace, tmp_path, capsys):
+@pytest.fixture(scope="module")
+def artifacts(cli_workspace):
+    """A codebook directory and a checkpoint made from the shared dataset."""
+    data, root = cli_workspace / "data", cli_workspace / "artifacts"
+    assert run(["codebooks", "--dataset", data, "--layers", "3", "--k", 8, "--out", root / "cb"]) == 0
+    assert run(["train", "--dataset", data, "--layer-set", "3", "--k", 8, "--epochs", 1, "--out", root / "tr"]) == 0
+    return root
+
+
+def test_manifest_that_is_not_an_object_exits_3(cli_workspace, artifacts, tmp_path, capsys):
     data = tmp_path / "data"
     shutil.copytree(cli_workspace / "data", data)
     doc = json.loads((data / "manifest_dev.json").read_text())
     (data / "manifest_dev.json").write_text(json.dumps([doc]))
-    argv = ["tokenize", "--dataset", data, "--split", "dev", "--codebooks", tmp_path / "none", "--out", tmp_path / "t"]
+    argv = ["tokenize", "--dataset", data, "--split", "dev", "--codebooks", artifacts / "cb", "--out", tmp_path / "t"]
     assert run(argv) == 3
     err = capsys.readouterr().err
     assert "manifest_dev.json: expected object, got array" in err and "config" not in err
@@ -384,25 +393,16 @@ def test_tokenize_an_empty_split(tmp_path):
     ],
     ids=["no_feature_dim", "float_label", "bool_label", "unknown_field", "string_layers"],
 )
-def test_malformed_manifest_exits_3_naming_the_field(cli_workspace, tmp_path, capsys, edit, field):
+def test_malformed_manifest_exits_3_naming_the_field(cli_workspace, artifacts, tmp_path, capsys, edit, field):
     data = tmp_path / "data"
     shutil.copytree(cli_workspace / "data", data)
     doc = json.loads((data / "manifest_dev.json").read_text())
     edit(doc)
     (data / "manifest_dev.json").write_text(json.dumps(doc))
-    argv = ["tokenize", "--dataset", data, "--split", "dev", "--codebooks", tmp_path / "none", "--out", tmp_path / "t"]
+    argv = ["tokenize", "--dataset", data, "--split", "dev", "--codebooks", artifacts / "cb", "--out", tmp_path / "t"]
     assert run(argv) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: data:") and f"manifest_dev.json: {field}" in err
-
-
-@pytest.fixture(scope="module")
-def artifacts(cli_workspace):
-    """A codebook directory and a checkpoint made from the shared dataset."""
-    data, root = cli_workspace / "data", cli_workspace / "artifacts"
-    assert run(["codebooks", "--dataset", data, "--layers", "3", "--k", 8, "--out", root / "cb"]) == 0
-    assert run(["train", "--dataset", data, "--layer-set", "3", "--k", 8, "--epochs", 1, "--out", root / "tr"]) == 0
-    return root
 
 
 @pytest.mark.parametrize(
@@ -577,3 +577,84 @@ def test_eval_and_tokenize_read_only_the_feature_files_they_use(cli_workspace, t
     )
     tok_argv = ["tokenize", "--dataset", data, "--split", "test", "--codebooks", cb, "--out", tmp_path / "tok"]
     assert reads(tok_argv) == files("test", (1, 3))
+
+
+def test_tokenize_rejects_a_book_the_index_does_not_name(cli_workspace, tmp_path, capsys):
+    data = cli_workspace / "data"
+    for seed in (0, 1):
+        argv = ["codebooks", "--dataset", data, "--layers", "2,3", "--k", 8, "--seed", seed, "--out", tmp_path / f"cb{seed}"]
+        assert run(argv) == 0
+    for suffix in (".dsqf", ".json"):  # a seed-1 book copied into the seed-0 set
+        shutil.copy(tmp_path / "cb1" / f"layer_03{suffix}", tmp_path / "cb0" / f"layer_03{suffix}")
+    argv = ["tokenize", "--dataset", data, "--split", "dev", "--codebooks", tmp_path / "cb0", "--out", tmp_path / "tok"]
+    assert run(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: data:") and f"{tmp_path / 'cb0' / 'layer_03.json'}: holds" in err
+    assert "'seed': 1" in err
+
+
+def test_tokenize_writes_the_frames_prepare_items_builds(cli_workspace, tmp_path):
+    from disq import persist
+    from disq.fusion import resample
+    from disq.sweep import prepare_items
+
+    data, cb, tok = cli_workspace / "data", tmp_path / "cb", tmp_path / "tok"
+    assert run(["codebooks", "--dataset", data, "--layers", "1,3", "--k", 8, "--opensmile", "--out", cb]) == 0
+    assert run(["tokenize", "--dataset", data, "--split", "dev", "--codebooks", cb, "--out", tok]) == 0
+
+    ds, cache = load_dataset(data, ("dev",), (1, 3)), CodebookCache()
+    layer_books = {layer: persist.load_codebook(cb / f"layer_{layer:02d}") for layer in (1, 3)}
+    osm_books = {c.name: persist.load_codebook(cb / f"osm_{c.name}") for c in OPENSMILE_CATEGORIES.categories}
+    cache.hold(ds, 0, layer_books, osm_books)
+    items = prepare_items(ds, "dev", (1, 3), 8, cache, 0, "all")
+    assert items
+    for item in items:
+        utt_dir = tok / "tokens" / item.utt_id
+        for j, layer in enumerate((1, 3)):
+            payload = (utt_dir / f"layer_{layer:02d}.recon.dsqf").read_bytes()[16:]  # after the DSQF header
+            assert payload == item.streams[j].astype("<f4").tobytes()
+        osm = read_feature_file(utt_dir / "opensmile.recon.dsqf").frames
+        assert resample(osm, item.streams.shape[1]).tobytes() == item.osm.tobytes()
+
+
+def test_eval_and_tokenize_parse_only_the_manifest_of_their_split(
+    cli_workspace, artifacts, tmp_path, monkeypatch, capsys
+):
+    from disq import dataio
+
+    data, ckpt = cli_workspace / "data", artifacts / "tr" / "checkpoint"
+    parsed = []
+    real_load = dataio.load_manifest
+
+    def spy(path):
+        parsed.append(Path(path).name)
+        return real_load(path)
+
+    monkeypatch.setattr("disq.dataio.load_manifest", spy)
+    assert run(["eval", "--checkpoint", ckpt, "--dataset", data, "--split", "dev", "--out", tmp_path / "ev"]) == 0
+    assert parsed == ["manifest_dev.json"]
+    parsed.clear()
+    argv = ["tokenize", "--dataset", data, "--split", "test", "--codebooks", artifacts / "cb", "--out", tmp_path / "tok"]
+    assert run(argv) == 0
+    assert parsed == ["manifest_test.json"]
+
+    # the train manifest is hashed, not parsed, and still binds the checkpoint to its data
+    other = tmp_path / "other"
+    shutil.copytree(data, other)
+    train_doc = json.loads((other / "manifest_train.json").read_text())
+    (other / "manifest_train.json").write_text(json.dumps(train_doc))
+    parsed.clear()
+    assert run(["eval", "--checkpoint", ckpt, "--dataset", other, "--split", "dev", "--out", tmp_path / "ev2"]) == 3
+    assert "train manifest hash mismatch" in capsys.readouterr().err
+    assert parsed == ["manifest_dev.json"]
+
+
+def test_manifests_that_disagree_exit_3(cli_workspace, tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(cli_workspace / "data", data)
+    doc = json.loads((data / "manifest_dev.json").read_text())
+    (data / "manifest_dev.json").write_text(json.dumps(dict(doc, feature_dim=13)))
+    argv = ["train", "--dataset", data, "--layer-set", "3", "--k", 8, "--epochs", 1, "--out", tmp_path / "tr"]
+    assert run(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: data:") and "manifests disagree" in err and "dev: 4 x 13" in err

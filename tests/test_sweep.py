@@ -1,15 +1,16 @@
 import csv
 import hashlib
 import io
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from disq.dataio import generate_synthetic
+from disq.dataio import SPLITS, generate_synthetic
 from disq.fusion import resolve_layer_set
 from disq.model import predict, train
-from disq.quantize import assign, quantize_opensmile, reconstruct
+from disq.quantize import OPENSMILE_CATEGORIES, assign, quantize_opensmile, reconstruct
 from disq.sweep import (
     CodebookCache,
     CSV_COLUMNS,
@@ -91,22 +92,53 @@ def test_run_cell_keeps_inputs_and_codebooks_frozen(tiny_dataset, tiny_cache):
 
 def test_batched_recon_equals_per_utterance_recon(tiny_dataset):
     cache = CodebookCache()
-    for split in ("train", "dev", "test"):
+    for split in SPLITS:
         utts = tiny_dataset.utterances[split]
         assert len({u.n_frames for u in utts}) > 1  # unequal lengths: the cut points matter
         for layer in (0, 3):
             cb = cache.layer_codebook(tiny_dataset, layer, 8, 0)
-            got = cache.layer_recon(tiny_dataset, split, layer, 8, 0)
+            got = cache.layer_tokens(tiny_dataset, split, layer, 8, 0)
             assert len(got) == len(utts)
             for g, u in zip(got, utts):
-                want = reconstruct(cb, assign(cb, u.layers[layer])).frames.astype(np.float32)
-                assert g.dtype == want.dtype and np.array_equal(g, want)
+                tokens = assign(cb, u.layers[layer])
+                assert np.array_equal(g, tokens.indices)
+                want = reconstruct(cb, tokens).frames.astype(np.float32)
+                assert cb.centroids.astype(np.float32)[g].tobytes() == want.tobytes()
         books = cache.osm_codebooks(tiny_dataset, 0)
-        got = cache.osm_recon(tiny_dataset, split, 0)
+        got = cache.osm_tokens(tiny_dataset, split, 0)
         assert len(got) == len(utts)
         for g, u in zip(got, utts):
-            want = quantize_opensmile(u.opensmile, books)[1].frames.astype(np.float32)
-            assert g.dtype == want.dtype and np.array_equal(g, want)
+            tokens, recon = quantize_opensmile(u.opensmile, books)
+            assert list(g) == list(tokens) == list(OPENSMILE_CATEGORIES.names())
+            assert all(np.array_equal(g[name], tokens[name].indices) for name in g)
+            frames = np.concatenate([books[name].centroids.astype(np.float32)[g[name]] for name in g], axis=1)
+            assert frames.shape[1] == 74 and frames.tobytes() == recon.frames.astype(np.float32).tobytes()
+
+
+def test_cache_keeps_token_indices_not_frames(tiny_dataset):
+    cache = CodebookCache()
+    for split in SPLITS:
+        items = prepare_items(tiny_dataset, split, (1, 3), 8, cache, aug="all")
+        assert all(it.streams.dtype == np.float32 for it in items)
+    entries = [cell["value"] for cell in cache._tokens._cells.values()]
+    assert len(entries) == 3 * len(SPLITS)  # layers 1 and 3 and the opensmile categories, per split
+    for entry in entries:
+        for per_utt in entry:
+            arrays = list(per_utt.values()) if isinstance(per_utt, dict) else [per_utt]
+            for a in arrays:
+                assert isinstance(a, np.ndarray) and a.ndim == 1 and a.dtype.kind == "i"
+
+
+def test_missing_opensmile_stream_has_no_tokens(tmp_path):
+    generate_synthetic(tiny_spec(n_per_class=3, t_range=(40, 48)), tmp_path)
+    ds = load_dataset(tmp_path)
+    first = ds.utterances["train"][0]
+    ds.utterances["train"][0] = replace(first, opensmile=None)
+    cache = CodebookCache()
+    tokens = cache.osm_tokens(ds, "train", 0)
+    assert tokens[0] is None and all(t is not None for t in tokens[1:])
+    with pytest.raises(ValueError, match=f"{first.utt_id}: augmentation requested but no opensmile stream"):
+        prepare_items(ds, "train", (3,), 4, cache, aug="prosody")
 
 
 def test_quantized_items_of_an_empty_split(tmp_path):
