@@ -15,28 +15,9 @@ from .dataio import (
     read_feature_file,
     write_feature_file,
 )
-from .fusion import (
-    LAYER_SETS,
-    FusionParams,
-    fuse_layers,
-    layer_attention,
-    layer_norm,
-    masked_average_pool,
-    modality_fuse,
-    resample,
-)
+from .fusion import LAYER_SETS, FusionParams, resample
 from .metrics import confusion_matrix, macro_f1, per_class_f1
-from .model import (
-    HeadParams,
-    ModelParams,
-    PreparedUtterance,
-    TrainConfig,
-    attentive_stats_pool,
-    gradient_check,
-    mlp_forward,
-    train,
-    weighted_ce,
-)
+from .model import HeadParams, ModelParams, PreparedUtterance, TrainConfig, gradient_check, train
 from .quantize import (
     OPENSMILE_CATEGORIES,
     Codebook,

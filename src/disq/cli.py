@@ -154,6 +154,26 @@ def _load_dataset(dataset_dir, splits=dataio.SPLITS, layers=None):
         raise DataError(f"dataset {dataset_dir}: {exc}") from exc
 
 
+def _layer_picker(entries: dict[str, str]):
+    """A `load_dataset` layer picker: the union of the layer sets in `entries`.
+
+    It resolves them on the manifests' layer count, before any feature file
+    is read. A set the dataset cannot hold is a config error, its message
+    prefixed by the set's key in `entries`.
+    """
+
+    def pick(layer_count: int) -> list[int]:
+        layers = set()
+        for where, entry in entries.items():
+            try:
+                layers.update(resolve_layer_set(entry, layer_count)[1])
+            except ValueError as exc:
+                raise ConfigError(f"{where}{exc}") from exc
+        return sorted(layers)
+
+    return pick
+
+
 # --- subcommands ------------------------------------------------------------------
 
 
@@ -177,21 +197,17 @@ def cmd_gen(args, argv) -> int:
 def cmd_codebooks(args, argv) -> int:
     started = time.time()
     out = _out_dir(args, "codebooks")
-    ds = _load_dataset(args.dataset, ("train",))
-    try:
-        _, layers = resolve_layer_set(args.layers, ds.layer_count)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    ds = _load_dataset(args.dataset, ("train",), _layer_picker({"": args.layers}))
     if args.k < 1:
         raise ConfigError("--k: must be >= 1")
 
-    index = {"k": args.k, "seed": args.seed, "layers": list(layers), "opensmile": bool(args.opensmile)}
+    index = {"k": args.k, "seed": args.seed, "layers": list(ds.layers), "opensmile": bool(args.opensmile)}
     cache = CodebookCache()
     train_utts = ds.utterances["train"]
     layer_frames = sum(u.n_frames for u in train_utts)
     osm_frames = sum(u.opensmile.n_frames for u in train_utts if u.opensmile is not None)
     try:
-        for layer in layers:
+        for layer in ds.layers:
             cb = cache.layer_codebook(ds, layer, args.k, args.seed)
             persist.save_codebook(cb, out / f"layer_{layer:02d}", extra={"train_frames": layer_frames})
         if args.opensmile:
@@ -283,27 +299,23 @@ def cmd_tokenize(args, argv) -> int:
     return 0
 
 
-def _validate_train_doc(args, layer_count: int):
-    """The train config with flags applied, and its resolved layer set."""
+def _train_job(args) -> TrainJob:
+    """The train config with flags applied."""
     doc = _load_json_config(args.config) if args.config else {}
     _override(doc, args, ("layer_set", "k", "aug"))
     if args.continuous:
         doc["k"] = None
     if isinstance(doc.setdefault("train", {}), dict):
         _override(doc["train"], args, ("seed", "epochs"))
-    job = _read_config(TrainJob, doc)
-    try:
-        name, layers = resolve_layer_set(job.layer_set, layer_count)
-    except ValueError as exc:
-        raise ConfigError(f"layer_set: {exc}") from exc
-    return name, layers, job
+    return _read_config(TrainJob, doc)
 
 
 def cmd_train(args, argv) -> int:
     started = time.time()
     out = _out_dir(args, "train")
-    ds = _load_dataset(args.dataset, ("train", "dev"))
-    name, layers, job = _validate_train_doc(args, ds.layer_count)
+    job = _train_job(args)
+    ds = _load_dataset(args.dataset, ("train", "dev"), _layer_picker({"layer_set: ": job.layer_set}))
+    name, layers = job.layer_set, ds.layers
 
     cache = CodebookCache()
     try:
@@ -410,12 +422,8 @@ def cmd_sweep(args, argv) -> int:
     grid = _read_config(SweepGrid, _load_json_config(args.grid))
     if args.workers < 1:
         raise ConfigError("--workers: must be >= 1")
-    ds = _load_dataset(args.dataset)
-    for i, entry in enumerate(grid.layer_sets):
-        try:
-            resolve_layer_set(entry, ds.layer_count)
-        except ValueError as exc:
-            raise ConfigError(f"layer_sets[{i}]: {exc}") from exc
+    layer_sets = {f"layer_sets[{i}]: ": entry for i, entry in enumerate(grid.layer_sets)}
+    ds = _load_dataset(args.dataset, layers=_layer_picker(layer_sets))
     result = run_sweep(grid, ds, workers=args.workers)
     if not result.rows:
         for failure in result.failures:

@@ -1,7 +1,10 @@
-"""Multi-stream fusion: per-layer normalization, pooled attention, resampling.
+"""Fusion state and the frozen-input helpers around it.
 
-All operations here are pure given their parameters; the trainer owns the
-batched/backprop versions and is tested against these reference forms.
+Named layer sets and their resolution, the trainable fusion parameters
+(per-layer norms, attention scorer, modality normalizer) with their
+temperature parameterization, and the resampling that aligns the
+paralinguistic stream to a layer's frame count. The fusion math itself runs
+batched in `model.forward_batch` and `model.backward_batch`.
 """
 
 from __future__ import annotations
@@ -151,66 +154,6 @@ def init_fusion_params(
     )
 
 
-def layer_norm(h: np.ndarray, gain: np.ndarray, bias: np.ndarray):
-    """Per-frame standardization over the feature axis, then affine."""
-    h = np.asarray(h, dtype=np.float64)
-    if h.shape[-1] < 1:
-        raise ValueError("zero-length frames")
-    gain = np.asarray(gain, dtype=np.float64)
-    if gain.shape != (h.shape[-1],):
-        raise ValueError(f"gain shape {gain.shape} does not match frame dim {h.shape[-1]}")
-    mean = h.mean(axis=-1, keepdims=True)
-    var = h.var(axis=-1, keepdims=True)
-    return gain * (h - mean) / np.sqrt(var + LAYER_NORM_EPS) + np.asarray(bias, dtype=np.float64)
-
-
-def masked_average_pool(h: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Mean over the frames where mask is true."""
-    h = np.asarray(h, dtype=np.float64)
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != (h.shape[0],):
-        raise ValueError(f"mask shape {mask.shape} does not match T={h.shape[0]}")
-    if not mask.any():
-        raise ValueError("mask selects no frames")
-    return h[mask].mean(axis=0)
-
-
-def layer_attention(summaries: np.ndarray, w: np.ndarray, temperature: float) -> np.ndarray:
-    """Softmax weights over layers from their pooled summaries.
-
-    One logit per layer, w . s_l / temperature; weights are strictly
-    positive and sum to 1. A scalar offset on every logit would not change
-    them, so the scorer has none.
-    """
-    summaries = np.asarray(summaries, dtype=np.float64)
-    if summaries.ndim != 2 or summaries.shape[0] < 1:
-        raise ValueError(f"summaries must be N x D with N >= 1, got {summaries.shape}")
-    if not np.isfinite(summaries).all():
-        raise ValueError("non-finite summaries")
-    if temperature <= 0:
-        raise ValueError("temperature must be positive")
-    logits = summaries @ np.asarray(w, dtype=np.float64) / float(temperature)
-    logits -= logits.max()
-    e = np.exp(logits)
-    return e / e.sum()
-
-
-def fuse_layers(h_list, alpha: np.ndarray) -> np.ndarray:
-    """Weighted sum of equally shaped layer sequences."""
-    alpha = np.asarray(alpha, dtype=np.float64)
-    if len(h_list) != alpha.shape[0]:
-        raise ValueError("one weight per layer required")
-    if (alpha < 0).any() or abs(float(alpha.sum()) - 1.0) > 1e-6:
-        raise ValueError("alpha must lie on the simplex")
-    shapes = {np.asarray(h).shape for h in h_list}
-    if len(shapes) != 1:
-        raise ValueError(f"layer shapes differ: {sorted(shapes)}")
-    out = np.zeros(shapes.pop())
-    for a, h in zip(alpha, h_list):
-        out += a * np.asarray(h, dtype=np.float64)
-    return out
-
-
 def resample(h: np.ndarray, t_tgt: int) -> np.ndarray:
     """Linear interpolation up, uniform index selection down.
 
@@ -225,8 +168,6 @@ def resample(h: np.ndarray, t_tgt: int) -> np.ndarray:
         raise ValueError("t_tgt must be >= 1")
     t_src = h.shape[0]
     if t_tgt > t_src:
-        if t_tgt == 1:
-            return h[:1].copy()
         pos = np.arange(t_tgt) * (t_src - 1) / (t_tgt - 1)
         lo = np.floor(pos).astype(int)
         hi = np.minimum(lo + 1, t_src - 1)
@@ -234,26 +175,3 @@ def resample(h: np.ndarray, t_tgt: int) -> np.ndarray:
         return (1.0 - frac) * h[lo] + frac * h[hi]
     idx = (np.arange(t_tgt) * t_src) // t_tgt
     return h[idx].copy()
-
-
-def modality_fuse(h_fused: np.ndarray, h_osm: np.ndarray, params: FusionParams) -> np.ndarray:
-    """Align, normalize, scale, and concatenate the two modalities.
-
-    The paralinguistic frames are resampled to the fused frame count, each
-    branch is layer-normed and scaled by its gamma, then concatenated along
-    the feature axis.
-    """
-    if not params.augmented:
-        raise ValueError("fusion params carry no modality branch")
-    h_fused = np.asarray(h_fused, dtype=np.float64)
-    h_osm = np.asarray(h_osm, dtype=np.float64)
-    if not (np.isfinite(h_fused).all() and np.isfinite(h_osm).all()):
-        raise ValueError("non-finite inputs")
-    aligned = resample(h_osm, h_fused.shape[0])
-    fused_part = float(params.gamma_fused) * layer_norm(
-        h_fused, params.mod_gain_fused, params.mod_bias_fused
-    )
-    osm_part = float(params.gamma_osm) * layer_norm(
-        aligned, params.mod_gain_osm, params.mod_bias_osm
-    )
-    return np.concatenate([fused_part, osm_part], axis=1)

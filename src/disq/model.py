@@ -134,54 +134,6 @@ def init_model_params(
     return ModelParams(fusion, init_head_params(rng, feat, hidden, class_weights=class_weights))
 
 
-# --- reference single-utterance operations ---------------------------------
-
-
-def attentive_stats_pool(h: np.ndarray, mask: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Attention-weighted mean and std of the valid frames, concatenated.
-
-    The frame scores are h . v; like the layer scorer, it has no offset,
-    which the softmax over frames would cancel.
-    """
-    h = np.asarray(h, dtype=np.float64)
-    mask = np.asarray(mask, dtype=bool)
-    if not mask.any():
-        raise ValueError("all frames masked")
-    e = np.where(mask, h @ np.asarray(v, dtype=np.float64), -np.inf)
-    e = e - e.max()
-    a = np.exp(e)
-    a /= a.sum()
-    mu = a @ h
-    q = a @ (h * h)
-    sd = np.sqrt(np.maximum(q - mu * mu, VAR_FLOOR))
-    return np.concatenate([mu, sd])
-
-
-def mlp_forward(x: np.ndarray, head: HeadParams) -> np.ndarray:
-    """logits = W2 tanh(W1 x + b1) + b2."""
-    x = np.asarray(x, dtype=np.float64)
-    return head.w2 @ np.tanh(head.w1 @ x + head.b1) + head.b2
-
-
-def weighted_ce(logits: np.ndarray, label: int, class_weights: np.ndarray):
-    """Per-sample weighted cross-entropy and its gradient wrt logits.
-
-    Batch-level normalization by the summed weights happens in the batch
-    loss, not here.
-    """
-    logits = np.asarray(logits, dtype=np.float64)
-    if not np.isfinite(logits).all():
-        raise FloatingPointError("non-finite values in tensor 'logits'")
-    if not 0 <= label < logits.shape[0]:
-        raise ValueError(f"label {label} out of range")
-    shifted = logits - logits.max()
-    logp = shifted - np.log(np.exp(shifted).sum())
-    w = float(class_weights[label])
-    grad = np.exp(logp)
-    grad[label] -= 1.0
-    return -w * logp[label], w * grad
-
-
 # --- batched forward / backward ---------------------------------------------
 
 

@@ -41,9 +41,6 @@ class Codebook:
     def dim(self) -> int:
         return self.centroids.shape[1]
 
-    def has_duplicate_centroids(self) -> bool:
-        return len(np.unique(self.centroids, axis=0)) < self.k
-
 
 @dataclass
 class TokenSequence:
@@ -422,10 +419,6 @@ class CategoryTable:
         if any(c.dim < 1 or c.k < 1 for c in self.categories):
             raise ValueError("category dims and k values must be >= 1")
 
-    @property
-    def total_k(self) -> int:
-        return sum(c.k for c in self.categories)
-
     def slices(self) -> list[tuple[FeatureCategory, slice]]:
         out, start = [], 0
         for cat in self.categories:
@@ -467,22 +460,14 @@ def fit_opensmile_codebooks(frames: np.ndarray, seed: int, max_iters: int = 100)
     return books
 
 
-def quantize_opensmile(h_os: FeatureSequence, codebooks: dict[str, Codebook]):
-    """Discretize each category block and re-concatenate the reconstructions.
-
-    Returns (per-category TokenSequence dict, 74-dim reconstructed frames).
-    """
+def quantize_opensmile(h_os: FeatureSequence, codebooks: dict[str, Codebook]) -> dict[str, TokenSequence]:
+    """Discretize each category block with its codebook: one TokenSequence per category, in table order."""
     if h_os.dim != OPENSMILE_DIM:
         raise ValueError(f"expected {OPENSMILE_DIM}-dim frames, got {h_os.dim}")
     tokens: dict[str, TokenSequence] = {}
-    parts = []
     for cat, cols in OPENSMILE_CATEGORIES.slices():
         cb = codebooks[cat.name]
         if cb.k != cat.k:
             raise ValueError(f"{cat.name}: codebook k={cb.k} != table k={cat.k}")
-        block = FeatureSequence(h_os.frames[:, cols], stream_id=f"osm:{cat.name}")
-        tok = assign(cb, block)
-        tokens[cat.name] = tok
-        parts.append(reconstruct(cb, tok).frames)
-    recon = FeatureSequence(np.concatenate(parts, axis=1), stream_id="osm:recon")
-    return tokens, recon
+        tokens[cat.name] = assign(cb, FeatureSequence(h_os.frames[:, cols], stream_id=f"osm:{cat.name}"))
+    return tokens

@@ -69,21 +69,28 @@ class ResultRow:
 
 @dataclass
 class LoadedDataset:
-    """The utterances of the loaded splits and a content hash of the train split."""
+    """The utterances of the loaded splits and a content hash of the train split.
+
+    `layers` are the layers whose feature files were read; `layer_count` is
+    the dataset's depth.
+    """
 
     root: str
     utterances: dict[str, list[UtteranceRecord]]
     layer_count: int
     feature_dim: int
     train_hash: str
+    layers: tuple[int, ...]
 
 
 def load_dataset(dataset_dir, splits=dataio.SPLITS, layers=None) -> LoadedDataset:
     """Read the manifests of `splits`, and their feature files of `layers`.
 
-    The default reads everything; a caller that needs less (eval: one split
-    and the checkpoint's layers) leaves the rest on disk. The train split's
-    hash is taken from its manifest's bytes, whether or not it is loaded.
+    `layers` is a sequence of layer indices, or a function that picks them
+    from the dataset's layer count (so that a named layer set resolves
+    before any feature file is read). The default reads every layer; a
+    caller that needs less leaves the rest on disk. The train split's hash
+    is taken from its manifest's bytes, whether or not it is loaded.
     """
     manifests = {split: dataio.load_split(dataset_dir, split) for split in dict.fromkeys(splits)}
     shapes = {(m.layer_count, m.feature_dim) for m in manifests.values()}
@@ -91,7 +98,12 @@ def load_dataset(dataset_dir, splits=dataio.SPLITS, layers=None) -> LoadedDatase
         listing = ", ".join(f"{s}: {m.layer_count} x {m.feature_dim}" for s, m in manifests.items())
         raise ValueError(f"manifests disagree on layer count x feature dim ({listing})")
     ((layer_count, feature_dim),) = shapes
-    outside = sorted(set(layers or ()) - set(range(layer_count)))
+    if layers is None:
+        layers = range(layer_count)
+    elif callable(layers):
+        layers = layers(layer_count)
+    layers = tuple(layers)
+    outside = sorted(set(layers) - set(range(layer_count)))
     if outside:
         raise ValueError(f"layers {outside} are not in the dataset's 0..{layer_count - 1}")
     utterances = {
@@ -104,6 +116,7 @@ def load_dataset(dataset_dir, splits=dataio.SPLITS, layers=None) -> LoadedDatase
         layer_count=layer_count,
         feature_dim=feature_dim,
         train_hash=hashlib.sha256(train_bytes).hexdigest(),
+        layers=layers,
     )
 
 
@@ -233,7 +246,7 @@ class CodebookCache:
             utts = ds.utterances[split]
             rows = iter(
                 per_part(
-                    lambda h: tuple(t.indices for t in quantize_opensmile(h, books)[0].values()),
+                    lambda h: tuple(t.indices for t in quantize_opensmile(h, books).values()),
                     [u.opensmile.frames for u in utts if u.opensmile is not None],
                 )
             )

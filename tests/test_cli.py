@@ -342,6 +342,7 @@ def test_run_dir_env_var(cli_workspace, tmp_path, monkeypatch):
 @pytest.mark.parametrize("split", ["train", "test"])
 def test_batched_tokenize_equals_per_utterance_encoding(cli_workspace, tmp_path, split):
     from disq import dataio, persist
+    from disq.dataio import FeatureSequence
     from disq.quantize import assign, quantize_opensmile, reconstruct
 
     data, cb = cli_workspace / "data", tmp_path / "cb"
@@ -362,10 +363,11 @@ def test_batched_tokenize_equals_per_utterance_encoding(cli_workspace, tmp_path,
             assert (utt_dir / f"layer_{layer:02d}.tokens.json").read_text() == json.dumps(doc, sort_keys=True) + "\n"
             dataio.write_feature_file(reconstruct(book, tokens), oracle)
             assert (utt_dir / f"layer_{layer:02d}.recon.dsqf").read_bytes() == oracle.read_bytes()
-        tokens, recon = quantize_opensmile(utt.opensmile, osm_books)
+        tokens = quantize_opensmile(utt.opensmile, osm_books)
         doc = {name: {"k": seq.k, "indices": seq.indices.tolist()} for name, seq in tokens.items()}
         assert (utt_dir / "opensmile.tokens.json").read_text() == json.dumps(doc, sort_keys=True) + "\n"
-        dataio.write_feature_file(recon, oracle)
+        recon = np.concatenate([osm_books[n].centroids.astype(np.float32)[t.indices] for n, t in tokens.items()], axis=1)
+        dataio.write_feature_file(FeatureSequence(recon), oracle)
         assert (utt_dir / "opensmile.recon.dsqf").read_bytes() == oracle.read_bytes()
     assert sorted(p.name for p in (tok / "tokens").iterdir()) == sorted(r.utt_id for r in manifest.records)
 
@@ -560,15 +562,26 @@ def test_eval_and_tokenize_read_only_the_feature_files_they_use(cli_workspace, t
         assert run(argv) == 0
         return {p for p in read if p.is_relative_to(data)}
 
+    monkeypatch.setattr("disq.dataio.read_feature_file", spy)
+    # codebooks, train and sweep read only their layer set's files (sweep: the union of its sets)
+    cb = tmp_path / "cb"
+    assert reads(["codebooks", "--dataset", data, "--layers", "1,3", "--k", 8, "--opensmile", "--out", cb]) == files(
+        "train", (1, 3)
+    )
     train_argv = ["train", "--dataset", data, "--layer-set", "1,3", "--k", 8, "--aug", "prosody", "--epochs", 1]
-    assert run(train_argv + ["--out", tmp_path / "run"]) == 0
+    assert reads(train_argv + ["--out", tmp_path / "run"]) == files("train", (1, 3)) | files("dev", (1, 3))
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"ks": [8], "layer_sets": ["1,3"], "seeds": [0], "train": {"epochs": 1}}))
+    sweep_argv = ["sweep", "--dataset", data, "--grid", grid, "--out", tmp_path / "sw"]
+    every_split = files("train", (1, 3)) | files("dev", (1, 3)) | files("test", (1, 3))
+    assert reads(sweep_argv) == every_split
+    # a sweep over several layer sets reads their union
+    grid.write_text(json.dumps({"ks": [8], "layer_sets": ["3", "1"], "seeds": [0], "train": {"epochs": 1}}))
+    assert reads(sweep_argv[:-1] + [tmp_path / "sw2"]) == every_split
+
     ckpt, fitted = tmp_path / "run" / "checkpoint", tmp_path / "fitted"
     shutil.copytree(ckpt, fitted)
     shutil.rmtree(fitted / "codebooks")
-    cb = tmp_path / "cb"
-    assert run(["codebooks", "--dataset", data, "--layers", "1,3", "--k", 8, "--opensmile", "--out", cb]) == 0
-
-    monkeypatch.setattr("disq.dataio.read_feature_file", spy)
     eval_argv = ["eval", "--dataset", data, "--split", "dev"]
     assert reads(eval_argv + ["--checkpoint", ckpt, "--out", tmp_path / "ev"]) == files("dev", (1, 3))
     # without saved codebooks eval fits them, from the train split

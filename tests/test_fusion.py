@@ -3,17 +3,24 @@ import pytest
 
 from disq.fusion import (
     LAYER_SETS,
-    fuse_layers,
-    init_fusion_params,
-    layer_attention,
-    layer_norm,
-    masked_average_pool,
-    modality_fuse,
     raw_from_temperature,
     resample,
     resolve_layer_set,
     temperature_from_raw,
 )
+from disq.model import PreparedUtterance, collate, forward_batch, init_model_params
+
+import oracle
+
+
+def utterance(streams, osm=None):
+    return PreparedUtterance("u", np.asarray(streams, dtype=np.float64), 0, osm)
+
+
+def forward(params, items):
+    """The batch of `items` and the cache of its forward pass."""
+    batch = collate(items)
+    return batch, forward_batch(params, batch)[1]
 
 
 def test_named_layer_sets():
@@ -52,106 +59,114 @@ def test_named_layer_sets_follow_the_layer_count():
         resolve_layer_set("all_but_last", 1)
 
 
-# --- layer_norm ------------------------------------------------------------------
+# --- layer norm ------------------------------------------------------------------
 
 
-def test_layer_norm_constant_frame_is_bias():
-    h = np.full((3, 5), 7.0)
-    out = layer_norm(h, np.ones(5), np.full(5, 0.25))
-    assert out == pytest.approx(np.full((3, 5), 0.25))
+def test_layer_norm_constant_frame_is_bias(rng):
+    """A constant frame standardizes to 0, so each layer's summary is its bias."""
+    params = init_model_params(rng, 3, 5, None, hidden=4)
+    params.fusion.layer_bias = rng.standard_normal((3, 5))
+    batch, cache = forward(params, [utterance(np.full((3, 4, 5), 7.0))])
+    assert np.array_equal(batch.x, np.zeros_like(batch.x))
+    assert cache["s"][0] == pytest.approx(params.fusion.layer_bias, rel=1e-12)
+    fused = cache["alpha"][0] @ params.fusion.layer_bias
+    assert cache["z"][0] == pytest.approx(np.tile(fused, (4, 1)), rel=1e-12)
 
 
 def test_layer_norm_two_point_frame():
-    out = layer_norm(np.array([[1.0, 3.0]]), np.ones(2), np.zeros(2))
-    assert out == pytest.approx(np.array([[-1.0, 1.0]]), abs=1e-4)
+    batch = collate([utterance([[[1.0, 3.0]]])])
+    assert batch.x[0, :, 0, 0] == pytest.approx([-1.0, 1.0], abs=1e-4)
 
 
-def test_layer_norm_scale_invariance():
-    rng = np.random.default_rng(0)
-    h = rng.standard_normal((20, 16))
-    a = layer_norm(h, np.ones(16), np.zeros(16))
-    b = layer_norm(5.0 * h, np.ones(16), np.zeros(16))
+def test_layer_norm_scale_invariance(rng):
+    h = rng.standard_normal((1, 20, 16))
+    a = collate([utterance(h)]).x
+    b = collate([utterance(5.0 * h)]).x
     assert np.linalg.norm(a - b) / np.linalg.norm(a) < 1e-5
     assert np.abs(a - b).max() < 1e-4
 
 
-def test_layer_norm_standardizes():
-    rng = np.random.default_rng(1)
-    h = rng.standard_normal((50, 32)) * 3.0 + 1.0
-    out = layer_norm(h, np.ones(32), np.zeros(32))
-    assert np.abs(out.mean(axis=-1)).max() <= 1e-6
-    assert np.abs(out.var(axis=-1) - 1.0).max() <= 1e-4
+def test_layer_norm_standardizes(rng):
+    h = rng.standard_normal((2, 50, 32)) * 3.0 + 1.0
+    x = collate([utterance(h)]).x[0]  # (dim, T, n_layers)
+    assert np.abs(x.mean(axis=0)).max() <= 1e-6
+    assert np.abs(x.var(axis=0) - 1.0).max() <= 1e-4
 
 
-def test_layer_norm_shape_errors():
-    with pytest.raises(ValueError):
-        layer_norm(np.zeros((2, 3)), np.ones(4), np.zeros(4))
-    with pytest.raises(ValueError):
-        layer_norm(np.zeros((2, 0)), np.ones(0), np.zeros(0))
+# --- layer summaries: means over the valid frames -------------------------------
 
 
-# --- masked_average_pool ------------------------------------------------------------
+def test_masked_average_pool_basics(rng):
+    """A layer's summary is the mean of its normed frames (of one frame: that frame); padding adds nothing."""
+    params = init_model_params(rng, 2, 3, None, hidden=4)
+    params.fusion.layer_gain = rng.uniform(0.5, 2.0, (2, 3))
+    params.fusion.layer_bias = rng.standard_normal((2, 3))
+    fp = params.fusion
+    one = rng.standard_normal((2, 1, 3))
+    short = rng.standard_normal((2, 4, 3))
+    _, cache = forward(params, [utterance(one), utterance(short), utterance(rng.standard_normal((2, 9, 3)))])
+    for i, streams in enumerate((one, short)):
+        for n in range(2):
+            normed = oracle.layer_norm(streams[n], fp.layer_gain[n], fp.layer_bias[n])
+            assert cache["s"][i, n] == pytest.approx(normed.mean(axis=0), rel=1e-12, abs=1e-14)
 
 
-def test_masked_average_pool_basics():
-    h = np.full((4, 3), 2.5)
-    assert masked_average_pool(h, np.ones(4, bool)) == pytest.approx([2.5, 2.5, 2.5])
-    h = np.arange(12.0).reshape(4, 3)
-    mask = np.array([False, True, False, False])
-    assert masked_average_pool(h, mask) == pytest.approx(h[1])
+def test_masked_average_pool_matches_subselection(rng):
+    items = [utterance(rng.standard_normal((3, t, 7))) for t in (30, 11, 17)]
+    batch = collate(items)
+    for i, it in enumerate(items):
+        t = it.streams.shape[1]
+        assert not batch.x[i, :, t:].any()
+        assert batch.s_hat[i] == pytest.approx(batch.x[i][:, batch.mask[i]].mean(axis=1).T, rel=1e-12, abs=1e-14)
 
 
-def test_masked_average_pool_matches_subselection():
-    rng = np.random.default_rng(5)
-    h = rng.standard_normal((30, 7))
-    mask = rng.random(30) < 0.5
-    mask[0] = True
-    assert masked_average_pool(h, mask) == pytest.approx(h[mask].mean(axis=0), rel=1e-12)
+# --- attention over layers -----------------------------------------------------------
 
 
-def test_masked_average_pool_all_false():
-    with pytest.raises(ValueError):
-        masked_average_pool(np.zeros((3, 2)), np.zeros(3, bool))
+def test_attention_identical_summaries_uniform(rng):
+    h = rng.standard_normal((5, 3))
+    params = init_model_params(rng, 6, 3, None, hidden=4)
+    params.fusion.attn_w = np.array([0.3, 0.1, -0.4])
+    _, cache = forward(params, [utterance(np.tile(h, (6, 1, 1)))])
+    assert cache["alpha"][0] == pytest.approx(np.full(6, 1 / 6))
 
 
-# --- layer_attention ------------------------------------------------------------------
+def test_attention_high_temperature_flattens(rng):
+    params = init_model_params(rng, 5, 4, None, hidden=4)
+    params.fusion.attn_w = rng.standard_normal(4)
+    params.fusion.layer_bias = rng.standard_normal((5, 4))
+    params.fusion.temperature_raw = np.array(1000.0)  # softplus(raw) ~ raw: tau ~ 1000
+    _, cache = forward(params, [utterance(rng.standard_normal((5, 6, 4)))])
+    assert np.abs(cache["alpha"][0] - 0.2).max() < 0.01
 
 
-def test_attention_identical_summaries_uniform():
-    s = np.tile(np.array([1.0, -2.0, 0.5]), (6, 1))
-    alpha = layer_attention(s, np.array([0.3, 0.1, -0.4]), temperature=1.0)
-    assert alpha == pytest.approx(np.full(6, 1 / 6))
-
-
-def test_attention_high_temperature_flattens():
-    rng = np.random.default_rng(2)
-    s = rng.standard_normal((5, 4))
-    alpha = layer_attention(s, rng.standard_normal(4), temperature=1000.0)
-    assert np.abs(alpha - 0.2).max() < 0.01
-
-
-def test_attention_matches_independent_softmax():
-    # summaries and scorer constructed so the logits are exactly (2, 1, 0)
-    s = np.array([[2.0, 5.0], [1.0, 5.0], [0.0, 5.0]])
-    alpha = layer_attention(s, np.array([1.0, 0.0]), temperature=1.0)
+def test_attention_matches_independent_softmax(rng):
+    # zero gains make the summaries the biases, built so the logits are exactly (2, 1, 0)
+    params = init_model_params(rng, 3, 2, None, hidden=4)
+    params.fusion.layer_gain = np.zeros((3, 2))
+    params.fusion.layer_bias = np.array([[2.0, 5.0], [1.0, 5.0], [0.0, 5.0]])
+    params.fusion.attn_w = np.array([1.0, 0.0])
+    _, cache = forward(params, [utterance(rng.standard_normal((3, 4, 2)))])
     expected = np.exp([2.0, 1.0, 0.0])
     expected /= expected.sum()
-    assert alpha == pytest.approx([0.6652, 0.2447, 0.0900], abs=1e-4)
-    assert alpha == pytest.approx(expected, rel=1e-12)
+    assert cache["alpha"][0] == pytest.approx([0.6652, 0.2447, 0.0900], abs=1e-4)
+    assert cache["alpha"][0] == pytest.approx(expected, rel=1e-12)
 
 
-def test_attention_simplex_and_shift_invariance():
-    rng = np.random.default_rng(3)
-    s = rng.standard_normal((7, 6))
-    w = rng.standard_normal(6)
-    alpha = layer_attention(s, w, temperature=0.7)
+def test_attention_simplex_and_shift_invariance(rng):
+    params = init_model_params(rng, 7, 6, None, hidden=4)
+    params.fusion.attn_w = rng.standard_normal(6)
+    params.fusion.layer_bias = rng.standard_normal((7, 6))
+    params.fusion.temperature_raw = np.array(raw_from_temperature(0.7))
+    items = [utterance(rng.standard_normal((7, t, 6))) for t in (5, 8)]
+    _, cache = forward(params, items)
+    alpha = cache["alpha"]
     assert alpha.min() > 0
-    assert alpha.sum() == pytest.approx(1.0, abs=1e-12)
-    # adding one vector c to every summary adds w . c to every logit
-    shifted = layer_attention(s + rng.standard_normal(6), w, temperature=0.7)
-    assert np.argmax(shifted) == np.argmax(alpha)  # constant logit shift
-    with pytest.raises(ValueError):
-        layer_attention(np.array([[np.inf, 0.0]]), np.ones(2), temperature=1.0)
+    assert alpha.sum(axis=1) == pytest.approx([1.0, 1.0], abs=1e-12)
+    # adding one vector c to every layer's summary adds w . c / tau to every logit
+    params.fusion.layer_bias = params.fusion.layer_bias + rng.standard_normal(6)
+    _, shifted = forward(params, items)
+    assert shifted["alpha"] == pytest.approx(alpha, rel=1e-9)
 
 
 def test_temperature_parameterization():
@@ -162,49 +177,64 @@ def test_temperature_parameterization():
         raw_from_temperature(0.05)
 
 
-# --- fuse_layers -------------------------------------------------------------------
+# --- the fused sequence ---------------------------------------------------------
 
 
-def test_fuse_single_layer_identity():
-    h = np.random.default_rng(4).standard_normal((6, 3))
-    assert np.array_equal(fuse_layers([h], np.array([1.0])), h)
+def test_fuse_single_layer_identity(rng):
+    params = init_model_params(rng, 1, 3, None, hidden=4)
+    params.fusion.layer_gain = rng.uniform(0.5, 2.0, (1, 3))
+    params.fusion.layer_bias = rng.standard_normal((1, 3))
+    h = rng.standard_normal((1, 6, 3))
+    _, cache = forward(params, [utterance(h)])
+    assert np.array_equal(cache["alpha"], [[1.0]])
+    expected = oracle.layer_norm(h[0], params.fusion.layer_gain[0], params.fusion.layer_bias[0])
+    assert cache["z"][0] == pytest.approx(expected, rel=1e-12)
 
 
-def test_fuse_one_hot_selects_layer():
-    rng = np.random.default_rng(6)
-    hs = [rng.standard_normal((5, 4)) for _ in range(3)]
-    out = fuse_layers(hs, np.array([0.0, 1.0, 0.0]))
-    assert out == pytest.approx(hs[1], rel=1e-12)
+def test_fuse_one_hot_selects_layer(rng):
+    # layer 1's summary scores 1000 above the others: its weight is 1 to the last bit
+    params = init_model_params(rng, 3, 4, None, hidden=4)
+    fp = params.fusion
+    fp.attn_w = rng.standard_normal(4)
+    fp.layer_bias = np.zeros((3, 4))
+    fp.layer_bias[1] = 1000.0 * fp.attn_w / (fp.attn_w @ fp.attn_w) * fp.temperature()
+    h = rng.standard_normal((3, 5, 4))
+    _, cache = forward(params, [utterance(h)])
+    assert np.array_equal(cache["alpha"], [[0.0, 1.0, 0.0]])
+    assert cache["z"][0] == pytest.approx(oracle.layer_norm(h[1], fp.layer_gain[1], fp.layer_bias[1]), rel=1e-12)
 
 
-def test_fuse_matches_elementwise_oracle():
-    rng = np.random.default_rng(7)
-    hs = [rng.standard_normal((4, 3)) for _ in range(3)]
-    alpha = np.array([0.2, 0.5, 0.3])
-    out = fuse_layers(hs, alpha)
+def test_fuse_matches_elementwise_oracle(rng):
+    params = init_model_params(rng, 3, 3, None, hidden=4)
+    fp = params.fusion
+    fp.layer_gain = rng.uniform(0.5, 2.0, (3, 3))
+    fp.layer_bias = rng.standard_normal((3, 3))
+    h = rng.standard_normal((3, 4, 3))
+    _, cache = forward(params, [utterance(h)])
+    alpha = cache["alpha"][0]
+    normed = [oracle.layer_norm(h[n], fp.layer_gain[n], fp.layer_bias[n]) for n in range(3)]
     for t in range(4):
         for d in range(3):
-            expected = sum(alpha[l] * hs[l][t, d] for l in range(3))
-            assert out[t, d] == pytest.approx(expected, rel=1e-12)
+            expected = sum(alpha[n] * normed[n][t, d] for n in range(3))
+            assert cache["z"][0, t, d] == pytest.approx(expected, rel=1e-12)
 
 
-def test_fuse_is_linear_per_layer():
-    rng = np.random.default_rng(8)
-    x, y = rng.standard_normal((2, 5, 3))
-    other = rng.standard_normal((5, 3))
-    alpha = np.array([0.6, 0.4])
+def test_fuse_is_linear_per_layer(rng):
+    """For fixed weights the fused sequence is affine in each layer's standardized frames."""
+    params = init_model_params(rng, 2, 3, None, hidden=4)
+    params.fusion.layer_bias = rng.standard_normal((2, 3))
+    base = collate([utterance(rng.standard_normal((2, 5, 3)))])
+    x, y = rng.standard_normal((2, *base.x.shape))
     a, b = 1.7, -0.3
-    lhs = fuse_layers([a * x + b * y, other], alpha)
-    rhs = a * fuse_layers([x, other], alpha) + b * fuse_layers([y, other], alpha) - (a + b - 1) * fuse_layers([np.zeros_like(x), other], alpha)
+
+    def fused(xs):
+        batch = collate([utterance(rng.standard_normal((2, 5, 3)))])
+        batch.x, batch.s_hat = xs, base.s_hat  # same summaries, hence the same weights
+        return forward_batch(params, batch)[1]["z"]
+
+    lhs = fused(a * x + b * y)
+    rhs = a * fused(x) + b * fused(y) - (a + b - 1) * fused(np.zeros_like(x))
     assert lhs == pytest.approx(rhs, abs=1e-12)
-
-
-def test_fuse_validates():
-    h = np.zeros((2, 2))
-    with pytest.raises(ValueError):
-        fuse_layers([h, h], np.array([0.7, 0.7]))  # off the simplex
-    with pytest.raises(ValueError):
-        fuse_layers([h, np.zeros((3, 2))], np.array([0.5, 0.5]))
 
 
 # --- resample ----------------------------------------------------------------------
@@ -238,60 +268,52 @@ def test_resample_preserves_endpoints():
         resample(h, 0)
 
 
-# --- modality_fuse -----------------------------------------------------------------
-
-
-def make_params(rng, n_layers=2, dim=4, osm_dim=74):
-    return init_fusion_params(rng, n_layers, dim, osm_dim)
+# --- modality normalizer -------------------------------------------------------------
 
 
 def test_modality_fuse_zero_gain_ablates_osm(rng):
-    params = make_params(rng)
-    params.gamma_osm = np.array(0.0)
-    out = modality_fuse(rng.standard_normal((6, 4)), rng.standard_normal((3, 74)), params)
-    assert out.shape == (6, 78)
-    assert np.array_equal(out[:, 4:], np.zeros((6, 74)))
+    params = init_model_params(rng, 2, 4, 74, hidden=4)
+    params.fusion.gamma_osm = np.array(0.0)
+    _, cache = forward(params, [utterance(rng.standard_normal((2, 6, 4)), rng.standard_normal((6, 74)))])
+    assert cache["z"].shape == (1, 6, 78)
+    assert np.array_equal(cache["z"][0, :, 4:], np.zeros((6, 74)))
 
 
 def test_modality_fuse_identity_resample_path(rng):
-    params = make_params(rng)
-    params.gamma_fused = np.array(2.0)
-    h_fused = rng.standard_normal((5, 4))
-    h_osm = rng.standard_normal((5, 74))
-    out = modality_fuse(h_fused, h_osm, params)
-    from disq.fusion import layer_norm as ln
-
-    assert out[:, :4] == pytest.approx(2.0 * ln(h_fused, params.mod_gain_fused, params.mod_bias_fused), rel=1e-12)
+    params = init_model_params(rng, 2, 4, 74, hidden=4)
+    fp = params.fusion
+    fp.gamma_fused = np.array(2.0)
+    fp.gamma_osm = np.array(0.5)
+    fp.mod_bias_osm = rng.standard_normal(74)
+    h, h_osm = rng.standard_normal((2, 5, 4)), rng.standard_normal((5, 74))
+    _, cache = forward(params, [utterance(h, h_osm)])
+    alpha = cache["alpha"][0]
+    fused = sum(alpha[n] * oracle.layer_norm(h[n], fp.layer_gain[n], fp.layer_bias[n]) for n in range(2))
+    expected = 2.0 * oracle.layer_norm(fused, fp.mod_gain_fused, fp.mod_bias_fused)
+    assert cache["z"][0, :, :4] == pytest.approx(expected, rel=1e-9)
+    expected = 0.5 * oracle.layer_norm(resample(h_osm, 5), fp.mod_gain_osm, fp.mod_bias_osm)
+    assert cache["z"][0, :, 4:] == pytest.approx(expected, rel=1e-12)
 
 
 def test_modality_fuse_width_for_wavlm_dims(rng):
-    params = make_params(rng, dim=1024)
-    out = modality_fuse(rng.standard_normal((3, 1024)), rng.standard_normal((2, 74)), params)
-    assert out.shape == (3, 1024 + 74)
-    assert out.shape[1] == 1098
+    params = init_model_params(rng, 1, 1024, 74, hidden=2)
+    _, cache = forward(params, [utterance(rng.standard_normal((1, 3, 1024)), rng.standard_normal((3, 74)))])
+    assert cache["z"].shape == (1, 3, 1024 + 74)
+    assert cache["z"].shape[2] == 1098
 
 
 def test_modality_fuse_requires_branch(rng):
-    params = init_fusion_params(rng, 2, 4, osm_dim=None)
-    with pytest.raises(ValueError):
-        modality_fuse(np.zeros((2, 4)), np.zeros((2, 74)), params)
+    h = rng.standard_normal((2, 3, 4))
+    with pytest.raises(ValueError, match="opensmile branch"):
+        forward(init_model_params(rng, 2, 4, None, hidden=4), [utterance(h, np.zeros((3, 74)))])
+    with pytest.raises(ValueError, match="opensmile branch"):
+        forward(init_model_params(rng, 2, 4, 74, hidden=4), [utterance(h)])
 
 
 def test_end_to_end_scale_invariance(rng):
     """Rescaling one input layer moves the fused output by < 1e-4 relative norm."""
-    n_layers, dim, t = 3, 16, 12
-    params = init_fusion_params(rng, n_layers, dim)
-    hs = [rng.standard_normal((t, dim)) for _ in range(n_layers)]
-
-    def fused(h_list):
-        normed = [
-            layer_norm(h, params.layer_gain[i], params.layer_bias[i])
-            for i, h in enumerate(h_list)
-        ]
-        summaries = np.stack([masked_average_pool(h, np.ones(t, bool)) for h in normed])
-        alpha = layer_attention(summaries, params.attn_w, params.temperature())
-        return fuse_layers(normed, alpha)
-
-    base = fused(hs)
-    scaled = fused([hs[0] * 37.0, hs[1], hs[2]])
+    params = init_model_params(rng, 3, 16, None, hidden=4)
+    hs = rng.standard_normal((3, 12, 16))
+    base = forward(params, [utterance(hs)])[1]["z"]
+    scaled = forward(params, [utterance(hs * [[[37.0]], [[1.0]], [[1.0]]])])[1]["z"]
     assert np.linalg.norm(scaled - base) / np.linalg.norm(base) < 1e-4

@@ -5,22 +5,13 @@ import pytest
 
 import disq.model as model
 from disq.dataio import generate_synthetic
-from disq.fusion import (
-    LAYER_NORM_EPS,
-    fuse_layers,
-    layer_attention,
-    layer_norm,
-    masked_average_pool,
-    modality_fuse,
-    sigmoid,
-)
+from disq.fusion import LAYER_NORM_EPS, sigmoid
 from disq.model import (
     Adam,
     Batch,
     HeadParams,
     PreparedUtterance,
     TrainConfig,
-    attentive_stats_pool,
     backward_batch,
     collate,
     class_weights_from_labels,
@@ -28,14 +19,13 @@ from disq.model import (
     forward_batch,
     gradient_check,
     init_model_params,
-    mlp_forward,
     predict,
     train,
-    weighted_ce,
 )
 from disq.sweep import load_dataset, prepare_items
 from disq.fusion import resolve_layer_set
 
+import oracle
 from conftest import tiny_spec, tiny_train_config
 
 
@@ -57,30 +47,46 @@ def random_items(rng, n_items=3, n_layers=3, dim=6, osm_dim=None, t_range=(4, 9)
 # --- attentive statistics pooling -----------------------------------------------
 
 
+def pooled(rng, items, pool_v=None, layer_bias=None):
+    """The forward cache of a token-only model over `items`, with the given pooling scorer and biases."""
+    n_layers, _, dim = items[0].streams.shape
+    params = init_model_params(rng, n_layers, dim, None, hidden=4)
+    if pool_v is not None:
+        params.head.pool_v = pool_v
+    if layer_bias is not None:
+        params.fusion.layer_bias = layer_bias
+    return forward_batch(params, collate(items))[1]
+
+
 def test_pool_single_frame(rng):
-    h = rng.standard_normal((1, 5))
-    out = attentive_stats_pool(h, np.ones(1, bool), rng.standard_normal(5))
-    assert out[:5] == pytest.approx(h[0], rel=1e-12)
-    assert out[5:] == pytest.approx(np.full(5, np.sqrt(1e-8)), rel=1e-9)
+    cache = pooled(rng, random_items(rng, n_items=1, n_layers=2, dim=5, t_range=(1, 2)), rng.standard_normal(5))
+    assert cache["mu"][0] == pytest.approx(cache["z"][0, 0], rel=1e-12)
+    assert cache["sd"][0] == pytest.approx(np.full(5, np.sqrt(1e-8)), rel=1e-9)
 
 
 def test_pool_constant_frames(rng):
-    h = np.full((6, 4), 1.5)
-    out = attentive_stats_pool(h, np.ones(6, bool), rng.standard_normal(4))
-    assert out[:4] == pytest.approx(np.full(4, 1.5), rel=1e-12)
-    assert out[4:] == pytest.approx(np.full(4, 1e-4), rel=1e-6)
+    # constant frames standardize to 0, so every fused frame is the common bias 1.5
+    items = [PreparedUtterance("u", np.full((2, 6, 4), 3.0), 0)]
+    cache = pooled(rng, items, rng.standard_normal(4), np.full((2, 4), 1.5))
+    assert cache["mu"][0] == pytest.approx(np.full(4, 1.5), rel=1e-12)
+    assert cache["sd"][0] == pytest.approx(np.full(4, 1e-4), rel=1e-6)
 
 
 def test_pool_uniform_scores_match_masked_mean(rng):
-    h = rng.standard_normal((9, 5))
-    mask = np.array([True, True, False, True, False, True, True, False, True])
-    out = attentive_stats_pool(h, mask, np.zeros(5))
-    assert out[:5] == pytest.approx(masked_average_pool(h, mask), rel=1e-12)
+    items = random_items(rng, n_items=3, n_layers=2, dim=5, t_range=(3, 10))
+    items[0].streams = rng.standard_normal((2, 12, 5))  # the longest: the others pad
+    cache = pooled(rng, items, np.zeros(5))
+    for i, it in enumerate(items):
+        t = it.streams.shape[1]
+        assert cache["mu"][i] == pytest.approx(cache["z"][i, :t].mean(axis=0), rel=1e-12, abs=1e-14)
 
 
 def test_pool_all_masked(rng):
-    with pytest.raises(ValueError):
-        attentive_stats_pool(np.zeros((3, 2)), np.zeros(3, bool), np.zeros(2))
+    params = init_model_params(rng, 2, 4, None, hidden=4)
+    batch = collate(random_items(rng, n_items=2, n_layers=2, dim=4))
+    batch.mask[1] = False
+    with pytest.raises(ValueError, match="no valid frames"):
+        forward_batch(params, batch)
 
 
 # --- MLP and weighted cross-entropy ------------------------------------------------
@@ -96,83 +102,112 @@ def zero_head(feat, hidden=4):
     )
 
 
-def test_mlp_zero_weights_gives_bias():
-    head = zero_head(3)
-    assert mlp_forward(np.ones(6), head) == pytest.approx(np.arange(8.0), rel=1e-12)
+def head_forward(rng, head, items=None):
+    """Params, loss and forward cache of a 2-layer, 3-dim token-only model with `head`."""
+    params = init_model_params(rng, 2, 3, None, hidden=head.b1.shape[0])
+    params.head = head
+    loss, cache = forward_batch(params, collate(items or random_items(rng, n_items=2, n_layers=2, dim=3)))
+    return params, loss, cache
+
+
+def test_mlp_zero_weights_gives_bias(rng):
+    _, _, cache = head_forward(rng, zero_head(3))
+    assert cache["logits"] == pytest.approx(np.tile(np.arange(8.0), (2, 1)), rel=1e-12)
 
 
 def test_mlp_one_hot_path(rng):
     head = zero_head(3, hidden=6)
     head.b2 = np.zeros(8)
     head.w1 = np.eye(6)
-    head.w2 = np.zeros((8, 6))
     head.w2[2, 4] = 1.0
-    x = rng.standard_normal(6)
-    logits = mlp_forward(x, head)
-    assert logits[2] == pytest.approx(np.tanh(x[4]), rel=1e-12)
-    assert np.count_nonzero(logits) == 1
+    _, _, cache = head_forward(rng, head)
+    assert cache["logits"][:, 2] == pytest.approx(np.tanh(cache["p"][:, 4]), rel=1e-12)
+    assert (np.count_nonzero(cache["logits"], axis=1) == 1).all()
 
 
 def test_mlp_matches_independent_evaluation(rng):
-    feat, hidden = 5, 7
+    feat, hidden = 3, 7
     head = HeadParams(
-        pool_v=np.zeros(feat),
+        pool_v=rng.standard_normal(feat),
         w1=rng.standard_normal((hidden, 2 * feat)),
         b1=rng.standard_normal(hidden),
         w2=rng.standard_normal((8, hidden)),
         b2=rng.standard_normal(8),
     )
-    x = rng.standard_normal(2 * feat)
-    # scalar-loop oracle
-    z1 = [sum(head.w1[i, j] * x[j] for j in range(2 * feat)) + head.b1[i] for i in range(hidden)]
-    hh = [np.tanh(v) for v in z1]
-    expected = [
-        sum(head.w2[c, i] * hh[i] for i in range(hidden)) + head.b2[c] for c in range(8)
-    ]
-    assert mlp_forward(x, head) == pytest.approx(np.array(expected), abs=1e-6)
+    _, _, cache = head_forward(rng, head)
+    for x, logits in zip(cache["p"], cache["logits"]):
+        # scalar-loop oracle
+        z1 = [sum(head.w1[i, j] * x[j] for j in range(2 * feat)) + head.b1[i] for i in range(hidden)]
+        hh = [np.tanh(v) for v in z1]
+        expected = [sum(head.w2[c, i] * hh[i] for i in range(hidden)) + head.b2[c] for c in range(8)]
+        assert logits == pytest.approx(np.array(expected), abs=1e-6)
 
 
-def test_weighted_ce_uniform_logits():
-    loss, grad = weighted_ce(np.zeros(8), 3, np.ones(8))
+def ce_grad(rng, logits_bias, label, class_weights=None):
+    """Loss and logit gradient of one utterance whose logits are `logits_bias`."""
+    head = zero_head(3)
+    head.b2 = np.asarray(logits_bias, dtype=np.float64)
+    if class_weights is not None:
+        head.class_weights = np.asarray(class_weights, dtype=np.float64)
+    item = random_items(rng, n_items=1, n_layers=2, dim=3)[0]
+    item.label = label
+    params, loss, cache = head_forward(rng, head, [item])
+    return loss, backward_batch(params, cache)["head.b2"]
+
+
+def test_weighted_ce_uniform_logits(rng):
+    loss, grad = ce_grad(rng, np.zeros(8), 3)
     assert loss == pytest.approx(np.log(8.0), rel=1e-12)
     assert grad == pytest.approx(np.full(8, 1 / 8) - np.eye(8)[3], rel=1e-12)
 
 
-def test_weighted_ce_confident_logit():
-    loss, _ = weighted_ce(np.array([0.0, 200.0, 0.0, 0, 0, 0, 0, 0]), 1, np.ones(8))
+def test_weighted_ce_confident_logit(rng):
+    loss, _ = ce_grad(rng, [0.0, 200.0, 0.0, 0, 0, 0, 0, 0], 1)
     assert loss < 1e-8
 
 
-def test_weighted_ce_scales_with_weight():
-    logits = np.array([1.0, -2.0, 0.5, 0, 0.3, -1, 2, 0])
-    w = np.full(8, 2.5)
-    loss1, grad1 = weighted_ce(logits, 6, np.ones(8))
-    loss2, grad2 = weighted_ce(logits, 6, w)
-    assert loss2 == pytest.approx(2.5 * loss1, rel=1e-12)
-    assert grad2 == pytest.approx(2.5 * grad1, rel=1e-12)
+def test_weighted_ce_scales_with_weight(rng):
+    """The batch loss and its gradient are the class-weighted means of the per-utterance ones."""
+    items = random_items(rng, n_items=2, n_layers=2, dim=3)
+    items[0].label, items[1].label = 6, 2
+    head = zero_head(3)
+    head.b2 = np.array([1.0, -2.0, 0.5, 0, 0.3, -1, 2, 0])
+    weights = np.full(8, 1.0)
+    weights[6] = 2.5
+    params = init_model_params(rng, 2, 3, None, hidden=4)
+    params.head = head
+    single = []
+    for it in items:
+        loss, cache = forward_batch(params, collate([it]))
+        single.append((loss, backward_batch(params, cache)["head.b2"]))
+    head.class_weights = weights
+    loss, cache = forward_batch(params, collate(items))
+    grad = backward_batch(params, cache)["head.b2"]
+    assert loss == pytest.approx((2.5 * single[0][0] + single[1][0]) / 3.5, rel=1e-12)
+    assert grad == pytest.approx((2.5 * single[0][1] + single[1][1]) / 3.5, rel=1e-12)
 
 
 def test_weighted_ce_gradient_matches_finite_differences(rng):
     logits = rng.standard_normal(8)
     weights = rng.uniform(0.5, 2.0, 8)
     label = 5
-    _, grad = weighted_ce(logits, label, weights)
+    _, grad = ce_grad(rng, logits, label, weights)
     eps = 1e-4
     for i in range(8):
         bump = np.zeros(8)
         bump[i] = eps
-        hi, _ = weighted_ce(logits + bump, label, weights)
-        lo, _ = weighted_ce(logits - bump, label, weights)
+        hi, _ = ce_grad(rng, logits + bump, label, weights)
+        lo, _ = ce_grad(rng, logits - bump, label, weights)
         fd = (hi - lo) / (2 * eps)
         assert abs(fd - grad[i]) / max(abs(fd), abs(grad[i]), 1e-6) < 1e-4
 
 
-def test_weighted_ce_rejects_non_finite():
+def test_weighted_ce_rejects_non_finite(rng):
     with pytest.raises(FloatingPointError):
-        weighted_ce(np.array([np.nan] * 8), 0, np.ones(8))
+        ce_grad(rng, [np.nan] * 8, 0)
 
 
-# --- batched forward vs composed reference operations ------------------------------
+# --- batched forward vs the per-utterance oracle ---------------------------------------
 
 
 @pytest.mark.parametrize("osm_dim", [None, 6])
@@ -184,19 +219,7 @@ def test_forward_batch_matches_composed_ops(rng, osm_dim):
     batch = collate(items)
     loss, cache = forward_batch(params, batch)
 
-    fp, hp = params.fusion, params.head
-    normed = [
-        layer_norm(it.streams[l], fp.layer_gain[l], fp.layer_bias[l]) for l in range(n_layers)
-    ]
-    valid = np.ones(it.streams.shape[1], dtype=bool)
-    summaries = np.stack([masked_average_pool(h, valid) for h in normed])
-    alpha = layer_attention(summaries, fp.attn_w, fp.temperature())
-    fused = fuse_layers(normed, alpha)
-    z = modality_fuse(fused, it.osm, fp) if osm_dim else fused
-    pooled = attentive_stats_pool(z, valid, hp.pool_v)
-    logits = mlp_forward(pooled, hp)
-    ref_loss, _ = weighted_ce(logits, it.label, hp.class_weights)
-    ref_loss /= hp.class_weights[it.label]
+    ref_loss, alpha, logits = oracle.forward(params, it.streams, it.label, it.osm)
 
     assert cache["alpha"][0] == pytest.approx(alpha, rel=1e-9)
     assert cache["logits"][0] == pytest.approx(logits, rel=1e-9)

@@ -108,11 +108,24 @@ def test_batched_recon_equals_per_utterance_recon(tiny_dataset):
         got = cache.osm_tokens(tiny_dataset, split, 0)
         assert len(got) == len(utts)
         for g, u in zip(got, utts):
-            tokens, recon = quantize_opensmile(u.opensmile, books)
+            tokens = quantize_opensmile(u.opensmile, books)
             assert list(g) == list(tokens) == list(OPENSMILE_CATEGORIES.names())
             assert all(np.array_equal(g[name], tokens[name].indices) for name in g)
             frames = np.concatenate([books[name].centroids.astype(np.float32)[g[name]] for name in g], axis=1)
-            assert frames.shape[1] == 74 and frames.tobytes() == recon.frames.astype(np.float32).tobytes()
+            want = np.concatenate([reconstruct(books[n], t).frames for n, t in tokens.items()], axis=1)
+            assert frames.shape[1] == 74 and frames.tobytes() == want.astype(np.float32).tobytes()
+
+
+def test_osm_tokens_reconstruct_no_frames(tiny_dataset, monkeypatch):
+    from disq import quantize
+
+    cache = CodebookCache()
+    cache.osm_codebooks(tiny_dataset, 0)
+    calls = []
+    real = quantize.reconstruct
+    monkeypatch.setattr(quantize, "reconstruct", lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    tokens = cache.osm_tokens(tiny_dataset, "dev", 0)
+    assert len(tokens) == len(tiny_dataset.utterances["dev"]) and calls == []
 
 
 def test_cache_keeps_token_indices_not_frames(tiny_dataset):
