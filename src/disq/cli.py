@@ -147,9 +147,9 @@ def _require_fields(doc: dict, path, names) -> None:
         raise DataError(f"{path}: missing {', '.join(missing)}")
 
 
-def _load_dataset(dataset_dir, splits=dataio.SPLITS, layers=None):
+def _load_dataset(dataset_dir, splits=dataio.SPLITS, layers=None, opensmile=True):
     try:
-        return load_dataset(dataset_dir, splits, layers)
+        return load_dataset(dataset_dir, splits, layers, opensmile)
     except (FileNotFoundError, dataio.FeatureFileError, ValueError, json.JSONDecodeError) as exc:
         raise DataError(f"dataset {dataset_dir}: {exc}") from exc
 
@@ -197,7 +197,7 @@ def cmd_gen(args, argv) -> int:
 def cmd_codebooks(args, argv) -> int:
     started = time.time()
     out = _out_dir(args, "codebooks")
-    ds = _load_dataset(args.dataset, ("train",), _layer_picker({"": args.layers}))
+    ds = _load_dataset(args.dataset, ("train",), _layer_picker({"": args.layers}), args.opensmile)
     if args.k < 1:
         raise ConfigError("--k: must be >= 1")
 
@@ -264,10 +264,11 @@ def cmd_tokenize(args, argv) -> int:
     except json.JSONDecodeError as exc:
         raise DataError(f"{index_path}: {exc}") from exc
     _require_fields(index, index_path, ("k", "seed", "layers"))
-    ds = _load_dataset(args.dataset, (args.split,), index["layers"])
+    opensmile = bool(index.get("opensmile"))
+    ds = _load_dataset(args.dataset, (args.split,), index["layers"], opensmile)
     cache, seed = CodebookCache(), index["seed"]
     layer_books, osm_books = _hold_codebooks(
-        cache, ds, persist.load_codebook, book_dir, index["layers"], index["k"], seed, index.get("opensmile")
+        cache, ds, persist.load_codebook, book_dir, index["layers"], index["k"], seed, opensmile
     )
 
     utts = ds.utterances[args.split]
@@ -314,7 +315,9 @@ def cmd_train(args, argv) -> int:
     started = time.time()
     out = _out_dir(args, "train")
     job = _train_job(args)
-    ds = _load_dataset(args.dataset, ("train", "dev"), _layer_picker({"layer_set: ": job.layer_set}))
+    ds = _load_dataset(
+        args.dataset, ("train", "dev"), _layer_picker({"layer_set: ": job.layer_set}), job.aug != "none"
+    )
     name, layers = job.layer_set, ds.layers
 
     cache = CodebookCache()
@@ -373,10 +376,12 @@ def cmd_eval(args, argv) -> int:
     # A continuous checkpoint needs no codebooks, and one saved before `train`
     # kept its codebooks has no codebooks/: eval then fits them as `train` did.
     # It reads the checkpoint's layers of one split, and of the train split
-    # when it fits.
+    # when it fits; opensmile files only when the checkpoint is augmented.
     holds = meta["k"] is not None and (Path(args.checkpoint) / "codebooks").is_dir()
     fits = meta["k"] is not None and not holds
-    ds = _load_dataset(args.dataset, ("train", args.split) if fits else (args.split,), meta["layers"])
+    ds = _load_dataset(
+        args.dataset, ("train", args.split) if fits else (args.split,), meta["layers"], meta["aug"] != "none"
+    )
     if meta["train_hash"] != ds.train_hash:
         raise DataError("checkpoint was trained on a different dataset (train manifest hash mismatch)")
 
@@ -423,7 +428,8 @@ def cmd_sweep(args, argv) -> int:
     if args.workers < 1:
         raise ConfigError("--workers: must be >= 1")
     layer_sets = {f"layer_sets[{i}]: ": entry for i, entry in enumerate(grid.layer_sets)}
-    ds = _load_dataset(args.dataset, layers=_layer_picker(layer_sets))
+    opensmile = any(aug != "none" for aug in grid.augmentations)
+    ds = _load_dataset(args.dataset, layers=_layer_picker(layer_sets), opensmile=opensmile)
     result = run_sweep(grid, ds, workers=args.workers)
     if not result.rows:
         for failure in result.failures:

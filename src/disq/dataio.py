@@ -248,8 +248,10 @@ def load_manifest(path) -> DatasetManifest:
     return manifest
 
 
-def load_utterance(manifest: DatasetManifest, record: ManifestRecord, layers=None) -> UtteranceRecord:
-    """Read one utterance's opensmile stream and its `layers` (default: every layer)."""
+def load_utterance(
+    manifest: DatasetManifest, record: ManifestRecord, layers=None, opensmile: bool = True
+) -> UtteranceRecord:
+    """Read one utterance's `layers` (default: every layer) and, if `opensmile`, its opensmile stream."""
     wanted = range(len(record.layer_paths)) if layers is None else layers
     streams = {}
     for idx in wanted:
@@ -258,7 +260,7 @@ def load_utterance(manifest: DatasetManifest, record: ManifestRecord, layers=Non
             raise ValueError(f"{record.utt_id} layer {idx}: dim {seq.dim} != {manifest.feature_dim}")
         streams[idx] = seq
     osm = None
-    if record.opensmile_path is not None:
+    if opensmile and record.opensmile_path is not None:
         osm = read_feature_file(manifest.root / record.opensmile_path, stream_id="osm")
     return UtteranceRecord(record.utt_id, streams, osm, record.label)
 

@@ -86,10 +86,19 @@ def temperature_from_raw(raw) -> float:
 
 
 def raw_from_temperature(tau: float) -> float:
-    """Inverse of temperature_from_raw, for initialization."""
+    """Inverse of temperature_from_raw, for initialization.
+
+    raw = log(expm1(y)) with y = tau - floor; where expm1 overflows (y above
+    about 709.78) the same value is y + log1p(-exp(-y)).
+    """
     if tau <= TEMPERATURE_FLOOR:
         raise ValueError(f"temperature must exceed the {TEMPERATURE_FLOOR} floor")
-    return float(np.log(np.expm1(tau - TEMPERATURE_FLOOR)))
+    y = tau - TEMPERATURE_FLOOR
+    with np.errstate(over="ignore"):
+        e = np.expm1(y)
+    if np.isfinite(e):
+        return float(np.log(e))
+    return float(y + np.log1p(-np.exp(-y)))
 
 
 @dataclass

@@ -1,16 +1,19 @@
 """Trainable downstream head: attentive statistics pooling, MLP, weighted CE.
 
-Forward and reverse passes are written by hand over padded batch tensors and
+Forward and reverse passes are written by hand over batch tensors and
 verified against central finite differences; the quantizers and input
 features sit upstream of every trainable parameter and receive no gradient.
 All math runs in float64 so the gradient checks hold at tight tolerances.
 
 The input layer norms split in two: the per-frame standardization x̂ and its
 frame mean ŝ depend on no parameter, so `train` and `predict` compute them
-once per utterance per call, and a batch carries x̂, held (B, dim, T,
-n_layers), and ŝ. The affine y = g·x̂ + b is never formed: the layer summaries
-are g·ŝ + b, the fused sequence is one contraction of x̂ over layers, and the
-gradients of the layer block come from one contraction of x̂ over frames.
+once per utterance per call. A batch refers to each utterance's own x̂,
+held (dim, T_b, n_layers) at its own frame count, and never pads or copies
+it; only the opensmile block and the per-frame tensors downstream of the
+layer block are padded. The affine y = g·x̂ + b is never formed: the layer summaries are
+g·ŝ + b, the fused sequence is a contraction of each utterance's x̂ over
+layers, and the gradients of the layer block come from a contraction of
+each utterance's x̂ over its frames.
 """
 
 from __future__ import annotations
@@ -139,13 +142,16 @@ def init_model_params(
 
 @dataclass
 class Batch:
-    """Standardized inputs x̂ (per-frame layer norm without its affine), zero padded, and ŝ.
+    """Standardized inputs x̂ (per-frame layer norm without its affine), one array per utterance, and ŝ.
 
-    x̂ is held dim-major so that the layer block's contractions over layers
-    (forward) and over frames (backward) are each one batched matmul.
+    Each x̂ keeps its utterance's own frame count T_b, the first T_b valid
+    frames of its `mask` row, and is held dim-major so that the layer
+    block's contractions over layers (forward) and over frames (backward)
+    are each one matmul per utterance. `mask` and the opensmile block are
+    padded to the batch's longest utterance.
     """
 
-    x: np.ndarray  # (B, dim, T, n_layers) float64
+    x: tuple[np.ndarray, ...]  # per utterance (dim, T_b, n_layers) float64
     s_hat: np.ndarray  # (B, n_layers, dim): mean of x̂ over each utterance's valid frames
     mask: np.ndarray  # (B, T) bool
     labels: np.ndarray  # (B,)
@@ -153,7 +159,7 @@ class Batch:
 
     @property
     def size(self) -> int:
-        return self.x.shape[0]
+        return len(self.x)
 
 
 @dataclass
@@ -190,13 +196,12 @@ def _standardized(it: PreparedUtterance) -> _Standardized:
 
 
 def _pad(items: list[_Standardized]) -> Batch:
-    """Zero-pad already standardized utterances to a common frame count."""
+    """Batch already standardized utterances: x̂ by reference, the rest padded to a common frame count."""
     if not items:
         raise ValueError("empty batch")
     dim, _, n_layers = items[0].xhat.shape
     has_osm = items[0].osm is not None
     t_max = max(it.xhat.shape[1] for it in items)
-    x = np.zeros((len(items), dim, t_max, n_layers))
     s_hat = np.empty((len(items), n_layers, dim))
     mask = np.zeros((len(items), t_max), dtype=bool)
     osm = None
@@ -209,19 +214,18 @@ def _pad(items: list[_Standardized]) -> Batch:
         if (it.osm is not None) != has_osm:
             raise ValueError("batch mixes utterances with and without an opensmile branch")
         t = it.xhat.shape[1]
-        x[i, :, :t] = it.xhat
         s_hat[i] = it.s_hat
         mask[i, :t] = True
         if has_osm:
             osm[i, :t] = it.osm
         labels[i] = it.label
-    return Batch(x, s_hat, mask, labels, osm)
+    return Batch(tuple(it.xhat for it in items), s_hat, mask, labels, osm)
 
 
 def collate(items: list[PreparedUtterance]) -> Batch:
-    """Standardize each utterance and pad the batch to a common frame count.
+    """Standardize each utterance and batch them (see `Batch`).
 
-    Padded frames stay 0, which is what standardizing a zero frame gives.
+    Padded opensmile frames stay 0, which is what standardizing a zero frame gives.
     """
     return _pad([_standardized(it) for it in items])
 
@@ -245,6 +249,11 @@ def forward_batch(params: ModelParams, batch: Batch):
         raise ValueError("model and batch disagree about the opensmile branch")
     if not batch.mask.any(axis=1).all():
         raise ValueError("utterance with no valid frames")
+    n_frames = batch.mask.sum(axis=1)
+    if [x.shape[1] for x in batch.x] != n_frames.tolist():
+        raise ValueError("an utterance's x̂ frame count differs from its mask row")
+    if not np.array_equal(batch.mask, np.arange(batch.mask.shape[1]) < n_frames[:, None]):
+        raise ValueError("a mask row's valid frames are not a prefix")
 
     # layer summaries, the valid-frame means of y = g x̂ + b, and attention weights
     s = fp.layer_gain * batch.s_hat + fp.layer_bias
@@ -254,9 +263,12 @@ def forward_batch(params: ModelParams, batch: Batch):
     eu = np.exp(u_shift)
     alpha = eu / eu.sum(axis=1, keepdims=True)
 
-    # fused sequence f = Σₙ (αₙ gₙ) x̂ₙ + Σₙ αₙ bₙ, one matvec per utterance and dim
+    # fused sequence f = Σₙ (αₙ gₙ) x̂ₙ + Σₙ αₙ bₙ, one matvec per utterance and dim over
+    # its own frames; padded frames carry the bias only and are masked in pooling
     ag = alpha[:, None, :] * fp.layer_gain.T
-    f = np.matmul(batch.x, ag[..., None])[..., 0].transpose(0, 2, 1).copy()
+    f = np.zeros((batch.size, batch.mask.shape[1], fp.dim))
+    for j, x in enumerate(batch.x):
+        f[j, : x.shape[1]] = (x @ ag[j, :, :, None])[..., 0].T
     f += (alpha @ fp.layer_bias)[:, None, :]
 
     if fp.augmented:
@@ -366,10 +378,13 @@ def backward_batch(params: ModelParams, cache) -> dict[str, np.ndarray]:
     else:
         df = dz
 
-    # fused sum: one contraction over frames, G[b, d, n] = Σₜ df[b, t, d] x̂[b, d, t, n];
-    # df is 0 on padded frames, where the pooling weight is 0
+    # fused sum: one contraction per utterance over its own frames,
+    # G[b, d, n] = Σₜ df[b, t, d] x̂_b[d, t, n]; df is 0 on padded frames, where the pooling weight is 0
     alpha = cache["alpha"]
-    g = np.matmul(np.ascontiguousarray(df.transpose(0, 2, 1))[:, :, None, :], batch.x)[:, :, 0, :]
+    df_t = np.ascontiguousarray(df.transpose(0, 2, 1))
+    g = np.empty((batch.size, fp.dim, fp.n_layers))
+    for j, x in enumerate(batch.x):
+        g[j] = (df_t[j, :, None, : x.shape[1]] @ x)[:, 0, :]
     df_sum = df.sum(axis=1)
     dalpha = np.einsum("bdn,nd->bn", g, fp.layer_gain) + df_sum @ fp.layer_bias.T
 
@@ -391,10 +406,10 @@ def backward_batch(params: ModelParams, cache) -> dict[str, np.ndarray]:
 def predict(params: ModelParams, items: list[PreparedUtterance], batch_size: int = 64):
     """Argmax class predictions and per-utterance attention weights."""
     x = [_standardized(it) for it in items]
-    return _predict_batches(params, _padded_batches(x, batch_size), len(x))
+    return _predict_batches(params, _batches(x, batch_size), len(x))
 
 
-def _padded_batches(items: list[_Standardized], batch_size: int):
+def _batches(items: list[_Standardized], batch_size: int):
     return (_pad(items[start : start + batch_size]) for start in range(0, len(items), batch_size))
 
 
@@ -414,27 +429,57 @@ def _predict_batches(params: ModelParams, batches, n_items: int):
 
 
 class Adam:
-    """Adaptive step with first/second moment scaling and global norm clipping."""
+    """Adaptive step with first/second moment scaling and global norm clipping.
+
+    The trainable tensors live in one flat vector: building the optimizer
+    rebinds each field of `params` to a view of it, so a step is a few
+    whole-vector operations into preallocated buffers. Every operation is
+    elementwise and rounds as the per-tensor update `(m / bc1) /
+    (sqrt(v / bc2) + eps)` does, so each entry gets the same bits.
+    """
 
     def __init__(self, params: ModelParams, config: TrainConfig):
         self.config = config
         self.t = 0
-        self.m = {name: np.zeros_like(arr) for name, arr in params.param_items()}
-        self.v = {name: np.zeros_like(arr) for name, arr in params.param_items()}
+        items = params.param_items()
+        self.names = [name for name, _ in items]
+        self.flat = np.concatenate([arr.ravel() for _, arr in items])
+        self.views = []  # (part, field name, view of `flat`) in parameter order
+        start = 0
+        for name, arr in items:
+            part, field_name = name.split(".")
+            view = self.flat[start : start + arr.size].reshape(arr.shape)
+            setattr(getattr(params, part), field_name, view)
+            self.views.append((part, field_name, view))
+            start += arr.size
+        self.m = np.zeros_like(self.flat)
+        self.v = np.zeros_like(self.flat)
+        self._g = np.empty_like(self.flat)
+        self._tmp = np.empty_like(self.flat)
 
     def step(self, params: ModelParams, grads: dict[str, np.ndarray]) -> None:
+        if any(getattr(getattr(params, part), name) is not view for part, name, view in self.views):
+            raise ValueError("Adam.step: a parameter is not the view of the flat vector it was bound to")
         cfg = self.config
+        # the global norm sums per tensor, in the order of `grads`
         gnorm = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
         scale = cfg.clip_norm / gnorm if gnorm > cfg.clip_norm else 1.0
         self.t += 1
         bc1 = 1.0 - cfg.beta1**self.t
         bc2 = 1.0 - cfg.beta2**self.t
-        for name, arr in params.param_items():
-            g = grads[name] * scale
-            self.m[name] = cfg.beta1 * self.m[name] + (1.0 - cfg.beta1) * g
-            self.v[name] = cfg.beta2 * self.v[name] + (1.0 - cfg.beta2) * g * g
-            step = (self.m[name] / bc1) / (np.sqrt(self.v[name] / bc2) + cfg.adam_eps)
-            arr[...] = arr - cfg.learning_rate * step
+        g, tmp, m, v = self._g, self._tmp, self.m, self.v
+        np.concatenate([grads[name].ravel() for name in self.names], out=g)
+        g *= scale
+        m *= cfg.beta1
+        m += np.multiply(g, 1.0 - cfg.beta1, out=tmp)
+        v *= cfg.beta2
+        np.multiply(g, 1.0 - cfg.beta2, out=tmp)
+        v += np.multiply(tmp, g, out=tmp)
+        np.sqrt(np.divide(v, bc2, out=tmp), out=tmp)
+        tmp += cfg.adam_eps
+        step = np.divide(m, bc1, out=g)  # g is spent
+        step /= tmp
+        self.flat -= np.multiply(step, cfg.learning_rate, out=step)
 
 
 def class_weights_from_labels(labels) -> np.ndarray:
@@ -470,8 +515,8 @@ def train(
     Batches are processed in sorted utterance order within each batch, so
     final parameters depend on batch composition only, not on the order the
     caller stored the utterances. Each train and dev utterance is
-    standardized once, and dev is padded into batches once, before the
-    first epoch.
+    standardized once, and dev is batched once, before the first epoch;
+    a batch refers to those x̂ arrays without copying them.
     """
     if not train_items:
         raise ValueError("empty train split")
@@ -483,7 +528,7 @@ def train(
     labels = [it.label for it in train_items]
     weights = class_weights_from_labels(labels)
     train_x = [_standardized(it) for it in train_items]
-    dev_batches = list(_padded_batches([_standardized(it) for it in dev_items], 64))
+    dev_batches = list(_batches([_standardized(it) for it in dev_items], 64))
     dev_labels = np.array([it.label for it in dev_items])
 
     n_layers, _, dim = train_items[0].streams.shape

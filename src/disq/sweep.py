@@ -83,13 +83,14 @@ class LoadedDataset:
     layers: tuple[int, ...]
 
 
-def load_dataset(dataset_dir, splits=dataio.SPLITS, layers=None) -> LoadedDataset:
-    """Read the manifests of `splits`, and their feature files of `layers`.
+def load_dataset(dataset_dir, splits=dataio.SPLITS, layers=None, opensmile: bool = True) -> LoadedDataset:
+    """Read the manifests of `splits`, and their feature files of `layers` and of opensmile.
 
     `layers` is a sequence of layer indices, or a function that picks them
     from the dataset's layer count (so that a named layer set resolves
     before any feature file is read). The default reads every layer; a
-    caller that needs less leaves the rest on disk. The train split's hash
+    caller that needs less leaves the rest on disk. Without `opensmile` no
+    utterance gets an opensmile stream. The train split's hash
     is taken from its manifest's bytes, whether or not it is loaded.
     """
     manifests = {split: dataio.load_split(dataset_dir, split) for split in dict.fromkeys(splits)}
@@ -107,7 +108,8 @@ def load_dataset(dataset_dir, splits=dataio.SPLITS, layers=None) -> LoadedDatase
     if outside:
         raise ValueError(f"layers {outside} are not in the dataset's 0..{layer_count - 1}")
     utterances = {
-        split: [dataio.load_utterance(m, rec, layers) for rec in m.records] for split, m in manifests.items()
+        split: [dataio.load_utterance(m, rec, layers, opensmile) for rec in m.records]
+        for split, m in manifests.items()
     }
     train_bytes = dataio.manifest_path(dataset_dir, "train").read_bytes()
     return LoadedDataset(

@@ -549,12 +549,12 @@ def test_eval_and_tokenize_read_only_the_feature_files_they_use(cli_workspace, t
         read.append(Path(path))
         return real_read(path, *args, **kwargs)
 
-    def files(split, layers):
+    def files(split, layers, opensmile=True):
         manifest = dataio.load_split(data, split)
         return {
             manifest.root / rel
             for rec in manifest.records
-            for rel in [rec.layer_paths[l] for l in layers] + [rec.opensmile_path]
+            for rel in [rec.layer_paths[l] for l in layers] + ([rec.opensmile_path] if opensmile else [])
         }
 
     def reads(argv):
@@ -563,21 +563,39 @@ def test_eval_and_tokenize_read_only_the_feature_files_they_use(cli_workspace, t
         return {p for p in read if p.is_relative_to(data)}
 
     monkeypatch.setattr("disq.dataio.read_feature_file", spy)
-    # codebooks, train and sweep read only their layer set's files (sweep: the union of its sets)
-    cb = tmp_path / "cb"
+    # codebooks, train and sweep read only their layer set's files (sweep: the union of its sets),
+    # and opensmile files only when they fit or use opensmile books
+    cb, cb_layers = tmp_path / "cb", tmp_path / "cb_layers"
     assert reads(["codebooks", "--dataset", data, "--layers", "1,3", "--k", 8, "--opensmile", "--out", cb]) == files(
         "train", (1, 3)
     )
-    train_argv = ["train", "--dataset", data, "--layer-set", "1,3", "--k", 8, "--aug", "prosody", "--epochs", 1]
-    assert reads(train_argv + ["--out", tmp_path / "run"]) == files("train", (1, 3)) | files("dev", (1, 3))
+    assert reads(["codebooks", "--dataset", data, "--layers", "1,3", "--k", 8, "--out", cb_layers]) == files(
+        "train", (1, 3), opensmile=False
+    )
+    train_argv = ["train", "--dataset", data, "--layer-set", "1,3", "--k", 8, "--epochs", 1]
+    assert reads(train_argv + ["--aug", "prosody", "--out", tmp_path / "run"]) == files("train", (1, 3)) | files(
+        "dev", (1, 3)
+    )
+    assert reads(train_argv + ["--aug", "none", "--out", tmp_path / "run_none"]) == files(
+        "train", (1, 3), opensmile=False
+    ) | files("dev", (1, 3), opensmile=False)
     grid = tmp_path / "grid.json"
     grid.write_text(json.dumps({"ks": [8], "layer_sets": ["1,3"], "seeds": [0], "train": {"epochs": 1}}))
     sweep_argv = ["sweep", "--dataset", data, "--grid", grid, "--out", tmp_path / "sw"]
-    every_split = files("train", (1, 3)) | files("dev", (1, 3)) | files("test", (1, 3))
-    assert reads(sweep_argv) == every_split
+    every_layer_file = set().union(*(files(split, (1, 3), opensmile=False) for split in ("train", "dev", "test")))
+    assert reads(sweep_argv) == every_layer_file
     # a sweep over several layer sets reads their union
     grid.write_text(json.dumps({"ks": [8], "layer_sets": ["3", "1"], "seeds": [0], "train": {"epochs": 1}}))
-    assert reads(sweep_argv[:-1] + [tmp_path / "sw2"]) == every_split
+    assert reads(sweep_argv[:-1] + [tmp_path / "sw2"]) == every_layer_file
+    # and one augmented cell makes it read opensmile
+    grid.write_text(
+        json.dumps(
+            {"ks": [8], "layer_sets": ["1,3"], "seeds": [0], "augmentations": ["none", "prosody"], "train": {"epochs": 1}}
+        )
+    )
+    assert reads(sweep_argv[:-1] + [tmp_path / "sw3"]) == files("train", (1, 3)) | files("dev", (1, 3)) | files(
+        "test", (1, 3)
+    )
 
     ckpt, fitted = tmp_path / "run" / "checkpoint", tmp_path / "fitted"
     shutil.copytree(ckpt, fitted)
@@ -588,8 +606,14 @@ def test_eval_and_tokenize_read_only_the_feature_files_they_use(cli_workspace, t
     assert reads(eval_argv + ["--checkpoint", fitted, "--out", tmp_path / "ev_fit"]) == files("dev", (1, 3)) | files(
         "train", (1, 3)
     )
-    tok_argv = ["tokenize", "--dataset", data, "--split", "test", "--codebooks", cb, "--out", tmp_path / "tok"]
-    assert reads(tok_argv) == files("test", (1, 3))
+    none_ckpt = tmp_path / "run_none" / "checkpoint"
+    assert reads(eval_argv + ["--checkpoint", none_ckpt, "--out", tmp_path / "ev_none"]) == files(
+        "dev", (1, 3), opensmile=False
+    )
+    tok_argv = ["tokenize", "--dataset", data, "--split", "test", "--out", tmp_path / "tok"]
+    assert reads(tok_argv + ["--codebooks", cb]) == files("test", (1, 3))
+    tok_argv[-1] = tmp_path / "tok_layers"
+    assert reads(tok_argv + ["--codebooks", cb_layers]) == files("test", (1, 3), opensmile=False)
 
 
 def test_tokenize_rejects_a_book_the_index_does_not_name(cli_workspace, tmp_path, capsys):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -75,13 +77,13 @@ def test_layer_norm_constant_frame_is_bias(rng):
 
 def test_layer_norm_two_point_frame():
     batch = collate([utterance([[[1.0, 3.0]]])])
-    assert batch.x[0, :, 0, 0] == pytest.approx([-1.0, 1.0], abs=1e-4)
+    assert batch.x[0][:, 0, 0] == pytest.approx([-1.0, 1.0], abs=1e-4)
 
 
 def test_layer_norm_scale_invariance(rng):
     h = rng.standard_normal((1, 20, 16))
-    a = collate([utterance(h)]).x
-    b = collate([utterance(5.0 * h)]).x
+    a = collate([utterance(h)]).x[0]
+    b = collate([utterance(5.0 * h)]).x[0]
     assert np.linalg.norm(a - b) / np.linalg.norm(a) < 1e-5
     assert np.abs(a - b).max() < 1e-4
 
@@ -116,8 +118,8 @@ def test_masked_average_pool_matches_subselection(rng):
     batch = collate(items)
     for i, it in enumerate(items):
         t = it.streams.shape[1]
-        assert not batch.x[i, :, t:].any()
-        assert batch.s_hat[i] == pytest.approx(batch.x[i][:, batch.mask[i]].mean(axis=1).T, rel=1e-12, abs=1e-14)
+        assert batch.x[i].shape[1] == t and np.array_equal(batch.mask[i], np.arange(30) < t)  # x̂ holds no padding
+        assert batch.s_hat[i] == pytest.approx(batch.x[i].mean(axis=1).T, rel=1e-12, abs=1e-14)
 
 
 # --- attention over layers -----------------------------------------------------------
@@ -177,6 +179,15 @@ def test_temperature_parameterization():
         raw_from_temperature(0.05)
 
 
+def test_raw_from_temperature_past_the_expm1_overflow():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow warning either
+        raw = raw_from_temperature(1000.0)
+    assert np.isfinite(raw)
+    assert temperature_from_raw(raw) == pytest.approx(1000.0, rel=1e-12)
+    assert raw_from_temperature(1.0) == float(np.log(np.expm1(0.9)))  # the finite branch keeps its bits
+
+
 # --- the fused sequence ---------------------------------------------------------
 
 
@@ -224,12 +235,12 @@ def test_fuse_is_linear_per_layer(rng):
     params = init_model_params(rng, 2, 3, None, hidden=4)
     params.fusion.layer_bias = rng.standard_normal((2, 3))
     base = collate([utterance(rng.standard_normal((2, 5, 3)))])
-    x, y = rng.standard_normal((2, *base.x.shape))
+    x, y = rng.standard_normal((2, *base.x[0].shape))
     a, b = 1.7, -0.3
 
     def fused(xs):
         batch = collate([utterance(rng.standard_normal((2, 5, 3)))])
-        batch.x, batch.s_hat = xs, base.s_hat  # same summaries, hence the same weights
+        batch.x, batch.s_hat = (xs,), base.s_hat  # same summaries, hence the same weights
         return forward_batch(params, batch)[1]["z"]
 
     lhs = fused(a * x + b * y)

@@ -234,9 +234,9 @@ def test_padded_frames_contribute_nothing(rng):
     loss, cache = forward_batch(params, batch)
     grads = backward_batch(params, cache)
 
-    t = items[0].streams.shape[1]
+    # garbage opensmile frames behind five more padded frames; x̂ stays the utterance's own
     padded = Batch(
-        x=np.concatenate([batch.x, rng.standard_normal((1, dim, 5, n_layers))], axis=2),
+        x=batch.x,
         s_hat=batch.s_hat,
         mask=np.concatenate([batch.mask, np.zeros((1, 5), bool)], axis=1),
         labels=batch.labels,
@@ -354,8 +354,11 @@ def test_collate_equals_standardizing_the_padded_batch_bitwise(rng, dtype, osm_d
     batch = collate(items)
     ref_x, ref_osm = reference_standardized_batch(items)
     ref_x = ref_x.transpose(0, 3, 2, 1)
-    assert batch.x.dtype == np.float64
-    assert batch.x.shape == ref_x.shape and batch.x.tobytes() == ref_x.tobytes()
+    assert len(batch.x) == len(items)
+    for x, ref, it in zip(batch.x, ref_x, items):  # each utterance's x̂ against the oracle's valid frames
+        ref = np.ascontiguousarray(ref[:, : it.streams.shape[1]])
+        assert x.dtype == np.float64
+        assert x.shape == ref.shape and x.tobytes() == ref.tobytes()
     if osm_dim is None:
         assert batch.osm is None
     else:
@@ -632,6 +635,105 @@ def test_adam_step_changes_params(rng):
     w1_before = params.head.w1.copy()
     opt.step(params, grads)
     assert not np.array_equal(params.head.w1, w1_before)
+
+
+class PerTensorAdam:
+    """The optimizer as it stepped each tensor on its own, before the flat parameter vector."""
+
+    def __init__(self, params, config):
+        self.config = config
+        self.t = 0
+        self.m = {name: np.zeros_like(arr) for name, arr in params.param_items()}
+        self.v = {name: np.zeros_like(arr) for name, arr in params.param_items()}
+
+    def step(self, params, grads):
+        cfg = self.config
+        gnorm = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+        scale = cfg.clip_norm / gnorm if gnorm > cfg.clip_norm else 1.0
+        self.t += 1
+        bc1 = 1.0 - cfg.beta1**self.t
+        bc2 = 1.0 - cfg.beta2**self.t
+        for name, arr in params.param_items():
+            g = grads[name] * scale
+            self.m[name] = cfg.beta1 * self.m[name] + (1.0 - cfg.beta1) * g
+            self.v[name] = cfg.beta2 * self.v[name] + (1.0 - cfg.beta2) * g * g
+            step = (self.m[name] / bc1) / (np.sqrt(self.v[name] / bc2) + cfg.adam_eps)
+            arr[...] = arr - cfg.learning_rate * step
+
+
+def test_flat_adam_matches_the_per_tensor_update_bitwise(rng):
+    items = random_items(rng, n_items=4, n_layers=3, dim=5, osm_dim=4)
+    batch = collate(items)
+    cfg = TrainConfig(learning_rate=1e-2, hidden=6)
+    flat = init_model_params(rng, 3, 5, 4, hidden=6, class_weights=rng.uniform(0.5, 2, 8))
+    ref = flat.copy()
+    flat_opt, ref_opt = Adam(flat, cfg), PerTensorAdam(ref, cfg)
+    clipped = []
+    for step in range(4):
+        grads = [backward_batch(p, forward_batch(p, batch)[1]) for p in (flat, ref)]
+        if step == 2:  # blow the gradients up past clip_norm
+            grads = [{name: 1e3 * g for name, g in gr.items()} for gr in grads]
+        clipped.append(np.sqrt(sum(float((g * g).sum()) for g in grads[0].values())) > cfg.clip_norm)
+        flat_opt.step(flat, grads[0])
+        ref_opt.step(ref, grads[1])
+        for (name, a), (_, b) in zip(flat.param_items(), ref.param_items()):
+            assert a.tobytes() == b.tobytes(), (step, name)
+    assert clipped == [False, False, True, False]
+    assert flat_opt.m.tobytes() == np.concatenate([m.ravel() for m in ref_opt.m.values()]).tobytes()
+    assert flat_opt.v.tobytes() == np.concatenate([v.ravel() for v in ref_opt.v.values()]).tobytes()
+
+
+def test_adam_views_and_rebinding(rng):
+    params = init_model_params(rng, 2, 4, 3, hidden=5)
+    before = [arr.copy() for _, arr in params.param_items()]
+    opt = Adam(params, TrainConfig(hidden=5))
+    for (name, arr), old in zip(params.param_items(), before):
+        assert np.shares_memory(arr, opt.flat) and np.array_equal(arr, old), name
+    # `train` keeps its best epoch as a copy, which later steps must not move
+    assert not any(np.shares_memory(arr, opt.flat) for _, arr in params.copy().param_items())
+    grads = {name: np.ones_like(arr) for name, arr in params.param_items()}
+    params.head.w1 = params.head.w1.copy()  # a step would no longer reach this tensor
+    with pytest.raises(ValueError, match="view"):
+        opt.step(params, grads)
+
+
+def test_train_batches_refer_to_the_standardized_inputs(rng, monkeypatch):
+    """No batch copies x̂: every Batch.x[j] is memory of exactly one utterance's standardized array."""
+    train_items = random_items(rng, n_items=20, n_layers=2, dim=5, osm_dim=3)
+    for i, it in enumerate(train_items):
+        it.label = i % 8
+    dev_items = random_items(rng, n_items=7, n_layers=2, dim=5, osm_dim=3)
+    made, seen = [], []
+    real_standardized, real_forward = model._standardized, model.forward_batch
+
+    def standardized(it):
+        out = real_standardized(it)
+        made.append(out.xhat)
+        return out
+
+    def forward(params, batch):
+        for x in batch.x:
+            assert sum(np.shares_memory(x, xhat) for xhat in made) == 1
+        seen.append(batch.size)
+        return real_forward(params, batch)
+
+    monkeypatch.setattr(model, "_standardized", standardized)
+    monkeypatch.setattr(model, "forward_batch", forward)
+    train(train_items, dev_items, TrainConfig(epochs=2, batch_size=4, hidden=4))
+    assert sum(seen) == 2 * (len(train_items) + len(dev_items))
+
+
+def test_forward_batch_rejects_x_that_disagrees_with_the_mask(rng):
+    params = init_model_params(rng, 2, 4, None, hidden=4)
+    items = [PreparedUtterance(f"u{t}", rng.standard_normal((2, t, 4)), 0) for t in (4, 8)]
+    batch = collate(items)
+    batch.x = (batch.x[0][:, :-1], batch.x[1])
+    with pytest.raises(ValueError, match="frame count"):
+        forward_batch(params, batch)
+    batch = collate(items)
+    batch.mask[0] = np.roll(batch.mask[0], 1)  # four valid frames still, but not the first four
+    with pytest.raises(ValueError, match="prefix"):
+        forward_batch(params, batch)
 
 
 def test_attention_concentrates_on_planted_layers(tmp_path):
