@@ -61,36 +61,142 @@ class TokenSequence:
         return int(self.indices.size)
 
 
-def nearest_centroids(x: np.ndarray, centroids: np.ndarray):
+@dataclass(frozen=True)
+class _ScaledRows:
+    """Rows x * 2**-exp as the float32 block [x * 2**-exp | 1], with their float64 norms."""
+
+    exp: int
+    block: np.ndarray  # (n, d + 1) float32
+    norms: np.ndarray  # (n,) float64
+
+
+def _max_exponent(*arrays: np.ndarray) -> int:
+    """e such that the largest magnitude in arrays, times 2**-e, lies in [1/2, 1); 0 if all are 0."""
+    top = max(float(np.max(np.abs(a), initial=0.0)) for a in arrays)
+    return int(np.frexp(top)[1])
+
+
+def _scale_rows(x: np.ndarray, exp: int) -> _ScaledRows:
+    """x times 2**-exp, which is exact short of underflow, as `nearest_centroids` uses it."""
+    xs = np.ldexp(x, -exp)
+    block = np.empty((x.shape[0], x.shape[1] + 1), dtype=np.float32)
+    block[:, :-1] = xs
+    block[:, -1] = 1.0
+    return _ScaledRows(exp, block, np.sqrt(np.einsum("nd,nd->n", xs, xs)))
+
+
+@np.errstate(over="ignore")  # a term or threshold past the float64 range is rightly inf
+def _tie_tolerance(norms: np.ndarray, r: float, d: int, exp: int) -> np.ndarray:
+    """Per-row score margin below which float32 cannot decide; see `nearest_centroids`."""
+    beta32 = (d + 4) * 2.0**-24 / (1 - (d + 4) * 2.0**-24)
+    beta64 = (d + 4) * 2.0**-53 / (1 - (d + 4) * 2.0**-53)
+    eps = beta32 * (norms * r + 0.5 * r * r) + 2.0**-125 * (np.sqrt(d) * (norms + r) + d + 1)
+    reach = (norms + r) ** 2
+    tau = 2.0 * (eps + beta64 * 0.5 * reach + np.ldexp(float(d), -2 * exp - 1074))
+    tau[reach >= np.ldexp(1.0, 1023 - 2 * exp)] = np.inf
+    return tau
+
+
+@np.errstate(over="ignore")  # past the float32 range the limit is inf
+def _ceil32(v: np.ndarray) -> np.ndarray:
+    """float32 values >= v: v rounded to nearest, then one ulp up."""
+    return np.nextafter(v.astype(np.float32), np.float32(np.inf))
+
+
+def _rescore(x: np.ndarray, centroids: np.ndarray, cand: np.ndarray) -> np.ndarray:
+    """Direct-distance winner of each row among its candidates, ties to the lowest index.
+
+    cand[i, j] marks centroid j as a candidate for row x[i]. Distances are
+    subtract, square, then sum over the last axis, as a brute-force search
+    computes them. Rows go in groups whose candidates span at most 2**20
+    coordinates.
+    """
+    m, k = cand.shape
+    group = max(1, (1 << 20) // (k * x.shape[1]))
+    out = np.empty(m, dtype=np.int64)
+    for g in range(0, m, group):
+        rows, cols = np.nonzero(cand[g : g + group])
+        diff = x[g + rows] - centroids[cols]
+        np.square(diff, out=diff)
+        # sort by row, then distance; the sort is stable, so ties keep column order
+        order = np.lexsort((diff.sum(axis=1), rows))
+        out[g : g + group] = cols[order[np.flatnonzero(np.diff(rows[order], prepend=-1))]]
+    return out
+
+
+def nearest_centroids(x: np.ndarray, centroids: np.ndarray, rows: _ScaledRows | None = None):
     """Squared distance to, and index of, each row's nearest centroid.
 
-    Centroids are ranked by 0.5*|c|^2 - x.c, which orders them as the full
-    |x|^2 - 2 x.c + |c|^2 expansion does: |x|^2 is constant per row and
-    halving is exact in binary floating point. Scores go, chunk by chunk,
-    into one reused buffer; ties go to the lowest centroid index (np.argmin
-    keeps the first minimum).
+    The winner is the centroid a brute-force search with the direct
+    subtract/square/sum distance picks, ties going to the lowest index, and
+    its distance is the direct one. float32 decides most rows:
+
+    x and the centroids are scaled by one power of two, s = 2^-e, which is
+    exact, so that the largest magnitude lies in [1/2, 1). (`rows` holds a
+    scaled x that `kmeans_fit` makes once per fit.) One SGEMM of [xs | 1]
+    against [-cs ; |cs|^2 / 2] scores every pair. Exactly, score_ij is
+    s^2 |x_i - c_j|^2 / 2 - s^2 |x_i|^2 / 2, which ranks centroids as the
+    distance does. With X = |x_i s|, R = max_j |c_j s| and u = 2^-24, the
+    float32 score lies within
+
+        eps = beta (X R + R^2 / 2) + 2^-125 (sqrt(d) (X + R) + d + 1)
+
+    of it, beta = (d + 4) u / (1 - (d + 4) u). beta covers rounding the
+    inputs to float32 (2u X R + u R^2 / 2) and the (d + 1)-term dot product
+    in any summation order, with or without FMA ((d + 1) u / (1 - (d + 1) u)
+    times X R + R^2 / 2). The 2^-125 term covers float32 underflow, gradual
+    or flushed to zero: each term a_k b_k loses at most 2^-126 (1 + |a_k| +
+    |b_k|) to a small input or product, the norm term and each partial sum
+    at most 2^-126. The float64 direct distance, in any summation order, is
+    within (d + 1) u64 |x - c|^2, plus d 2^-1075 for squares that
+    underflow, of the exact one (u64 = 2^-53). In score units, with
+    |x - c| <= (X + R) / s, that is at most
+
+        delta = beta64 (X + R)^2 / 2 + d 2^(-1074 - 2e),
+
+    beta64 being beta with u64. If score_ij exceeds the best score by more
+    than tau = 2 (eps + delta), centroid j's exact distance exceeds the best
+    one's by more than both direct distances can err, so j neither wins nor
+    ties. Each row whose runner-up lies within tau of its best gets the
+    direct distance to every centroid within tau and takes the lowest-index
+    minimum. A row whose direct distances may overflow, (X + R)^2 >=
+    2^(1023 - 2e), gets tau = inf. The constants leave slack for the
+    float64 rounding of tau and of the comparisons. Scores go, chunk by
+    chunk, into one reused buffer.
     """
     x = np.asarray(x, dtype=np.float64)
     centroids = np.asarray(centroids, dtype=np.float64)
-    n, k = x.shape[0], centroids.shape[0]
-    half_c2 = 0.5 * np.einsum("kd,kd->k", centroids, centroids)
-    ct = centroids.T
+    if rows is None:
+        rows = _scale_rows(x, _max_exponent(x, centroids))
+    n, d = x.shape
+    k = centroids.shape[0]
+    cs = np.ldexp(centroids, -rows.exp)
+    c2 = np.einsum("kd,kd->k", cs, cs)
+    weights = np.empty((d + 1, k), dtype=np.float32)
+    np.negative(cs.T, out=weights[:d], casting="same_kind")
+    weights[d] = 0.5 * c2
+    tau = _tie_tolerance(rows.norms, float(np.sqrt(c2.max())), d, rows.exp)
     out_d2 = np.empty(n)
     out_idx = np.empty(n, dtype=np.int64)
     chunk = max(1, int(4_000_000 // max(k, 1)))
-    scores = np.empty((min(chunk, n), k))
+    scores = np.empty((min(chunk, n), k), dtype=np.float32)
     for start in range(0, n, chunk):
-        xs = x[start : start + chunk]
-        s = scores[: xs.shape[0]]
-        np.matmul(xs, ct, out=s)
-        np.subtract(half_c2, s, out=s)
+        stop = min(start + chunk, n)
+        s = scores[: stop - start]
+        np.matmul(rows.block[start:stop], weights, out=s)
         idx = np.argmin(s, axis=1)
-        out_idx[start : start + chunk] = idx
-        # recompute the winning distance with the direct formula: exact at
-        # fixed points where the expansion leaves ~1e-16 residue
+        picked = np.arange(stop - start), idx
+        close = s <= _ceil32(s[picked] + tau[start:stop])[:, None]
+        close[picked] = False
+        if close.any():
+            rescored = np.flatnonzero(close.any(axis=1))
+            cand = close[rescored]
+            cand[np.arange(rescored.size), idx[rescored]] = True
+            idx[rescored] = _rescore(x[start + rescored], centroids, cand)
         diff = centroids[idx]
-        np.subtract(xs, diff, out=diff)
-        out_d2[start : start + chunk] = np.einsum("nd,nd->n", diff, diff)
+        np.subtract(x[start:stop], diff, out=diff)
+        out_d2[start:stop] = np.einsum("nd,nd->n", diff, diff)
+        out_idx[start:stop] = idx
     return out_d2, out_idx
 
 
@@ -177,13 +283,16 @@ def _kmeanspp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
 
 
 def _lloyd_update(x, centroids, assign_idx, d2, k):
-    """Mean update plus farthest-point reseeding of empty clusters."""
+    """Mean update plus farthest-point reseeding of empty clusters.
+
+    The cluster sums are one bincount over the flattened cluster * d + dim
+    bins, weighted by x in row-major order. Each bin adds its rows in row
+    order, as a row-wise scatter-add does, so the sums are the same bits.
+    """
+    d = x.shape[1]
     counts = np.bincount(assign_idx, minlength=k)
-    # bincount adds each column's weights in row order, as a row-wise
-    # scatter-add would, so the sums are the same bits
-    sums = np.empty_like(centroids)
-    for j in range(x.shape[1]):
-        sums[:, j] = np.bincount(assign_idx, weights=x[:, j], minlength=k)
+    bins = (assign_idx * d)[:, None] + np.arange(d)
+    sums = np.bincount(bins.ravel(), weights=x.ravel(), minlength=k * d).reshape(k, d)
     new = centroids.copy()
     occupied = counts > 0
     new[occupied] = sums[occupied] / counts[occupied, None]
@@ -227,11 +336,13 @@ def kmeans_fit(
 
     rng = np.random.default_rng(seed)
     centroids = _kmeanspp_init(x, k, rng)
+    # centroids are means or copies of rows, so x alone sets the scale
+    rows = _scale_rows(x, _max_exponent(x))
     history: list[float] = []
     repaired = False
     iterations = 0
     for it in range(1, max_iters + 1):
-        d2, assign_idx = nearest_centroids(x, centroids)
+        d2, assign_idx = nearest_centroids(x, centroids, rows)
         mse = float(d2.mean())
         if history:
             assert mse <= history[-1] + _MONOTONE_SLACK * max(1.0, history[-1]), (

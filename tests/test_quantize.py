@@ -7,11 +7,13 @@ from disq.dataio import FeatureSequence
 from disq.quantize import (
     OPENSMILE_CATEGORIES,
     CategoryTable,
+    Codebook,
     FeatureCategory,
     TokenSequence,
     _column_sq_dist,
     _kmeanspp_init,
     _lloyd_update,
+    _rescore,
     assign,
     elbow_k,
     fit_opensmile_codebooks,
@@ -249,6 +251,112 @@ def test_nearest_centroids_matches_brute_force_random_chunked():
     want_d2, want_idx = brute_force_nearest(x, centroids)
     assert np.array_equal(idx, want_idx)
     assert d2 == pytest.approx(want_d2, rel=1e-12)
+
+
+def _assignment_stress_cases():
+    """(x, centroids) on which a float32 score alone cannot rank the centroids."""
+    rng = np.random.default_rng(61)
+    grid = np.array([[i, j] for i in range(-2, 3) for j in range(-2, 3)], dtype=float)
+    dup = rng.standard_normal((10, 5))
+    dup = dup[[3, 0, 7, 3, 1, 0, 9, 7, 2, 4, 5, 6, 8]]  # rows 3, 0 and 7 come twice
+    dup_x = np.vstack([rng.standard_normal((150, 5)), dup[rng.integers(len(dup), size=50)]])
+    # centroids at -a and +a, each also one ulp out and in; rows a few
+    # quarter-ulps of a from 0, so the best two distances tie or differ by
+    # an ulp or two of themselves
+    a = 1.5
+    ulp_c = np.array([[-a], [a], [np.nextafter(a, 2.0)], [-np.nextafter(a, 2.0)], [np.nextafter(a, 0.0)]])
+    ulp_c = np.vstack([ulp_c, [[-np.nextafter(a, 0.0)]]])
+    ulp_x = rng.integers(-8, 9, size=(200, 1)) * (np.spacing(a) / 4)
+    c8 = rng.standard_normal((16, 8))
+    return {
+        "equidistant": (rng.integers(-6, 7, size=(400, 2)) / 2.0, grid),
+        "duplicated_centroids": (dup_x, dup),
+        "one_ulp_apart": (ulp_x, ulp_c),
+        "scale_1e-150": (1e-150 * rng.standard_normal((300, 6)), 1e-150 * rng.standard_normal((20, 6))),
+        # direct distances are subnormal or 0, so rounding decides the ties
+        "scale_1e-170": (1e-170 * rng.standard_normal((300, 6)), 1e-170 * rng.standard_normal((20, 6))),
+        "scale_1e150": (1e150 * rng.standard_normal((300, 6)), 1e150 * rng.standard_normal((20, 6))),
+        "offset_1e4": (1e4 + 1e-3 * rng.standard_normal((300, 8)), 1e4 + 1e-3 * c8),
+        # |c|^2 overflows while every direct distance is finite, about 1e302
+        "offset_1e154": (1e154 * (1 + 1e-3 * rng.standard_normal((300, 8))), 1e154 * (1 + 1e-3 * c8)),
+        # most direct distances overflow; rows whose every distance does tie at index 0
+        "overflowing_distances": (1e154 * rng.standard_normal((300, 8)), 1e154 * c8),
+        # x alone would scale the centroids past the float32 range
+        "small_x_large_c": (1e-20 * rng.standard_normal((200, 4)), 1e20 * rng.standard_normal((30, 4))),
+        # the centroids' x.c terms differ by about an ulp of |x|^2
+        "large_x_small_c": (1e3 * rng.standard_normal((200, 4)), 1e-13 * rng.standard_normal((30, 4))),
+        # one large row sets the scale; the scores of the rest are float32 subnormals
+        "subnormal_scores": (
+            np.vstack([np.ones((1, 4)), 1e-22 * rng.standard_normal((300, 4))]),
+            1e-22 * rng.standard_normal((20, 4)),
+        ),
+        "k_is_1": (rng.standard_normal((50, 3)), rng.standard_normal((1, 3))),
+        "d_is_1": (rng.integers(-20, 21, size=(300, 1)) / 2.0, rng.integers(-10, 11, size=(15, 1)).astype(float)),
+        # 4_000_000 // 5000 = 800 rows per chunk, fewer than the K centroids
+        "k_above_chunk": (rng.standard_normal((1200, 1)), rng.standard_normal((5000, 1))),
+    }
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("case", sorted(_assignment_stress_cases()))
+def test_nearest_centroids_stress_matches_brute_force(case):
+    x, centroids = _assignment_stress_cases()[case]
+    d2, idx = nearest_centroids(x, centroids)
+    want_d2, want_idx = brute_force_nearest(x, centroids)
+    assert np.array_equal(idx, want_idx)
+    diff = x - centroids[idx]
+    assert np.array_equal(d2, np.einsum("nd,nd->n", diff, diff))
+    assert d2 == pytest.approx(want_d2, rel=1e-12)
+    cb = Codebook(centroids, "s", len(centroids), 0, 0.0, 1)
+    assert np.array_equal(assign(cb, FeatureSequence(x)).indices, want_idx)
+
+
+def test_nearest_centroids_near_ties_are_real():
+    """The stress data above does put rows on exact and one-ulp ties."""
+    cases = _assignment_stress_cases()
+
+    def best_two(case):
+        x, centroids = cases[case]
+        return np.sort([((row - centroids) ** 2).sum(axis=1) for row in x], axis=1)[:, :2]
+
+    assert np.sum(np.diff(best_two("equidistant"), axis=1) == 0) > 20
+    ulp = best_two("one_ulp_apart")
+    assert np.sum(ulp[:, 1] == ulp[:, 0]) > 20
+    assert np.sum(ulp[:, 1] == np.nextafter(ulp[:, 0], np.inf)) > 20
+
+
+def test_kmeans_fit_follows_brute_force_at_overflowing_norms():
+    # |c|^2 is about 1e309: an expansion of the distance would score NaN
+    rng = np.random.default_rng(67)
+    x = 1e154 * (1 + 1e-3 * rng.standard_normal((300, 8)))
+    cb = kmeans_fit(x, 16, seed=0, max_iters=4)
+    centroids = reference_kmeanspp_init(x, 16, np.random.default_rng(0))
+    for _ in range(cb.iterations_run - 1):
+        d2, idx = brute_force_nearest(x, centroids)
+        centroids, _ = reference_lloyd_update(x, centroids, idx, d2, 16)
+    assert cb.iterations_run > 1
+    assert np.array_equal(cb.centroids, centroids)
+
+
+def test_nearest_centroids_rescores_few_rows(tiny_dataset, monkeypatch):
+    """The float32 pass decides almost every row; few reach the direct rescoring."""
+    x = np.concatenate([u.layers[3].frames for u in tiny_dataset.utterances["train"]])
+    scored, rescored = [], []
+
+    def scoring(x, centroids, rows=None):
+        scored.append(len(x))
+        return nearest_centroids(x, centroids, rows)
+
+    def rescoring(x, centroids, cand):
+        rescored.append(len(x))
+        return _rescore(x, centroids, cand)
+
+    monkeypatch.setattr("disq.quantize.nearest_centroids", scoring)
+    monkeypatch.setattr("disq.quantize._rescore", rescoring)
+    cb = kmeans_fit(x, 64, seed=0)
+    assert len(scored) == cb.iterations_run
+    assert sum(rescored) < 0.01 * sum(scored)
+    assert np.array_equal(nearest_centroids(x, cb.centroids)[1], brute_force_nearest(x, cb.centroids)[1])
 
 
 # --- kmeans_fit -----------------------------------------------------------------
