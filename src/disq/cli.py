@@ -11,9 +11,11 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import multiprocessing
 import os
 import sys
 import time
+from concurrent.futures import BrokenExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -427,10 +429,15 @@ def cmd_sweep(args, argv) -> int:
     grid = _read_config(SweepGrid, _load_json_config(args.grid))
     if args.workers < 1:
         raise ConfigError("--workers: must be >= 1")
+    if args.workers > 1 and "fork" not in multiprocessing.get_all_start_methods():
+        raise ConfigError("--workers: more than 1 needs the fork start method, which this platform lacks")
     layer_sets = {f"layer_sets[{i}]: ": entry for i, entry in enumerate(grid.layer_sets)}
     opensmile = any(aug != "none" for aug in grid.augmentations)
     ds = _load_dataset(args.dataset, layers=_layer_picker(layer_sets), opensmile=opensmile)
-    result = run_sweep(grid, ds, workers=args.workers)
+    try:
+        result = run_sweep(grid, ds, workers=args.workers)
+    except BrokenExecutor as exc:  # a worker process died
+        raise NumericError(f"sweep worker process died ({exc})") from exc
     if not result.rows:
         for failure in result.failures:
             print(f"failed cell: {failure}", file=sys.stderr)
@@ -517,10 +524,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output directory")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("sweep", help="run an experiment grid and render CSV + text tables")
+    p = sub.add_parser(
+        "sweep",
+        help="run an experiment grid and render CSV + text tables",
+        description="Run an experiment grid and render CSV + text tables. With --workers N > 1, the codebook "
+        "fits and then the (cell, seed) runs go to up to N forked worker processes, which share this "
+        "process's pages copy-on-write; the outputs are byte-identical for any --workers. --workers > 1 "
+        "needs the fork start method and exits 2 without it; a worker process that dies exits 4.",
+    )
     p.add_argument("--dataset", required=True, help="dataset directory")
     p.add_argument("--grid", required=True, help="sweep grid JSON")
-    p.add_argument("--workers", type=int, default=1, help="parallel cell workers (default 1)")
+    p.add_argument("--workers", type=int, default=1, help="worker processes (default 1: run in this process)")
     p.add_argument("--out", help="output directory")
     p.set_defaults(func=cmd_sweep)
 

@@ -8,12 +8,13 @@ that touches them, mirroring a generate-once-then-freeze protocol.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import io
+import multiprocessing
 import numbers
-import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent import futures  # its process pool loads on first use
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -126,46 +127,23 @@ def _train_frames(ds: LoadedDataset, layer: int) -> np.ndarray:
     return np.concatenate([u.layers[layer].frames for u in ds.utterances["train"]])
 
 
-class _KeyedCache:
-    """Write-once cache safe under concurrent sweep workers."""
+class _KeyedCache(dict):
+    """Write-once values by key plus hit/miss counts; a failed fit holds its error."""
 
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._cells: dict = {}
-        self.hits = 0
-        self.misses = 0
+    hits = misses = 0
 
     def get_or_fit(self, key, fit_fn):
-        with self._lock:
-            cell = self._cells.get(key)
-            if cell is None:
-                cell = {"event": threading.Event(), "value": None, "error": None}
-                self._cells[key] = cell
-                owner = True
-                self.misses += 1
-            else:
-                owner = False
-                self.hits += 1
-        if owner:
-            try:
-                cell["value"] = fit_fn()
-            except BaseException as exc:
-                cell["error"] = exc
-                raise
-            finally:
-                cell["event"].set()
+        if key in self:
+            self.hits += 1
         else:
-            cell["event"].wait()
-            if cell["error"] is not None:
-                raise cell["error"]
-        return cell["value"]
-
-    def put(self, key, value) -> None:
-        """Hold a value made elsewhere; counts neither a hit nor a miss."""
-        cell = {"event": threading.Event(), "value": value, "error": None}
-        cell["event"].set()
-        with self._lock:
-            self._cells[key] = cell
+            self.misses += 1
+            try:
+                self[key] = fit_fn()
+            except Exception as exc:  # raised again at every lookup
+                self[key] = exc.with_traceback(None)
+        if isinstance(self[key], Exception):
+            raise self[key]
+        return self[key]
 
 
 def _layer_key(ds: LoadedDataset, layer: int, k: int, seed: int) -> tuple:
@@ -183,7 +161,8 @@ class CodebookCache:
     integer index array per utterance (the paralinguistic entry one per
     category), and `prepare_items` looks the frames up in the codebook.
     Keys include the train-split hash so a cache can never serve a different
-    dataset by accident. `misses` counts actual codebook fits.
+    dataset by accident. `misses` counts actual codebook fits, wherever
+    they ran (see `merge`).
     """
 
     def __init__(self, kmeans_max_iters: int = 100):
@@ -212,9 +191,16 @@ class CodebookCache:
         it return it; holding a codebook counts no fit.
         """
         for layer, cb in layer_books.items():
-            self._books.put(_layer_key(ds, layer, cb.k, seed), cb)
+            self._books[_layer_key(ds, layer, cb.k, seed)] = cb
         if osm_books is not None:
-            self._books.put(_osm_key(ds, seed), osm_books)
+            self._books[_osm_key(ds, seed)] = osm_books
+
+    def merge(self, other: "CodebookCache") -> None:
+        """Take in the books, tokens and counts of a cache filled elsewhere."""
+        for mine, theirs in ((self._books, other._books), (self._tokens, other._tokens)):
+            mine.update(theirs)
+            mine.hits += theirs.hits
+            mine.misses += theirs.misses
 
     def layer_codebook(self, ds: LoadedDataset, layer: int, k: int, seed: int) -> Codebook:
         return self._books.get_or_fit(
@@ -271,12 +257,6 @@ def per_part(frame_fn, parts: list[np.ndarray]) -> list:
     if isinstance(rows, tuple):
         return list(zip(*(np.split(r, cuts) for r in rows)))
     return np.split(rows, cuts)
-
-
-def _osm_block(frames74: np.ndarray, aug: str) -> np.ndarray:
-    if aug == "all":
-        return frames74
-    return frames74[:, OPENSMILE_CATEGORIES.column_slice(aug)]
 
 
 def prepare_rvq_items(
@@ -352,7 +332,9 @@ def prepare_items(
                 osm74 = utt.opensmile.frames
             else:
                 osm74 = np.concatenate([osm_books[n][idx] for n, idx in osm_tokens[i].items()], axis=1)
-            osm = resample(_osm_block(osm74, aug), streams.shape[1])
+            if aug != "all":
+                osm74 = osm74[:, OPENSMILE_CATEGORIES.column_slice(aug)]
+            osm = resample(osm74, streams.shape[1])
         items.append(PreparedUtterance(utt_id=utt.utt_id, streams=streams, label=utt.label, osm=osm))
     return items
 
@@ -413,15 +395,8 @@ class SweepGrid:
             check_augmentation(aug)
 
     def cells(self) -> list[tuple[int | None, str, str]]:
-        out: list[tuple[int | None, str, str]] = []
-        for k in self.ks:
-            for ls in self.layer_sets:
-                for aug in self.augmentations:
-                    out.append((k, ls, aug))
-        if self.include_continuous:
-            for ls in self.layer_sets:
-                out.append((None, ls, "none"))
-        return out
+        out = [(k, ls, aug) for k in self.ks for ls in self.layer_sets for aug in self.augmentations]
+        return out + [(None, ls, "none") for ls in self.layer_sets if self.include_continuous]
 
     @classmethod
     def from_json(cls, doc: dict) -> "SweepGrid":
@@ -463,56 +438,99 @@ def run_cell(
     ds: LoadedDataset,
     layer_set,
     k: int | None,
-    seeds,
+    seed: int,
     cache: CodebookCache,
     train_config: TrainConfig,
     aug: str = "none",
     codebook_seed: int = 0,
-) -> tuple[list[ResultRow], list[CellFailure]]:
-    """Train and evaluate one cell across its seeds; reconstructions are shared."""
-    name, layers = resolve_layer_set(layer_set, ds.layer_count)
-    splits = {split: prepare_items(ds, split, layers, k, cache, codebook_seed, aug) for split in dataio.SPLITS}
-    rows, failures = [], []
-    for seed in seeds:
+) -> ResultRow | CellFailure:
+    """Prepare, train and evaluate one cell at one seed; an error becomes the CellFailure returned."""
+    name = layer_set if isinstance(layer_set, str) else ",".join(map(str, layer_set))
+    try:
+        name, layers = resolve_layer_set(layer_set, ds.layer_count)
+        splits = {split: prepare_items(ds, split, layers, k, cache, codebook_seed, aug) for split in dataio.SPLITS}
+        result = train(splits["train"], splits["dev"], replace(train_config, seed=seed))
+        return evaluate(result.params, splits["test"], layers, name, k, seed, aug)
+    except Exception as exc:  # isolate the run, keep the sweep going
+        return CellFailure(k, name, aug, seed, f"{type(exc).__name__}: {exc}")
+
+
+_PHASE: tuple = ()  # (fn, tasks) of a worker process's phase, set as it starts
+
+
+def _start_worker(fn, tasks: list) -> None:
+    global _PHASE
+    _PHASE = (fn, tasks)
+
+
+def _phase_task(i: int):
+    fn, tasks = _PHASE
+    return fn(tasks[i])
+
+
+def pool_size(workers: int, tasks: int) -> int:
+    """Worker processes for a phase of `tasks` tasks: never more than it has tasks."""
+    return max(1, min(workers, tasks))
+
+
+def _map_phase(fn, tasks: list, workers: int) -> list:
+    """fn over tasks, in order: here for one worker, else in forked worker processes.
+
+    fn and tasks reach the workers by fork, task indices and results by pickle.
+    A dead worker raises BrokenProcessPool; no worker outlives the call.
+    """
+    size = pool_size(workers, len(tasks))
+    if size == 1:
+        return [fn(task) for task in tasks]
+    fork = multiprocessing.get_context("fork")
+    with futures.ProcessPoolExecutor(size, fork, initializer=_start_worker, initargs=(fn, tasks)) as pool:
+        return list(pool.map(_phase_task, range(len(tasks))))
+
+
+def _codebook_needs(grid: SweepGrid, layer_count: int) -> list[tuple]:
+    """The (stream, *key) codebooks the grid's quantized cells look up, in grid order."""
+    needs: dict = {}
+    for k, ls, aug in grid.cells():
         try:
-            result = train(splits["train"], splits["dev"], replace(train_config, seed=seed))
-            rows.append(
-                evaluate(result.params, splits["test"], layers, name, k, seed, aug)
-            )
-        except Exception as exc:  # isolate the cell, keep the sweep going
-            failures.append(CellFailure(k, name, aug, seed, f"{type(exc).__name__}: {exc}"))
-    return rows, failures
+            layers = resolve_layer_set(ls, layer_count)[1] if k is not None else ()
+        except Exception:
+            continue  # the cell fails with this error when it runs
+        needs.update(dict.fromkeys(("layer", layer, k, grid.codebook_seed) for layer in layers))
+        if layers and aug != "none":
+            needs[("osm", grid.codebook_seed)] = None
+    return list(needs)
 
 
 def run_sweep(grid: SweepGrid, ds: LoadedDataset, workers: int = 1) -> SweepResult:
-    """Every grid cell per seed plus seed-averaged rows, in deterministic order."""
+    """Every grid cell per seed plus seed-averaged rows, in deterministic order.
+
+    Phase 1 fits each codebook the grid needs and encodes every split with
+    it; a fit that raised fails every cell that needs it. Phase 2 runs each
+    (cell, seed) over the full cache. With workers > 1 each phase runs in
+    forked worker processes; the outputs do not depend on `workers`.
+    """
     cache = CodebookCache()
-    cells = grid.cells()
 
-    def job(cell):
-        k, ls, aug = cell
-        try:
-            return run_cell(ds, ls, k, grid.seeds, cache, grid.train, aug, grid.codebook_seed)
-        except Exception as exc:
-            name = ls if isinstance(ls, str) else ",".join(map(str, ls))
-            return [], [
-                CellFailure(k, name, aug, s, f"{type(exc).__name__}: {exc}") for s in grid.seeds
-            ]
+    def fit(need):
+        part = CodebookCache(cache.max_iters)
+        for split in dataio.SPLITS:
+            with contextlib.suppress(Exception):  # a failed fit stays in `part`, raised at every lookup
+                (part.layer_tokens if need[0] == "layer" else part.osm_tokens)(ds, split, *need[1:])
+        return part
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(job, cells))
-    else:
-        outcomes = [job(cell) for cell in cells]
+    for part in _map_phase(fit, _codebook_needs(grid, ds.layer_count), workers):
+        cache.merge(part)
 
-    rows: list[ResultRow] = []
-    failures: list[CellFailure] = []
-    for cell_rows, cell_failures in outcomes:
-        rows.extend(cell_rows)
-        failures.extend(cell_failures)
-        if cell_rows:
-            rows.append(average_rows(cell_rows))
-    return SweepResult(rows, failures, cache)
+    def unit(task):
+        (k, ls, aug), seed = task
+        return run_cell(ds, ls, k, seed, cache, grid.train, aug, grid.codebook_seed)
+
+    outcomes = _map_phase(unit, [(cell, seed) for cell in grid.cells() for seed in grid.seeds], workers)
+    rows, n = [], len(grid.seeds)
+    for i in range(0, len(outcomes), n):  # one cell's seeds
+        cell_rows = [row for row in outcomes[i : i + n] if isinstance(row, ResultRow)]
+        rows += cell_rows + ([average_rows(cell_rows)] if cell_rows else [])
+    return SweepResult(rows, [f for f in outcomes if isinstance(f, CellFailure)], cache)
 
 
 # --- rendering ----------------------------------------------------------------
@@ -522,6 +540,16 @@ def _fmt(x: float) -> str:
     return f"{x:.10g}"
 
 
+def _csv_k(k: int | None) -> str:
+    return "" if k is None else str(k)
+
+
+def _csv(header: list[str], records: list[list[str]]) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([header, *records])
+    return buf.getvalue()
+
+
 def rows_to_csv(rows: list[ResultRow]) -> str:
     """Machine contract: CSV_COLUMNS, blanks for absent layers.
 
@@ -529,43 +557,24 @@ def rows_to_csv(rows: list[ResultRow]) -> str:
     so that no fusion weight is dropped.
     """
     n_alpha = max([24] + [layer + 1 for row in rows for layer in row.mean_alpha])
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_csv_header(n_alpha))
-    for row in rows:
-        record = [
-            row.layer_set,
-            "" if row.k is None else str(row.k),
-            str(row.seed),
-            row.aug,
-            _fmt(row.macro_f1),
-        ]
-        record += [_fmt(v) for v in row.per_class_f1]
-        record += [_fmt(row.mean_alpha[i]) if i in row.mean_alpha else "" for i in range(n_alpha)]
-        writer.writerow(record)
-    return buf.getvalue()
+    return _csv(
+        _csv_header(n_alpha),
+        [
+            [row.layer_set, _csv_k(row.k), str(row.seed), row.aug, _fmt(row.macro_f1)]
+            + [_fmt(v) for v in row.per_class_f1]
+            + [_fmt(row.mean_alpha[i]) if i in row.mean_alpha else "" for i in range(n_alpha)]
+            for row in rows
+        ],
+    )
 
 
 def rows_to_text(rows: list[ResultRow]) -> str:
     """Aligned table for humans; the CSV is the machine contract."""
     header = ["layer_set", "K", "seed", "aug", "macro_f1"]
-    body = [
-        [
-            r.layer_set,
-            "-" if r.k is None else str(r.k),
-            str(r.seed),
-            r.aug,
-            f"{r.macro_f1:.4f}",
-        ]
-        for r in rows
-    ]
+    body = [[r.layer_set, "-" if r.k is None else str(r.k), str(r.seed), r.aug, f"{r.macro_f1:.4f}"] for r in rows]
     widths = [max(len(h), *(len(b[i]) for b in body)) if body else len(h) for i, h in enumerate(header)]
-    lines = [
-        "  ".join(h.ljust(w) for h, w in zip(header, widths)),
-        "  ".join("-" * w for w in widths),
-    ]
-    lines += ["  ".join(v.ljust(w) for v, w in zip(b, widths)) for b in body]
-    return "\n".join(lines) + "\n"
+    lines = [header, ["-" * w for w in widths], *body]
+    return "".join("  ".join(v.ljust(w) for v, w in zip(line, widths)) + "\n" for line in lines)
 
 
 @dataclass
@@ -618,18 +627,7 @@ def augmentation_report(rows: list[ResultRow], layer_count: int = 24) -> list[Au
 
 
 def gains_to_csv(gains: list[AugGain]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["layer_set", "K", "category", "base_f1", "aug_f1", "gain_pct"])
-    for g in gains:
-        writer.writerow(
-            [
-                g.layer_set,
-                "" if g.k is None else str(g.k),
-                g.category,
-                _fmt(g.base_f1),
-                _fmt(g.aug_f1),
-                _fmt(g.gain_pct),
-            ]
-        )
-    return buf.getvalue()
+    return _csv(
+        ["layer_set", "K", "category", "base_f1", "aug_f1", "gain_pct"],
+        [[g.layer_set, _csv_k(g.k), g.category, _fmt(g.base_f1), _fmt(g.aug_f1), _fmt(g.gain_pct)] for g in gains],
+    )

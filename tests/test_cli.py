@@ -1,5 +1,7 @@
 import hashlib
 import json
+import multiprocessing
+import os
 import shutil
 from pathlib import Path
 
@@ -7,6 +9,7 @@ import numpy as np
 import pytest
 
 import disq.cli as cli
+import disq.sweep as sweep
 from disq.cli import build_parser, main
 from disq.dataio import read_feature_file
 from disq.quantize import OPENSMILE_CATEGORIES
@@ -251,6 +254,33 @@ def test_sweep_outputs(cli_workspace, tmp_path):
     out2 = tmp_path / "sw2"
     assert run(["sweep", "--dataset", data, "--grid", cli_workspace / "grid.json", "--out", out2]) == 0
     assert dir_digest(out) == dir_digest(out2)
+
+
+def test_sweep_exits_4_when_a_worker_process_dies(cli_workspace, tmp_path, capsys, monkeypatch):
+    grid = tmp_path / "grid.json"  # one cell x two seeds: at most two worker processes start
+    grid.write_text(json.dumps({"ks": [8], "layer_sets": ["3"], "seeds": [0, 1], "train": {"epochs": 1}}))
+    real_train = sweep.train
+
+    def train_or_die(train_items, dev_items, config):
+        if config.seed == 1:
+            os._exit(1)
+        return real_train(train_items, dev_items, config)
+
+    monkeypatch.setattr(sweep, "train", train_or_die)  # the forked workers inherit the patch
+    out = tmp_path / "sw"
+    assert run(["sweep", "--dataset", cli_workspace / "data", "--grid", grid, "--workers", 2, "--out", out]) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: numeric: sweep worker process died")
+    assert not (out / "results.csv").exists()
+    assert not multiprocessing.active_children()
+
+
+def test_sweep_workers_need_fork(cli_workspace, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli.multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    monkeypatch.setattr(cli, "run_sweep", lambda *args, **kwargs: pytest.fail("the sweep started"))
+    argv = ["sweep", "--dataset", cli_workspace / "data", "--grid", cli_workspace / "grid.json"]
+    assert run(argv + ["--workers", 2, "--out", tmp_path / "sw"]) == 2
+    assert capsys.readouterr().err.startswith("error: config: --workers: more than 1 needs the fork start method")
 
 
 @pytest.mark.parametrize("layer_sets, bad", [(["2,3", "0,9"], 1), (["sparse"], 0)])

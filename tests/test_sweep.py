@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import io
+import multiprocessing
 from dataclasses import replace
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from disq.sweep import (
     evaluate,
     gains_to_csv,
     load_dataset,
+    pool_size,
     prepare_items,
     rows_to_csv,
     rows_to_text,
@@ -79,13 +81,11 @@ def test_evaluate_is_deterministic(tiny_dataset):
 
 def test_run_cell_keeps_inputs_and_codebooks_frozen(tiny_dataset, tiny_cache):
     before_files = _dir_digest(tiny_dataset.root)
-    rows, failures = run_cell(
-        tiny_dataset, "0,1,2,3", 8, (0,), tiny_cache, tiny_train_config(epochs=2)
-    )
-    assert not failures
+    row = run_cell(tiny_dataset, "0,1,2,3", 8, 0, tiny_cache, tiny_train_config(epochs=2))
+    assert isinstance(row, ResultRow)
     cb = tiny_cache.layer_codebook(tiny_dataset, 3, 8, 0)
     centroids_before = cb.centroids.copy()
-    run_cell(tiny_dataset, "3", 8, (0,), tiny_cache, tiny_train_config(epochs=2))
+    run_cell(tiny_dataset, "3", 8, 0, tiny_cache, tiny_train_config(epochs=2))
     assert np.array_equal(cb.centroids, centroids_before)
     assert _dir_digest(tiny_dataset.root) == before_files
 
@@ -133,7 +133,7 @@ def test_cache_keeps_token_indices_not_frames(tiny_dataset):
     for split in SPLITS:
         items = prepare_items(tiny_dataset, split, (1, 3), 8, cache, aug="all")
         assert all(it.streams.dtype == np.float32 for it in items)
-    entries = [cell["value"] for cell in cache._tokens._cells.values()]
+    entries = list(cache._tokens.values())
     assert len(entries) == 3 * len(SPLITS)  # layers 1 and 3 and the opensmile categories, per split
     for entry in entries:
         for per_utt in entry:
@@ -217,11 +217,39 @@ def test_sweep_runs_identically_twice(tiny_dataset):
 
 def test_sweep_workers_match_serial(tiny_dataset):
     grid = SweepGrid(
-        ks=(6, 8), layer_sets=("2,3",), seeds=(0,), train=tiny_train_config(epochs=2)
+        ks=(8, 10**6),  # K = 10**6 exceeds the train frame count: those cells must fail
+        layer_sets=("2,3",),
+        seeds=(0, 1),
+        augmentations=("none", "prosody"),
+        include_continuous=True,
+        train=tiny_train_config(epochs=2),
     )
-    serial = rows_to_csv(run_sweep(grid, tiny_dataset, workers=1).rows)
-    threaded = rows_to_csv(run_sweep(grid, tiny_dataset, workers=3).rows)
-    assert serial == threaded
+
+    def outputs(workers):
+        result = run_sweep(grid, tiny_dataset, workers=workers)
+        assert not multiprocessing.active_children()
+        failures = [f"{f.layer_set} K={f.k} aug={f.aug} seed={f.seed}: {f.error}" for f in result.failures]
+        report = gains_to_csv(augmentation_report(result.rows, tiny_dataset.layer_count))
+        return rows_to_csv(result.rows), rows_to_text(result.rows), report, failures, result.cache.misses
+
+    serial = outputs(1)
+    csv_text, _, _, failures, misses = serial
+    assert [row[:4] for row in list(csv.reader(io.StringIO(csv_text)))[1:]] == [
+        [ls, k, seed, aug]
+        for ls, k, aug in (("2,3", "8", "none"), ("2,3", "8", "prosody"), ("2,3", "", "none"))
+        for seed in ("0", "1", "avg")
+    ]
+    assert len(failures) == 4 and all("K=1000000" in line for line in failures)
+    assert misses == 5  # layers 2 and 3 at each K, and the opensmile books
+    for workers in (2, 3):
+        assert outputs(workers) == serial
+
+
+@pytest.mark.parametrize(
+    "workers, tasks, size", [(1, 12, 1), (2, 12, 2), (3, 2, 2), (10000, 12, 12), (10000, 1, 1), (4, 0, 1)]
+)
+def test_pool_size_never_exceeds_the_tasks(workers, tasks, size):
+    assert pool_size(workers, tasks) == size
 
 
 def test_sweep_isolates_failing_cells(tiny_dataset):
