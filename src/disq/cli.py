@@ -32,6 +32,7 @@ from .sweep import (
     augmentation_report,
     check_augmentation,
     evaluate,
+    fit_workers,
     gains_to_csv,
     load_dataset,
     prepare_items,
@@ -41,6 +42,12 @@ from .sweep import (
 )
 
 GRADCHECK_THRESHOLD = 1e-3
+FIT_PLACEMENT = (
+    "The codebook fits run side by side in forked worker processes, as many as the usable cores divided by "
+    "the BLAS threads that OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or MKL_NUM_THREADS pins, and in this process "
+    "when BLAS is unpinned (`sweep` uses --workers instead). Set OPENBLAS_NUM_THREADS=1 to fit on every core. "
+    "The outputs never depend on where the fits ran."
+)
 # what `eval` reads from a checkpoint's meta.json
 CHECKPOINT_META_FIELDS = ("layer_set", "layers", "k", "aug", "codebook_seed", "train", "train_hash")
 
@@ -198,13 +205,15 @@ def cmd_gen(args, argv) -> int:
 
 def cmd_codebooks(args, argv) -> int:
     started = time.time()
-    out = _out_dir(args, "codebooks")
-    ds = _load_dataset(args.dataset, ("train",), _layer_picker({"": args.layers}), args.opensmile)
     if args.k < 1:
         raise ConfigError("--k: must be >= 1")
+    out = _out_dir(args, "codebooks")
+    ds = _load_dataset(args.dataset, ("train",), _layer_picker({"": args.layers}), args.opensmile)
 
     index = {"k": args.k, "seed": args.seed, "layers": list(ds.layers), "opensmile": bool(args.opensmile)}
     cache = CodebookCache()
+    needs = [("layer", layer, args.k, args.seed) for layer in ds.layers]
+    cache.fill(ds, needs + ([("osm", args.seed)] if args.opensmile else []), workers=fit_workers())
     train_utts = ds.utterances["train"]
     layer_frames = sum(u.n_frames for u in train_utts)
     osm_frames = sum(u.opensmile.n_frames for u in train_utts if u.opensmile is not None)
@@ -489,7 +498,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-per-class", type=int, help="override the spec's utterances per class")
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("codebooks", help="train per-layer k-means codebooks on the train split")
+    p = sub.add_parser(
+        "codebooks",
+        help="train per-layer k-means codebooks on the train split",
+        description="Train per-layer k-means codebooks (and with --opensmile the 7 category codebooks) on the "
+        "train split. " + FIT_PLACEMENT,
+    )
     p.add_argument("--dataset", required=True, help="dataset directory (with manifest_train.json)")
     p.add_argument("--layers", default="all", help="layer set name or comma-separated indices")
     p.add_argument("--k", type=int, default=256, help="codebook size (default 256)")
@@ -505,7 +519,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output directory")
     p.set_defaults(func=cmd_tokenize)
 
-    p = sub.add_parser("train", help="train the fusion + pooling + classifier head")
+    p = sub.add_parser(
+        "train",
+        help="train the fusion + pooling + classifier head",
+        description="Train the fusion + pooling + classifier head, on streams quantized with codebooks fitted "
+        "on the train split unless --continuous. " + FIT_PLACEMENT,
+    )
     p.add_argument("--dataset", required=True, help="dataset directory")
     p.add_argument("--config", help="train config JSON (flags override its scalars)")
     p.add_argument("--layer-set", help="layer set name or comma-separated indices")

@@ -18,8 +18,10 @@ external feature extractor.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
+import os
 import struct
 import types
 import typing
@@ -227,6 +229,7 @@ def load_manifest(path) -> DatasetManifest:
     except ValueError as exc:
         raise ValueError(f"{path.name}: {exc}") from exc
     root = path.parent
+    base = str(root)  # os.path on strings: a pathlib join per listed file costs more than the stat
     records = []
     for rec in doc.records:
         if len(rec.layers) != doc.layer_count:
@@ -234,9 +237,9 @@ def load_manifest(path) -> DatasetManifest:
                 f"{rec.utt_id}: {len(rec.layers)} layer paths, expected {doc.layer_count}"
             )
         for rel in rec.layers:
-            if not (root / rel).is_file():
+            if not os.path.isfile(os.path.join(base, rel)):
                 raise FileNotFoundError(f"{rec.utt_id}: missing layer file {root / rel}")
-        if rec.opensmile is not None and not (root / rec.opensmile).is_file():
+        if rec.opensmile is not None and not os.path.isfile(os.path.join(base, rec.opensmile)):
             raise FileNotFoundError(f"{rec.utt_id}: missing opensmile file {root / rec.opensmile}")
         records.append(ManifestRecord(rec.utt_id, list(rec.layers), rec.label, rec.opensmile))
     manifest = DatasetManifest(records, doc.layer_count, doc.feature_dim, doc.split, root)
@@ -358,8 +361,7 @@ def from_json(cls, doc, path: str = "", doc_name: str = "config"):
         return doc
     if not isinstance(doc, dict):
         raise _type_error("object", doc, path or doc_name)
-    hints = typing.get_type_hints(cls)
-    fields = {f.name: f for f in dataclasses.fields(cls) if f.init}
+    hints, fields = _schema(cls)
     kwargs = {}
     for name, value in doc.items():
         key = f"{path}.{name}".lstrip(".")
@@ -376,6 +378,12 @@ def from_json(cls, doc, path: str = "", doc_name: str = "config"):
         if not path:
             raise
         raise ValueError(f"{path}: {exc}") from exc
+
+
+@functools.cache
+def _schema(cls) -> tuple[dict, dict]:
+    """A dataclass's resolved field types and its init fields, once per class (type hints compile strings)."""
+    return typing.get_type_hints(cls), {f.name: f for f in dataclasses.fields(cls) if f.init}
 
 
 def _type_error(expected: str, doc, where: str) -> ValueError:

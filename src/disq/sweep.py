@@ -14,6 +14,7 @@ import hashlib
 import io
 import multiprocessing
 import numbers
+import os
 from concurrent import futures  # its process pool loads on first use
 from dataclasses import dataclass, field, replace
 
@@ -128,14 +129,12 @@ def _train_frames(ds: LoadedDataset, layer: int) -> np.ndarray:
 
 
 class _KeyedCache(dict):
-    """Write-once values by key plus hit/miss counts; a failed fit holds its error."""
+    """Write-once values by key plus a count of misses; a failed fit holds its error."""
 
-    hits = misses = 0
+    misses = 0
 
     def get_or_fit(self, key, fit_fn):
-        if key in self:
-            self.hits += 1
-        else:
+        if key not in self:
             self.misses += 1
             try:
                 self[key] = fit_fn()
@@ -146,12 +145,13 @@ class _KeyedCache(dict):
         return self[key]
 
 
-def _layer_key(ds: LoadedDataset, layer: int, k: int, seed: int) -> tuple:
-    return ("layer", ds.train_hash, layer, k, seed)
+def _needs(layers, k: int, aug: str, seed: int) -> list[tuple]:
+    """The codebooks a quantized (layers, K, aug) input looks up, as `CodebookCache.fill` needs."""
+    return [("layer", layer, k, seed) for layer in layers] + ([("osm", seed)] if aug != "none" else [])
 
 
-def _osm_key(ds: LoadedDataset, seed: int) -> tuple:
-    return ("osm", ds.train_hash, seed)
+def _book_key(ds: LoadedDataset, need: tuple) -> tuple:  # the need with the train-split hash after its stream
+    return (need[0], ds.train_hash, *need[1:])
 
 
 class CodebookCache:
@@ -162,17 +162,13 @@ class CodebookCache:
     category), and `prepare_items` looks the frames up in the codebook.
     Keys include the train-split hash so a cache can never serve a different
     dataset by accident. `misses` counts actual codebook fits, wherever
-    they ran (see `merge`).
+    they ran (see `fill`).
     """
 
     def __init__(self, kmeans_max_iters: int = 100):
         self._books = _KeyedCache()
         self._tokens = _KeyedCache()
         self.max_iters = kmeans_max_iters
-
-    @property
-    def hits(self) -> int:
-        return self._books.hits
 
     @property
     def misses(self) -> int:
@@ -191,20 +187,35 @@ class CodebookCache:
         it return it; holding a codebook counts no fit.
         """
         for layer, cb in layer_books.items():
-            self._books[_layer_key(ds, layer, cb.k, seed)] = cb
+            self._books[_book_key(ds, ("layer", layer, cb.k, seed))] = cb
         if osm_books is not None:
-            self._books[_osm_key(ds, seed)] = osm_books
+            self._books[_book_key(ds, ("osm", seed))] = osm_books
 
-    def merge(self, other: "CodebookCache") -> None:
-        """Take in the books, tokens and counts of a cache filled elsewhere."""
-        for mine, theirs in ((self._books, other._books), (self._tokens, other._tokens)):
-            mine.update(theirs)
-            mine.hits += theirs.hits
-            mine.misses += theirs.misses
+    def fill(self, ds: LoadedDataset, needs, splits=(), workers: int = 1) -> None:
+        """Fit each ("layer", layer, K, seed) or ("osm", seed) book the cache lacks, and encode `splits`.
+
+        Each need fills a cache of its own over `_map_phase`, merged back in
+        order, so books, tokens and `misses` do not depend on `workers`.
+        """
+
+        def fit(need):
+            part, (stream, *key) = CodebookCache(self.max_iters), need
+            layer = stream == "layer"
+            with contextlib.suppress(Exception):  # a failed fit stays in `part`, raised at every lookup
+                (part.layer_codebook if layer else part.osm_codebooks)(ds, *key)
+                for split in splits:
+                    (part.layer_tokens if layer else part.osm_tokens)(ds, split, *key)
+            return part
+
+        missing = [need for need in dict.fromkeys(needs) if _book_key(ds, need) not in self._books]
+        for part in _map_phase(fit, missing, workers):
+            for mine, theirs in ((self._books, part._books), (self._tokens, part._tokens)):
+                mine.update(theirs)
+                mine.misses += theirs.misses
 
     def layer_codebook(self, ds: LoadedDataset, layer: int, k: int, seed: int) -> Codebook:
         return self._books.get_or_fit(
-            _layer_key(ds, layer, k, seed),
+            _book_key(ds, ("layer", layer, k, seed)),
             lambda: kmeans_fit(_train_frames(ds, layer), k, seed, self.max_iters, stream_id=f"layer:{layer}"),
         )
 
@@ -215,7 +226,7 @@ class CodebookCache:
                 raise ValueError("no opensmile streams in the train split")
             return fit_opensmile_codebooks(np.concatenate(frames), seed, self.max_iters)
 
-        return self._books.get_or_fit(_osm_key(ds, seed), fit)
+        return self._books.get_or_fit(_book_key(ds, ("osm", seed)), fit)
 
     def layer_tokens(self, ds: LoadedDataset, split: str, layer: int, k: int, seed: int) -> list[np.ndarray]:
         """Per-utterance token indices of one (layer, K) stream."""
@@ -232,12 +243,8 @@ class CodebookCache:
         def build():
             books = self.osm_codebooks(ds, seed)
             utts = ds.utterances[split]
-            rows = iter(
-                per_part(
-                    lambda h: tuple(t.indices for t in quantize_opensmile(h, books).values()),
-                    [u.opensmile.frames for u in utts if u.opensmile is not None],
-                )
-            )
+            frames = [u.opensmile.frames for u in utts if u.opensmile is not None]
+            rows = iter(per_part(lambda h: tuple(t.indices for t in quantize_opensmile(h, books).values()), frames))
             names = OPENSMILE_CATEGORIES.names()
             return [None if u.opensmile is None else dict(zip(names, next(rows))) for u in utts]
 
@@ -312,6 +319,7 @@ def prepare_items(
         raise ValueError("quantized preparation needs a CodebookCache")
     utts = ds.utterances[split]
     if k is not None:  # float32(C)[idx] has the bits of float32(C[idx])
+        cache.fill(ds, _needs(layers, k, aug, codebook_seed), tuple(ds.utterances), fit_workers())
         books = [cache.layer_codebook(ds, l, k, codebook_seed).centroids.astype(np.float32) for l in layers]
         tokens = [cache.layer_tokens(ds, split, l, k, codebook_seed) for l in layers]
         if aug != "none":
@@ -455,12 +463,7 @@ def run_cell(
         return CellFailure(k, name, aug, seed, f"{type(exc).__name__}: {exc}")
 
 
-_PHASE: tuple = ()  # (fn, tasks) of a worker process's phase, set as it starts
-
-
-def _start_worker(fn, tasks: list) -> None:
-    global _PHASE
-    _PHASE = (fn, tasks)
+_PHASE: list = []  # [fn, tasks] of a worker process's phase, filled as the worker starts
 
 
 def _phase_task(i: int):
@@ -474,31 +477,36 @@ def pool_size(workers: int, tasks: int) -> int:
 
 
 def _map_phase(fn, tasks: list, workers: int) -> list:
-    """fn over tasks, in order: here for one worker, else in forked worker processes.
+    """fn over tasks, in order: here for one worker or inside a worker, else in forked worker processes.
 
     fn and tasks reach the workers by fork, task indices and results by pickle.
     A dead worker raises BrokenProcessPool; no worker outlives the call.
     """
     size = pool_size(workers, len(tasks))
-    if size == 1:
+    if size == 1 or _PHASE:  # a worker process never starts a pool of its own
         return [fn(task) for task in tasks]
     fork = multiprocessing.get_context("fork")
-    with futures.ProcessPoolExecutor(size, fork, initializer=_start_worker, initargs=(fn, tasks)) as pool:
+    with futures.ProcessPoolExecutor(size, fork, initializer=_PHASE.extend, initargs=((fn, tasks),)) as pool:
         return list(pool.map(_phase_task, range(len(tasks))))
 
 
+def fit_workers() -> int:
+    """Codebook fit workers outside a sweep: usable cores // pinned BLAS threads, 1 if unpinned or without fork."""
+    pinned = [os.environ.get(v, "") for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")]
+    pinned = [int(v) for v in pinned if v.isdigit() and int(v) > 0]
+    if not pinned or not hasattr(os, "sched_getaffinity") or "fork" not in multiprocessing.get_all_start_methods():
+        return 1
+    return max(1, len(os.sched_getaffinity(0)) // max(pinned))
+
+
 def _codebook_needs(grid: SweepGrid, layer_count: int) -> list[tuple]:
-    """The (stream, *key) codebooks the grid's quantized cells look up, in grid order."""
-    needs: dict = {}
+    """The codebooks the grid's quantized cells look up, in grid order."""
+    needs = []
     for k, ls, aug in grid.cells():
-        try:
-            layers = resolve_layer_set(ls, layer_count)[1] if k is not None else ()
-        except Exception:
-            continue  # the cell fails with this error when it runs
-        needs.update(dict.fromkeys(("layer", layer, k, grid.codebook_seed) for layer in layers))
-        if layers and aug != "none":
-            needs[("osm", grid.codebook_seed)] = None
-    return list(needs)
+        if k is not None:
+            with contextlib.suppress(Exception):  # a set that does not resolve fails its cells when they run
+                needs += _needs(resolve_layer_set(ls, layer_count)[1], k, aug, grid.codebook_seed)
+    return needs
 
 
 def run_sweep(grid: SweepGrid, ds: LoadedDataset, workers: int = 1) -> SweepResult:
@@ -510,16 +518,7 @@ def run_sweep(grid: SweepGrid, ds: LoadedDataset, workers: int = 1) -> SweepResu
     forked worker processes; the outputs do not depend on `workers`.
     """
     cache = CodebookCache()
-
-    def fit(need):
-        part = CodebookCache(cache.max_iters)
-        for split in dataio.SPLITS:
-            with contextlib.suppress(Exception):  # a failed fit stays in `part`, raised at every lookup
-                (part.layer_tokens if need[0] == "layer" else part.osm_tokens)(ds, split, *need[1:])
-        return part
-
-    for part in _map_phase(fit, _codebook_needs(grid, ds.layer_count), workers):
-        cache.merge(part)
+    cache.fill(ds, _codebook_needs(grid, ds.layer_count), dataio.SPLITS, workers)
 
     def unit(task):
         (k, ls, aug), seed = task

@@ -275,6 +275,31 @@ def test_sweep_exits_4_when_a_worker_process_dies(cli_workspace, tmp_path, capsy
     assert not multiprocessing.active_children()
 
 
+def test_codebooks_checks_k_before_reading_any_feature_file(cli_workspace, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("disq.dataio.read_feature_file", lambda *a, **kw: pytest.fail("a feature file was read"))
+    assert run(["codebooks", "--dataset", cli_workspace / "data", "--k", 0, "--out", tmp_path / "cb"]) == 2
+    assert capsys.readouterr().err == "error: config: --k: must be >= 1\n"
+
+
+def test_codebooks_and_train_outputs_do_not_depend_on_where_fits_ran(cli_workspace, tmp_path, monkeypatch):
+    data = cli_workspace / "data"
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    outputs = []
+    for threads in (None, "1"):  # unpinned: in this process; pinned to one thread: three workers
+        if threads is None:
+            monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+        assert sweep.fit_workers() == (1 if threads is None else 3)
+        out = tmp_path / f"threads{threads}"
+        argv = ["--dataset", data, "--k", 8]
+        assert run(["codebooks", *argv, "--layers", "0,1,2,3", "--opensmile", "--out", out / "cb"]) == 0
+        assert run(["train", *argv, "--layer-set", "1,3", "--aug", "prosody", "--epochs", 1, "--out", out / "tr"]) == 0
+        assert not multiprocessing.active_children()
+        outputs.append(dir_digest(out))
+    assert outputs[0] == outputs[1]
+
+
 def test_sweep_workers_need_fork(cli_workspace, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli.multiprocessing, "get_all_start_methods", lambda: ["spawn"])
     monkeypatch.setattr(cli, "run_sweep", lambda *args, **kwargs: pytest.fail("the sweep started"))

@@ -2,12 +2,14 @@ import csv
 import hashlib
 import io
 import multiprocessing
+import os
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from disq import sweep
 from disq.dataio import SPLITS, generate_synthetic
 from disq.fusion import resolve_layer_set
 from disq.model import predict, train
@@ -21,6 +23,7 @@ from disq.sweep import (
     augmentation_report,
     average_rows,
     evaluate,
+    fit_workers,
     gains_to_csv,
     load_dataset,
     pool_size,
@@ -243,6 +246,87 @@ def test_sweep_workers_match_serial(tiny_dataset):
     assert misses == 5  # layers 2 and 3 at each K, and the opensmile books
     for workers in (2, 3):
         assert outputs(workers) == serial
+
+
+def test_fill_is_the_same_for_any_worker_count(tiny_dataset):
+    ds = tiny_dataset
+    needs = [("layer", 0, 8, 0), ("layer", 3, 8, 0), ("layer", 3, 10**6, 0), ("osm", 0), ("layer", 0, 8, 0)]
+
+    def outputs(workers):
+        cache = CodebookCache()
+        cache.fill(ds, needs, SPLITS, workers)
+        assert not multiprocessing.active_children()
+        misses = cache.misses
+        books = [cache.layer_codebook(ds, layer, 8, 0).centroids.tobytes() for layer in (0, 3)]
+        books += [cb.centroids.tobytes() for cb in cache.osm_codebooks(ds, 0).values()]
+        tokens = [np.concatenate(cache.layer_tokens(ds, s, layer, 8, 0)).tobytes() for s in SPLITS for layer in (0, 3)]
+        tokens += [b"".join(i.tobytes() for d in cache.osm_tokens(ds, s, 0) for i in d.values()) for s in SPLITS]
+        # the K = 10**6 fit raised (K exceeds the train frame count): only what needs that book fails
+        assert len(prepare_items(ds, "dev", (0, 3), 8, cache, aug="prosody")) == len(ds.utterances["dev"])
+        errors = []
+        for lookup in (
+            lambda: cache.layer_codebook(ds, 3, 10**6, 0),
+            lambda: cache.layer_tokens(ds, "test", 3, 10**6, 0),
+            lambda: prepare_items(ds, "train", (3,), 10**6, cache),
+        ):
+            with pytest.raises(ValueError) as err:
+                lookup()
+            errors.append(str(err.value))
+        assert cache.misses == misses  # every fit happened in `fill`
+        return books, tokens, misses, errors
+
+    serial = outputs(1)
+    assert serial[2] == 4 and len(set(serial[3])) == 1
+    for workers in (2, 3):
+        assert outputs(workers) == serial
+
+
+def test_a_worker_process_never_starts_a_pool(tiny_dataset, monkeypatch):
+    grid = SweepGrid(ks=(8,), layer_sets=("3", "0,2"), seeds=(0, 1), train=tiny_train_config(epochs=1))
+    serial = rows_to_csv(run_sweep(grid, tiny_dataset).rows)
+    parent, real_pool = os.getpid(), sweep.futures.ProcessPoolExecutor
+
+    def pool(*args, **kwargs):
+        assert os.getpid() == parent, "a worker process started a pool"
+        return real_pool(*args, **kwargs)
+
+    # phase 1 fits nothing, so each phase-2 unit's prepare_items fills its own books at 2 workers
+    monkeypatch.setattr(sweep.futures, "ProcessPoolExecutor", pool)  # the forked workers inherit the patches
+    monkeypatch.setattr(sweep, "_codebook_needs", lambda grid, layer_count: [])
+    monkeypatch.setattr(sweep, "fit_workers", lambda: 2)
+    result = run_sweep(grid, tiny_dataset, workers=2)
+    assert not result.failures and not multiprocessing.active_children()
+    assert rows_to_csv(result.rows) == serial
+
+
+@pytest.mark.parametrize(
+    "env, cores, workers",
+    [
+        ({"OPENBLAS_NUM_THREADS": "1"}, 2, 2),  # pinned to one thread: one worker per core
+        ({"OPENBLAS_NUM_THREADS": "1"}, 7, 7),
+        ({"MKL_NUM_THREADS": "1"}, 3, 3),
+        ({}, 2, 1),  # unpinned: in this process
+        ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "x"}, 2, 1),  # not a pin either
+        ({"OPENBLAS_NUM_THREADS": "2"}, 2, 1),
+        ({"OPENBLAS_NUM_THREADS": "2"}, 5, 2),
+        ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, 8, 2),  # the largest pin counts
+        ({"OPENBLAS_NUM_THREADS": "1"}, 1, 1),
+    ],
+)
+def test_fit_workers_are_usable_cores_over_pinned_blas_threads(monkeypatch, env, cores, workers):
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+    assert fit_workers() == workers
+
+
+def test_fit_workers_without_fork_is_one(monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    monkeypatch.setattr(sweep.multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    assert fit_workers() == 1
 
 
 @pytest.mark.parametrize(
