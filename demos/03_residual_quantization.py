@@ -24,8 +24,9 @@ for s in (0, 1, 2, 4, 8):
     mse = reconstruction_mse(x, rvq_decode(rvq, tokens, n_stages_used=s).frames)
     print(f"{s:<14d}{mse:.4f}")
 
-# per-stage reconstructions can also feed the attention head as independent
-# streams, the codec-style counterpart of per-layer streams
+# per-stage tokens can also feed the attention head as independent streams,
+# each with its stage codebook's standardized table: the codec-style
+# counterpart of per-layer token streams
 import tempfile
 
 from disq.dataio import SyntheticSpec, generate_synthetic

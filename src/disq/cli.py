@@ -128,9 +128,11 @@ def _config_digest(payload) -> str:
 
 
 def _write_metadata(out: Path, command: str, argv, config_payload, seeds, started: float) -> None:
-    outputs = sorted(
-        str(p.relative_to(out)) for p in out.rglob("*") if p.is_file() and p.name != "run_metadata.json"
-    )
+    outputs = []  # every file's relative path but run_metadata.json, at any depth
+    for root, _, files in os.walk(out):
+        rel = os.path.relpath(root, out)
+        outputs += [name if rel == "." else os.path.join(rel, name) for name in files if name != "run_metadata.json"]
+    outputs.sort()
     doc = {
         "command": command,
         "argv": list(argv),

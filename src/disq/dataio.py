@@ -348,6 +348,11 @@ def from_json(cls, doc, path: str = "", doc_name: str = "config"):
     if origin is tuple:
         if not isinstance(doc, (list, tuple)):
             raise _type_error("array", doc, path or doc_name)
+        if args[-1] is Ellipsis and args[0] in (int, str):  # one flat loop: manifests list many paths
+            for i, v in enumerate(doc):
+                if not isinstance(v, args[0]) or isinstance(v, bool):
+                    raise _type_error(_JSON_NAMES[args[0]], v, f"{path}[{i}]")
+            return tuple(doc)
         if args[-1] is Ellipsis:
             args = args[:1] * len(doc)
         elif len(doc) != len(args):

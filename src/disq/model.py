@@ -7,7 +7,9 @@ All math runs in float64 so the gradient checks hold at tight tolerances.
 
 The input layer norms split in two: the per-frame standardization x̂ and its
 frame mean ŝ depend on no parameter, so `train` and `predict` compute them
-once per utterance per call. A batch refers to each utterance's own x̂,
+once per utterance per call; a token stream gathers its x̂ from the
+standardized table of its codebook, which is computed once per codebook
+before any call (`token_table`). A batch refers to each utterance's own x̂,
 held (dim, T_b, n_layers) at its own frame count, and never pads or copies
 it; only the opensmile block and the per-frame tensors downstream of the
 layer block are padded. The affine y = g·x̂ + b is never formed: the layer summaries are
@@ -38,12 +40,34 @@ VAR_FLOOR = 1e-8  # keeps the pooling std differentiable at zero variance
 
 @dataclass
 class PreparedUtterance:
-    """Model-ready utterance: frozen stream tensor plus label."""
+    """Model-ready utterance: frozen layer streams, as frames or as tokens, plus label.
+
+    A continuous utterance holds its layer frames in `streams`. A quantized
+    one holds `tokens`, one index row per layer, and `tables`, per layer
+    the `token_table` of its codebook, shared by every utterance quantized
+    with that codebook; its frames float32(C)[idx] are never built.
+    """
 
     utt_id: str
-    streams: np.ndarray  # (n_layers, T, dim)
+    streams: np.ndarray | None  # (n_layers, T, dim) frames; None when tokens
     label: int
     osm: np.ndarray | None = None  # (T, osm_dim), already aligned to T
+    tokens: np.ndarray | None = None  # (n_layers, T) unsigned indices into `tables`
+    tables: tuple[np.ndarray, ...] | None = None  # per layer (K, dim) float64
+
+    def __post_init__(self):
+        if self.tokens is None:
+            if self.streams is None or self.tables is not None:
+                raise ValueError(f"{self.utt_id}: needs layer frames or tokens with their tables")
+        elif self.streams is not None or self.tables is None or len(self.tables) != len(self.tokens):
+            raise ValueError(f"{self.utt_id}: tokens need one table per layer and no layer frames")
+
+    @property
+    def shape(self) -> tuple[int, int, int]:
+        """(n_layers, T, dim) of the layer streams."""
+        if self.tokens is None:
+            return self.streams.shape
+        return (*self.tokens.shape, self.tables[0].shape[1])
 
 
 @dataclass
@@ -187,9 +211,27 @@ def _standardize(x: np.ndarray):
     return xhat, inv
 
 
+def token_table(centroids: np.ndarray) -> np.ndarray:
+    """The x̂ of each centroid as a frame float32(C)[i] gets it: the rows of float64(float32(C)) standardized.
+
+    `_standardize` reduces each row on its own, so the x̂ of the frames
+    float32(C)[idx] is table[idx], bit for bit.
+    """
+    return _standardize(np.asarray(centroids, dtype=np.float32).astype(np.float64))[0]
+
+
 def _standardized(it: PreparedUtterance) -> _Standardized:
-    """The float64 x̂ of an utterance's streams (dim-major) and opensmile block, and ŝ."""
-    xhat = _standardize(np.ascontiguousarray(it.streams, dtype=np.float64))[0]
+    """The float64 x̂ of an utterance's streams (dim-major) and opensmile block, and ŝ.
+
+    A token stream's x̂ is gathered from its table, with the bits and layout
+    that standardizing its frames would give.
+    """
+    if it.tokens is None:
+        xhat = _standardize(np.ascontiguousarray(it.streams, dtype=np.float64))[0]
+    else:
+        xhat = np.empty(it.shape)
+        for n, (table, idx) in enumerate(zip(it.tables, it.tokens)):
+            np.take(table, idx, axis=0, out=xhat[n])
     osm = None if it.osm is None else _standardize(np.ascontiguousarray(it.osm, dtype=np.float64))[0]
     dtn = np.ascontiguousarray(xhat.transpose(2, 1, 0))
     return _Standardized(it.utt_id, dtn, xhat.mean(axis=1), it.label, osm)
@@ -531,7 +573,7 @@ def train(
     dev_batches = list(_batches([_standardized(it) for it in dev_items], 64))
     dev_labels = np.array([it.label for it in dev_items])
 
-    n_layers, _, dim = train_items[0].streams.shape
+    n_layers, _, dim = train_items[0].shape
     osm_dim = None if train_items[0].osm is None else train_items[0].osm.shape[1]
     rng = np.random.default_rng([config.seed, 11])
     params = init_model_params(rng, n_layers, dim, osm_dim, config.hidden, class_weights=weights)

@@ -162,7 +162,8 @@ def nearest_centroids(x: np.ndarray, centroids: np.ndarray, rows: _ScaledRows | 
     minimum. A row whose direct distances may overflow, (X + R)^2 >=
     2^(1023 - 2e), gets tau = inf. The constants leave slack for the
     float64 rounding of tau and of the comparisons. Scores go, chunk by
-    chunk, into one reused buffer.
+    chunk, into one reused buffer of at most 2**20 float32 scores (one row
+    when K is larger); a row's winner does not depend on its chunk.
     """
     x = np.asarray(x, dtype=np.float64)
     centroids = np.asarray(centroids, dtype=np.float64)
@@ -178,7 +179,7 @@ def nearest_centroids(x: np.ndarray, centroids: np.ndarray, rows: _ScaledRows | 
     tau = _tie_tolerance(rows.norms, float(np.sqrt(c2.max())), d, rows.exp)
     out_d2 = np.empty(n)
     out_idx = np.empty(n, dtype=np.int64)
-    chunk = max(1, int(4_000_000 // max(k, 1)))
+    chunk = max(1, (1 << 20) // max(k, 1))
     scores = np.empty((min(chunk, n), k), dtype=np.float32)
     for start in range(0, n, chunk):
         stop = min(start + chunk, n)

@@ -1,9 +1,10 @@
 """Experiment grid runner: codebook caching, stream preparation, reports.
 
 A sweep cell is one (layer set, K, augmentation) combination; each cell is
-trained once per seed on frozen reconstructions. Codebooks are trained once
-per (stream, K, codebook seed, train-split hash) and shared by every cell
-that touches them, mirroring a generate-once-then-freeze protocol.
+trained once per seed on frozen token streams (or continuous features).
+Codebooks are trained once per (stream, K, codebook seed, train-split hash)
+and shared by every cell that touches them, mirroring a
+generate-once-then-freeze protocol.
 """
 
 from __future__ import annotations
@@ -24,10 +25,11 @@ from . import dataio
 from .dataio import N_CLASSES, FeatureSequence, UtteranceRecord
 from .fusion import LAYER_SETS, resolve_layer_set, resample
 from .metrics import confusion_matrix, macro_f1, per_class_f1
-from .model import ModelParams, PreparedUtterance, TrainConfig, predict, train
+from .model import ModelParams, PreparedUtterance, TrainConfig, predict, token_table, train
 from .quantize import (
     OPENSMILE_CATEGORIES,
     Codebook,
+    TokenSequence,
     assign,
     fit_opensmile_codebooks,
     kmeans_fit,
@@ -155,18 +157,20 @@ def _book_key(ds: LoadedDataset, need: tuple) -> tuple:  # the need with the tra
 
 
 class CodebookCache:
-    """Caches trained codebooks and each split's tokens for one dataset.
+    """Caches trained codebooks, their standardized tables and each split's tokens for one dataset.
 
     A split is encoded once per codebook: its token entry holds one 1-D
-    integer index array per utterance (the paralinguistic entry one per
-    category), and `prepare_items` looks the frames up in the codebook.
-    Keys include the train-split hash so a cache can never serve a different
-    dataset by accident. `misses` counts actual codebook fits, wherever
-    they ran (see `fill`).
+    index array per utterance (the paralinguistic entry one per category),
+    in the smallest unsigned dtype that holds K - 1. A layer book's
+    `token_table` is derived once, under the book's key, and `prepare_items`
+    hands it to the model with the tokens. Keys include the train-split
+    hash so a cache can never serve a different dataset by accident.
+    `misses` counts actual codebook fits, wherever they ran (see `fill`).
     """
 
     def __init__(self, kmeans_max_iters: int = 100):
         self._books = _KeyedCache()
+        self._tables = {}
         self._tokens = _KeyedCache()
         self.max_iters = kmeans_max_iters
 
@@ -184,7 +188,7 @@ class CodebookCache:
         """Serve codebooks fitted earlier (a checkpoint's) as if fitted here.
 
         Each is stored under the key its fit would have had, so lookups for
-        it return it; holding a codebook counts no fit.
+        it (and for its table) return it; holding a codebook counts no fit.
         """
         for layer, cb in layer_books.items():
             self._books[_book_key(ds, ("layer", layer, cb.k, seed))] = cb
@@ -202,7 +206,7 @@ class CodebookCache:
             part, (stream, *key) = CodebookCache(self.max_iters), need
             layer = stream == "layer"
             with contextlib.suppress(Exception):  # a failed fit stays in `part`, raised at every lookup
-                (part.layer_codebook if layer else part.osm_codebooks)(ds, *key)
+                (part.layer_table if layer else part.osm_codebooks)(ds, *key)
                 for split in splits:
                     (part.layer_tokens if layer else part.osm_tokens)(ds, split, *key)
             return part
@@ -212,12 +216,20 @@ class CodebookCache:
             for mine, theirs in ((self._books, part._books), (self._tokens, part._tokens)):
                 mine.update(theirs)
                 mine.misses += theirs.misses
+            self._tables.update(part._tables)
 
     def layer_codebook(self, ds: LoadedDataset, layer: int, k: int, seed: int) -> Codebook:
         return self._books.get_or_fit(
             _book_key(ds, ("layer", layer, k, seed)),
             lambda: kmeans_fit(_train_frames(ds, layer), k, seed, self.max_iters, stream_id=f"layer:{layer}"),
         )
+
+    def layer_table(self, ds: LoadedDataset, layer: int, k: int, seed: int) -> np.ndarray:
+        """The (K, dim) `token_table` of a layer codebook, fitted or held."""
+        key = _book_key(ds, ("layer", layer, k, seed))
+        if key not in self._tables:
+            self._tables[key] = token_table(self.layer_codebook(ds, layer, k, seed).centroids)
+        return self._tables[key]
 
     def osm_codebooks(self, ds: LoadedDataset, seed: int) -> dict[str, Codebook]:
         def fit():
@@ -233,7 +245,8 @@ class CodebookCache:
 
         def build():
             cb = self.layer_codebook(ds, layer, k, seed)
-            return per_part(lambda h: assign(cb, h).indices, [u.layers[layer].frames for u in ds.utterances[split]])
+            frames = [u.layers[layer].frames for u in ds.utterances[split]]
+            return per_part(lambda h: _indices(assign(cb, h)), frames)
 
         return self._tokens.get_or_fit(("layer", ds.train_hash, split, layer, k, seed), build)
 
@@ -244,11 +257,16 @@ class CodebookCache:
             books = self.osm_codebooks(ds, seed)
             utts = ds.utterances[split]
             frames = [u.opensmile.frames for u in utts if u.opensmile is not None]
-            rows = iter(per_part(lambda h: tuple(t.indices for t in quantize_opensmile(h, books).values()), frames))
+            rows = iter(per_part(lambda h: tuple(map(_indices, quantize_opensmile(h, books).values())), frames))
             names = OPENSMILE_CATEGORIES.names()
             return [None if u.opensmile is None else dict(zip(names, next(rows))) for u in utts]
 
         return self._tokens.get_or_fit(("osm", ds.train_hash, split, seed), build)
+
+
+def _indices(tokens: TokenSequence) -> np.ndarray:
+    """A token sequence's indices in the smallest unsigned dtype that holds K - 1 (uint8 for K <= 256)."""
+    return tokens.indices.astype(np.min_scalar_type(tokens.k - 1))
 
 
 def per_part(frame_fn, parts: list[np.ndarray]) -> list:
@@ -275,25 +293,27 @@ def prepare_rvq_items(
     seed: int = 0,
     stages_used: tuple[int, ...] | None = None,
 ) -> list[PreparedUtterance]:
-    """Codec-style streams: per-stage RVQ reconstructions of one layer.
+    """Codec-style streams: per-stage RVQ tokens of one layer.
 
     The quantizer is trained on the train split's frames for `layer`; each
-    selected stage's centroid lookup becomes one stream, so the downstream
-    attention head consumes them exactly like per-layer streams. The split
-    is encoded in one pass over its concatenated frames.
+    selected stage's tokens become one stream, with the stage codebook's
+    `token_table`, so the downstream attention head consumes them exactly
+    like per-layer token streams. The split is encoded in one pass over its
+    concatenated frames.
     """
     rvq = rvq_fit(_train_frames(ds, layer), n_stages, k_per_stage, seed, stream_id=f"rvq:layer{layer}")
     stages = tuple(range(n_stages)) if stages_used is None else tuple(stages_used)
     if not stages or any(s < 0 or s >= n_stages for s in stages):
         raise ValueError(f"stages_used {stages} outside 0..{n_stages - 1}")
     utts = ds.utterances[split]
+    tables = tuple(token_table(rvq.stages[s].centroids) for s in stages)
 
     def stage_rows(h):
         tokens = rvq_encode(rvq, h)
-        return tuple(rvq.stages[s].centroids[tokens[s].indices].astype(np.float32) for s in stages)
+        return tuple(_indices(tokens[s]) for s in stages)
 
     return [
-        PreparedUtterance(utt_id=utt.utt_id, streams=np.stack(rows), label=utt.label, osm=None)
+        PreparedUtterance(utt.utt_id, None, utt.label, tokens=np.stack(rows), tables=tables)
         for utt, rows in zip(utts, per_part(stage_rows, [u.layers[layer].frames for u in utts]))
     ]
 
@@ -310,19 +330,21 @@ def prepare_items(
     """Assemble frozen model inputs for one split.
 
     k=None bypasses quantization entirely (continuous features, and a raw
-    paralinguistic block if augmentation is on). The paralinguistic frames
-    are aligned to each utterance's frame count here, once, since they are
+    paralinguistic block if augmentation is on). A quantized item holds its
+    layer tokens and the cache's tables of their codebooks, no frames. The
+    paralinguistic frames, float32(C)[idx] for a quantized item, are
+    aligned to each utterance's frame count here, once, since they are
     frozen during training.
     """
     check_augmentation(aug)
     if k is not None and cache is None:
         raise ValueError("quantized preparation needs a CodebookCache")
     utts = ds.utterances[split]
-    if k is not None:  # float32(C)[idx] has the bits of float32(C[idx])
+    if k is not None:
         cache.fill(ds, _needs(layers, k, aug, codebook_seed), tuple(ds.utterances), fit_workers())
-        books = [cache.layer_codebook(ds, l, k, codebook_seed).centroids.astype(np.float32) for l in layers]
+        tables = tuple(cache.layer_table(ds, l, k, codebook_seed) for l in layers)
         tokens = [cache.layer_tokens(ds, split, l, k, codebook_seed) for l in layers]
-        if aug != "none":
+        if aug != "none":  # float32(C)[idx] has the bits of float32(C[idx])
             osm_books = {n: cb.centroids.astype(np.float32) for n, cb in cache.osm_codebooks(ds, codebook_seed).items()}
             osm_tokens = cache.osm_tokens(ds, split, codebook_seed)
 
@@ -330,9 +352,10 @@ def prepare_items(
     for i, utt in enumerate(utts):
         if k is None:
             streams = np.stack([utt.layers[l].frames for l in layers]).astype(np.float32, copy=False)
+            item = PreparedUtterance(utt.utt_id, streams, utt.label)
         else:
-            streams = np.stack([c[t[i]] for c, t in zip(books, tokens)])
-        osm = None
+            layer_tokens = np.stack([t[i] for t in tokens])
+            item = PreparedUtterance(utt.utt_id, None, utt.label, tokens=layer_tokens, tables=tables)
         if aug != "none":
             if utt.opensmile is None:
                 raise ValueError(f"{utt.utt_id}: augmentation requested but no opensmile stream")
@@ -342,8 +365,8 @@ def prepare_items(
                 osm74 = np.concatenate([osm_books[n][idx] for n, idx in osm_tokens[i].items()], axis=1)
             if aug != "all":
                 osm74 = osm74[:, OPENSMILE_CATEGORIES.column_slice(aug)]
-            osm = resample(osm74, streams.shape[1])
-        items.append(PreparedUtterance(utt_id=utt.utt_id, streams=streams, label=utt.label, osm=osm))
+            item.osm = resample(osm74, item.shape[1])
+        items.append(item)
     return items
 
 

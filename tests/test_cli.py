@@ -239,6 +239,18 @@ def test_eval_rejects_wrong_dataset(cli_workspace, tmp_path):
     assert code == 3
 
 
+def test_metadata_lists_every_output_file_but_run_metadata(tmp_path):
+    out = tmp_path / "out"
+    for rel in ("b.txt", "a/run_metadata.json", "a/z.csv", "a/b/c/deep.json", "a-b/x", "run_metadata.json"):
+        (out / rel).parent.mkdir(parents=True, exist_ok=True)
+        (out / rel).write_text(rel)
+    (out / "empty").mkdir()
+    cli._write_metadata(out, "test", [], {}, [0], 0.0)
+    outputs = json.loads((out / "run_metadata.json").read_text())["outputs"]
+    assert outputs == ["a-b/x", "a/b/c/deep.json", "a/z.csv", "b.txt"]
+    assert outputs == sorted(str(p.relative_to(out)) for p in out.rglob("*") if p.is_file() and p.name != "run_metadata.json")
+
+
 def test_sweep_outputs(cli_workspace, tmp_path):
     data = cli_workspace / "data"
     out = tmp_path / "sw"
@@ -447,8 +459,12 @@ def test_tokenize_an_empty_split(tmp_path):
         (lambda doc: doc["records"][0].update(label=True), "records[0].label: expected integer"),
         (lambda doc: doc.update(layers=4), "layers: unknown field"),
         (lambda doc: doc["records"][0].update(layers="l.dsqf"), "records[0].layers: expected array"),
+        (
+            lambda doc: doc["records"][1]["layers"].__setitem__(2, 7),
+            "records[1].layers[2]: expected string, got integer",
+        ),
     ],
-    ids=["no_feature_dim", "float_label", "bool_label", "unknown_field", "string_layers"],
+    ids=["no_feature_dim", "float_label", "bool_label", "unknown_field", "string_layers", "int_layer_path"],
 )
 def test_malformed_manifest_exits_3_naming_the_field(cli_workspace, artifacts, tmp_path, capsys, edit, field):
     data = tmp_path / "data"
@@ -688,6 +704,7 @@ def test_tokenize_rejects_a_book_the_index_does_not_name(cli_workspace, tmp_path
 def test_tokenize_writes_the_frames_prepare_items_builds(cli_workspace, tmp_path):
     from disq import persist
     from disq.fusion import resample
+    from disq.model import token_table
     from disq.sweep import prepare_items
 
     data, cb, tok = cli_workspace / "data", tmp_path / "cb", tmp_path / "tok"
@@ -703,10 +720,33 @@ def test_tokenize_writes_the_frames_prepare_items_builds(cli_workspace, tmp_path
     for item in items:
         utt_dir = tok / "tokens" / item.utt_id
         for j, layer in enumerate((1, 3)):
+            written = json.loads((utt_dir / f"layer_{layer:02d}.tokens.json").read_text())["indices"]
+            assert written == item.tokens[j].tolist()
             payload = (utt_dir / f"layer_{layer:02d}.recon.dsqf").read_bytes()[16:]  # after the DSQF header
-            assert payload == item.streams[j].astype("<f4").tobytes()
+            assert payload == layer_books[layer].centroids.astype("<f4")[item.tokens[j]].tobytes()
+            assert item.tables[j].tobytes() == token_table(layer_books[layer].centroids).tobytes()
         osm = read_feature_file(utt_dir / "opensmile.recon.dsqf").frames
-        assert resample(osm, item.streams.shape[1]).tobytes() == item.osm.tobytes()
+        assert resample(osm, item.tokens.shape[1]).tobytes() == item.osm.tobytes()
+
+
+def test_eval_builds_the_tokens_train_built(cli_workspace, tmp_path, monkeypatch):
+    prepared = {}
+
+    def spy(ds, split, *args):
+        prepared.setdefault(split, []).append(items := sweep.prepare_items(ds, split, *args))
+        return items
+
+    monkeypatch.setattr(cli, "prepare_items", spy)
+    data, run_dir = cli_workspace / "data", tmp_path / "tr"
+    assert run(["train", "--dataset", data, "--config", cli_workspace / "train.json", "--out", run_dir]) == 0
+    argv = ["eval", "--checkpoint", run_dir / "checkpoint", "--dataset", data, "--split", "dev", "--out", tmp_path / "ev"]
+    assert run(argv) == 0
+    (trained, held) = prepared["dev"]  # eval's cache holds the checkpoint's books and fits none
+    assert len(trained) == len(held) > 0
+    for a, b in zip(trained, held):
+        assert a.utt_id == b.utt_id and a.tokens.dtype == b.tokens.dtype == np.uint8
+        assert a.tokens.tobytes() == b.tokens.tobytes() and a.osm.tobytes() == b.osm.tobytes()
+        assert [t.tobytes() for t in a.tables] == [t.tobytes() for t in b.tables]
 
 
 def test_eval_and_tokenize_parse_only_the_manifest_of_their_split(

@@ -48,6 +48,8 @@ REJECTED = [
     ("sweep", GRID, {"include_continuous": "false"}, "include_continuous: expected boolean, got string"),
     ("sweep", GRID, {"seeds": 0}, "seeds: expected array, got integer"),
     ("sweep", GRID, {"train": {"beta2": 2.0}}, "train: beta2 must be in [0, 1)"),
+    ("sweep", GRID, {"ks": [8, True]}, "ks[1]: expected integer, got boolean"),
+    ("sweep", GRID, {"layer_sets": ["3", 3]}, "layer_sets[1]: expected string, got integer"),
 ]
 
 

@@ -3,7 +3,7 @@ import hashlib
 import io
 import multiprocessing
 import os
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +12,7 @@ import pytest
 from disq import sweep
 from disq.dataio import SPLITS, generate_synthetic
 from disq.fusion import resolve_layer_set
-from disq.model import predict, train
+from disq.model import PreparedUtterance, _standardized, predict, token_table, train
 from disq.quantize import OPENSMILE_CATEGORIES, assign, quantize_opensmile, reconstruct
 from disq.sweep import (
     CodebookCache,
@@ -135,14 +135,54 @@ def test_cache_keeps_token_indices_not_frames(tiny_dataset):
     cache = CodebookCache()
     for split in SPLITS:
         items = prepare_items(tiny_dataset, split, (1, 3), 8, cache, aug="all")
-        assert all(it.streams.dtype == np.float32 for it in items)
+        tables = [cache.layer_table(tiny_dataset, layer, 8, 0) for layer in (1, 3)]
+        for it in items:
+            assert it.streams is None and it.tokens.dtype == np.uint8
+            assert len(it.tables) == 2 and all(a is b for a, b in zip(it.tables, tables))  # shared, not copied
     entries = list(cache._tokens.values())
     assert len(entries) == 3 * len(SPLITS)  # layers 1 and 3 and the opensmile categories, per split
     for entry in entries:
         for per_utt in entry:
             arrays = list(per_utt.values()) if isinstance(per_utt, dict) else [per_utt]
             for a in arrays:
-                assert isinstance(a, np.ndarray) and a.ndim == 1 and a.dtype.kind == "i"
+                assert isinstance(a, np.ndarray) and a.ndim == 1 and a.dtype == np.uint8
+
+
+@pytest.mark.parametrize("k, dtype", [(8, np.uint8), (256, np.uint8), (300, np.uint16)])
+def test_token_streams_give_the_bits_of_standardizing_their_frames(tiny_dataset, k, dtype):
+    cache = CodebookCache(kmeans_max_iters=3)
+    layers = (0, 3)
+    items = prepare_items(tiny_dataset, "dev", layers, k, cache, aug="prosody")
+    books = [cache.layer_codebook(tiny_dataset, layer, k, 0).centroids for layer in layers]
+    for layer, c, table in zip(layers, books, items[0].tables):
+        assert table.tobytes() == token_table(c).tobytes()
+        assert table.dtype == np.float64 and table.shape == (k, tiny_dataset.feature_dim)
+    for it, utt in zip(items, tiny_dataset.utterances["dev"]):
+        assert it.tokens.dtype == dtype and it.shape == (2, utt.n_frames, tiny_dataset.feature_dim)
+        for row, c, layer in zip(it.tokens, books, layers):
+            assert np.array_equal(row, assign(cache.layer_codebook(tiny_dataset, layer, k, 0), utt.layers[layer]).indices)
+        frames = np.stack([c.astype(np.float32)[row] for c, row in zip(books, it.tokens)])
+        got, want = _standardized(it), _standardized(PreparedUtterance(it.utt_id, frames, it.label, it.osm))
+        for name in ("xhat", "s_hat", "osm"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert got.xhat.flags.c_contiguous
+
+
+def test_no_quantized_item_holds_float_layer_frames(tiny_dataset, tiny_cache):
+    from disq.sweep import prepare_rvq_items
+
+    prepared = [prepare_items(tiny_dataset, "dev", (1, 2), 8, tiny_cache, aug=aug) for aug in ("none", "all")]
+    prepared.append(prepare_rvq_items(tiny_dataset, "dev", layer=3, n_stages=2, k_per_stage=8))
+    for items in prepared:
+        for it in items:
+            assert it.streams is None and it.tokens.dtype.kind == "u"
+            floats = [f.name for f in fields(it) if getattr(getattr(it, f.name), "dtype", np.dtype(int)).kind == "f"]
+            assert floats == ([] if it.osm is None else ["osm"])
+    with pytest.raises(ValueError, match="no layer frames"):
+        PreparedUtterance("u", np.zeros((1, 2, 3)), 0, tokens=np.zeros((1, 2), np.uint8), tables=(np.zeros((2, 3)),))
+    with pytest.raises(ValueError, match="one table per layer"):
+        PreparedUtterance("u", None, 0, tokens=np.zeros((2, 2), np.uint8), tables=(np.zeros((2, 3)),))
 
 
 def test_missing_opensmile_stream_has_no_tokens(tmp_path):
@@ -473,7 +513,7 @@ def test_prepare_items_aug_variants(tiny_dataset, tiny_cache):
     _, layers = resolve_layer_set("2,3", 4)
     items = prepare_items(tiny_dataset, "dev", layers, 8, tiny_cache, aug="prosody")
     assert items[0].osm.shape[1] == 6
-    assert items[0].osm.shape[0] == items[0].streams.shape[1]
+    assert items[0].osm.shape[0] == items[0].tokens.shape[1]
     items_all = prepare_items(tiny_dataset, "dev", layers, 8, tiny_cache, aug="all")
     assert items_all[0].osm.shape[1] == 74
     with pytest.raises(ValueError):
@@ -489,24 +529,28 @@ def test_average_rows_single():
 
 
 def test_prepare_rvq_items_stage_streams(tiny_dataset):
+    from disq.quantize import rvq_fit
     from disq.sweep import prepare_rvq_items
 
     items = prepare_rvq_items(tiny_dataset, "dev", layer=3, n_stages=4, k_per_stage=8)
-    assert items[0].streams.shape[0] == 4
+    assert items[0].tokens.shape[0] == len(items[0].tables) == 4
     utt = tiny_dataset.utterances["dev"][0]
-    assert items[0].streams.shape[1] == utt.n_frames
+    assert items[0].tokens.shape[1] == utt.n_frames
     # later stages add detail: cumulative reconstruction error shrinks
+    train_frames = np.concatenate([u.layers[3].frames for u in tiny_dataset.utterances["train"]])
+    rvq = rvq_fit(train_frames, 4, 8, 0, stream_id="rvq:layer3")
     x = utt.layers[3].frames.astype(np.float64)
     cumulative = np.zeros_like(x)
     errs = []
-    for stage in items[0].streams:
-        cumulative += stage
+    for cb, idx in zip(rvq.stages, items[0].tokens):
+        cumulative += cb.centroids.astype(np.float32)[idx]
         errs.append(float(((x - cumulative) ** 2).sum()))
     assert errs == sorted(errs, reverse=True)
     # a stage subset keeps the requested order
     pair = prepare_rvq_items(tiny_dataset, "dev", layer=3, n_stages=4, k_per_stage=8, stages_used=(0, 2))
-    assert pair[0].streams.shape[0] == 2
-    assert np.array_equal(pair[0].streams[0], items[0].streams[0])
+    assert pair[0].tokens.shape[0] == len(pair[0].tables) == 2
+    assert np.array_equal(pair[0].tokens[0], items[0].tokens[0])
+    assert pair[0].tables[1].tobytes() == items[0].tables[2].tobytes()
     with pytest.raises(ValueError):
         prepare_rvq_items(tiny_dataset, "dev", layer=3, n_stages=2, k_per_stage=8, stages_used=(5,))
 
@@ -530,13 +574,13 @@ def test_batched_rvq_items_equal_per_utterance_encoding(tiny_dataset, split, sta
     rvq = rvq_fit(train_frames, 3, 8, 4, stream_id="rvq:layer2")
     utts = tiny_dataset.utterances[split]
     assert [it.utt_id for it in items] == [u.utt_id for u in utts]
+    tables = [token_table(rvq.stages[s].centroids) for s in stages or range(3)]
     for it, utt in zip(items, utts):
         tokens = rvq_encode(rvq, utt.layers[2])
-        expected = np.stack(
-            [rvq.stages[s].centroids[tokens[s].indices].astype(np.float32) for s in stages or range(3)]
-        )
-        assert it.label == utt.label and it.osm is None
-        assert it.streams.dtype == expected.dtype and np.array_equal(it.streams, expected)
+        expected = np.stack([tokens[s].indices for s in stages or range(3)])
+        assert it.label == utt.label and it.osm is None and it.streams is None
+        assert it.tokens.dtype == np.uint8 and np.array_equal(it.tokens, expected)
+        assert [t.tobytes() for t in it.tables] == [t.tobytes() for t in tables]
 
 
 def test_rvq_items_need_a_stage(tiny_dataset):
