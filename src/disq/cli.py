@@ -380,30 +380,21 @@ def cmd_eval(args, argv) -> int:
         raise ConfigError(f"--split: must be one of {dataio.SPLITS}")
     try:
         params, meta = persist.load_checkpoint(args.checkpoint)
-    except (FileNotFoundError, json.JSONDecodeError, dataio.FeatureFileError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         raise DataError(f"checkpoint {args.checkpoint}: {exc}") from exc
     meta_path = Path(args.checkpoint) / "meta.json"
     _require_fields(meta, meta_path, CHECKPOINT_META_FIELDS)
     if not isinstance(meta["train"], dict) or "seed" not in meta["train"]:
         raise DataError(f"{meta_path}: missing train.seed")
-    # A continuous checkpoint needs no codebooks, and one saved before `train`
-    # kept its codebooks has no codebooks/: eval then fits them as `train` did.
-    # It reads the checkpoint's layers of one split, and of the train split
-    # when it fits; opensmile files only when the checkpoint is augmented.
-    holds = meta["k"] is not None and (Path(args.checkpoint) / "codebooks").is_dir()
-    fits = meta["k"] is not None and not holds
-    ds = _load_dataset(
-        args.dataset, ("train", args.split) if fits else (args.split,), meta["layers"], meta["aug"] != "none"
-    )
+    ds = _load_dataset(args.dataset, (args.split,), meta["layers"], meta["aug"] != "none")
     if meta["train_hash"] != ds.train_hash:
         raise DataError("checkpoint was trained on a different dataset (train manifest hash mismatch)")
 
     cache = CodebookCache()
-    if holds:
-        book_dir = Path(args.checkpoint) / "codebooks"
+    if meta["k"] is not None:  # a quantized checkpoint holds the books `train` fitted, and eval fits none
         _hold_codebooks(
-            cache, ds, persist.load_exact_codebook, book_dir, meta["layers"], meta["k"], meta["codebook_seed"],
-            meta["aug"] != "none",
+            cache, ds, persist.load_exact_codebook, Path(args.checkpoint) / "codebooks", meta["layers"], meta["k"],
+            meta["codebook_seed"], meta["aug"] != "none",
         )
     try:
         items = prepare_items(

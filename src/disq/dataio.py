@@ -3,10 +3,10 @@
 Feature files use a small fixed container ("DSQF"): a 16-byte header
 (magic, format version, reserved word, row and column counts) followed by
 the frame matrix as little-endian float32 in row-major order. Per-layer
-hidden-state sequences, paralinguistic frames, token reconstructions, the
-centroids `disq codebooks` writes and checkpoint parameter tensors travel in
-this format; the codebooks a checkpoint keeps are float64 `.npy` instead
-(see `persist`), since float32 would move their centroids.
+hidden-state sequences, paralinguistic frames, token reconstructions and the
+centroids `disq codebooks` writes travel in this format; a checkpoint keeps
+its parameters and codebooks as float64 `.npy` instead (see `persist`),
+since float32 would move them.
 
 The synthetic generator plants controllable class structure: each layer
 carries a tunable fraction of a seeded per-class mean direction, and the
@@ -189,6 +189,9 @@ class _RecordDoc:
     opensmile: str | None = None
 
 
+MANIFEST_VERSION = 1
+
+
 @dataclass
 class _ManifestDoc:
     """A manifest file's JSON document, read and written through one schema."""
@@ -202,7 +205,7 @@ class _ManifestDoc:
 
 def save_manifest(manifest: DatasetManifest, path) -> None:
     doc = _ManifestDoc(
-        version=1,
+        version=MANIFEST_VERSION,
         split=manifest.split,
         layer_count=manifest.layer_count,
         feature_dim=manifest.feature_dim,
@@ -228,6 +231,8 @@ def load_manifest(path) -> DatasetManifest:
         doc = from_json(_ManifestDoc, json.loads(path.read_text(encoding="utf-8")), doc_name="")
     except ValueError as exc:
         raise ValueError(f"{path.name}: {exc}") from exc
+    if doc.version != MANIFEST_VERSION:
+        raise ValueError(f"{path.name}: version: expected {MANIFEST_VERSION}, got {doc.version}")
     root = path.parent
     base = str(root)  # os.path on strings: a pathlib join per listed file costs more than the stat
     records = []

@@ -1,11 +1,11 @@
 """Codebook and checkpoint files.
 
-Codebooks travel as a DSQF centroid matrix plus a JSON sidecar carrying
-provenance; checkpoints are a directory of one DSQF payload per parameter
-tensor plus JSON metadata. Tensors are stored float32; logical shapes that
-are not 2-D are recorded in the metadata and restored on load. The codebooks
-a checkpoint was trained on are kept exact instead: float64 `.npy` centroids
-next to the same sidecar, so that eval quantizes with the very same books.
+Codebooks from `disq codebooks` travel as a DSQF centroid matrix plus a JSON
+sidecar carrying provenance. A checkpoint is exact instead: `meta.json`
+(with the checkpoint `format`), one float64 `.npy` per parameter tensor at
+its logical shape, and the codebooks it was trained on as float64 `.npy`
+centroids next to the same sidecar, so that eval runs the very model and
+books that `train` kept.
 """
 
 from __future__ import annotations
@@ -84,66 +84,55 @@ def load_codebook(base_path) -> Codebook:
     return _codebook(base, seq.frames.astype(np.float64), sidecar)
 
 
+def _load_float64(path: Path) -> np.ndarray:
+    """Read a finite float64 `.npy` array without pickles; any failure is a ValueError naming `path`."""
+    try:
+        arr = np.load(path, allow_pickle=False)
+    except (OSError, ValueError, EOFError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    if arr.dtype != np.float64:
+        raise ValueError(f"{path}: holds {arr.dtype}, not float64")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{path}: non-finite values")
+    return arr
+
+
 def load_exact_codebook(base_path) -> Codebook:
     """Read a codebook written by `save_exact_codebook`."""
     base = Path(base_path)
     sidecar = _read_sidecar(base)
-    centroids = np.load(base.with_suffix(".npy"), allow_pickle=False)
-    if centroids.dtype != np.float64:
-        raise ValueError(f"{base.with_suffix('.npy')}: centroids are {centroids.dtype}, not float64")
-    if not np.isfinite(centroids).all():
-        raise ValueError(f"{base.with_suffix('.npy')}: non-finite centroids")
-    return _codebook(base, centroids, sidecar)
+    return _codebook(base, _load_float64(base.with_suffix(".npy")), sidecar)
 
 
-def _as_matrix(arr: np.ndarray) -> np.ndarray:
-    if arr.ndim == 0:
-        return arr.reshape(1, 1)
-    if arr.ndim == 1:
-        return arr.reshape(1, -1)
-    if arr.ndim == 2:
-        return arr
-    raise ValueError(f"cannot store tensor of rank {arr.ndim}")
+CHECKPOINT_FORMAT = 2
 
 
 def save_checkpoint(ckpt_dir, params: ModelParams, meta: dict) -> None:
-    """Checkpoint = meta.json + params/<name>.dsqf, one payload per tensor."""
+    """Checkpoint = meta.json (with `format`) + params/<name>.npy, one float64 tensor per file."""
     ckpt_dir = Path(ckpt_dir)
     (ckpt_dir / "params").mkdir(parents=True, exist_ok=True)
-    shapes = {}
-    names = params.param_items() + [("head.class_weights", params.head.class_weights)]
-    for name, arr in names:
-        shapes[name] = list(arr.shape)
-        write_feature_file(
-            FeatureSequence(_as_matrix(arr), stream_id=name), ckpt_dir / "params" / f"{name}.dsqf"
-        )
-    doc = dict(meta)
-    doc["param_shapes"] = shapes
-    (ckpt_dir / "meta.json").write_text(
-        json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    for name, arr in params.param_items() + [("head.class_weights", params.head.class_weights)]:
+        np.save(ckpt_dir / "params" / f"{name}.npy", np.asarray(arr, dtype=np.float64), allow_pickle=False)
+    doc = dict(meta, format=CHECKPOINT_FORMAT)
+    (ckpt_dir / "meta.json").write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def load_checkpoint(ckpt_dir) -> tuple[ModelParams, dict]:
+    """Read a checkpoint written by `save_checkpoint`; any other format is a ValueError naming meta.json."""
     ckpt_dir = Path(ckpt_dir)
-    meta = json.loads((ckpt_dir / "meta.json").read_text(encoding="utf-8"))
-    shapes = meta["param_shapes"]
-
-    def tensor(name: str) -> np.ndarray:
-        seq = read_feature_file(ckpt_dir / "params" / f"{name}.dsqf", stream_id=name)
-        return seq.frames.astype(np.float64).reshape(shapes[name])
-
+    meta_path = ckpt_dir / "meta.json"
+    meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    found = meta.get("format") if isinstance(meta, dict) else None
+    if found != CHECKPOINT_FORMAT:
+        raise ValueError(f"{meta_path}: checkpoint format {found}, not {CHECKPOINT_FORMAT}; retrain it with this disq")
+    params_dir = ckpt_dir / "params"
     # the optional modality branch (the None-default fields) is stored whole
-    # or not at all; FusionParams.augmented keys it on mod_gain_osm
-    augmented = "fusion.mod_gain_osm" in shapes
+    # or not at all: one of its files makes every other one required
+    optional = [f.name for f in fields(FusionParams) if f.default is None]
+    augmented = any((params_dir / f"fusion.{name}.npy").is_file() for name in optional)
 
     def build(cls, prefix: str):
-        return cls(
-            **{
-                f.name: tensor(f"{prefix}.{f.name}")
-                for f in fields(cls)
-                if augmented or f.default is not None
-            }
-        )
+        names = [f.name for f in fields(cls) if augmented or f.default is not None]
+        return cls(**{name: _load_float64(params_dir / f"{prefix}.{name}.npy") for name in names})
 
     return ModelParams(build(FusionParams, "fusion"), build(HeadParams, "head")), meta

@@ -463,8 +463,9 @@ def test_tokenize_an_empty_split(tmp_path):
             lambda doc: doc["records"][1]["layers"].__setitem__(2, 7),
             "records[1].layers[2]: expected string, got integer",
         ),
+        (lambda doc: doc.update(version=2), "version: expected 1, got 2"),
     ],
-    ids=["no_feature_dim", "float_label", "bool_label", "unknown_field", "string_layers", "int_layer_path"],
+    ids=["no_feature_dim", "float_label", "bool_label", "unknown_field", "string_layers", "int_layer_path", "version_2"],
 )
 def test_malformed_manifest_exits_3_naming_the_field(cli_workspace, artifacts, tmp_path, capsys, edit, field):
     data = tmp_path / "data"
@@ -545,21 +546,47 @@ def test_checkpoint_codebooks_are_the_ones_train_fitted(cli_workspace, aug_run, 
     ]
 
 
-def test_eval_fits_no_codebook_and_matches_fitting_them(cli_workspace, aug_run, tmp_path, monkeypatch):
-    data = cli_workspace / "data"
-    fitted = tmp_path / "fitted"
-    shutil.copytree(aug_run, fitted)
-    shutil.rmtree(fitted / "codebooks")  # as a checkpoint saved before train kept its codebooks
-    assert run(["eval", "--checkpoint", fitted, "--dataset", data, "--out", tmp_path / "ev_fit"]) == 0
-
+def test_eval_fits_no_codebook(cli_workspace, aug_run, tmp_path, monkeypatch):
     def no_fit(*args, **kwargs):
         raise AssertionError("eval fitted a codebook")
 
     monkeypatch.setattr("disq.sweep.kmeans_fit", no_fit)
     monkeypatch.setattr("disq.sweep.fit_opensmile_codebooks", no_fit)
-    assert run(["eval", "--checkpoint", aug_run, "--dataset", data, "--out", tmp_path / "ev"]) == 0
-    for name in ("metrics.json", "row.csv"):
-        assert (tmp_path / "ev" / name).read_bytes() == (tmp_path / "ev_fit" / name).read_bytes()
+    assert run(["eval", "--checkpoint", aug_run, "--dataset", cli_workspace / "data", "--out", tmp_path / "ev"]) == 0
+
+
+@pytest.fixture(scope="module")
+def continuous_run(cli_workspace):
+    """A continuous checkpoint (layers 2-3)."""
+    run_dir = cli_workspace / "continuous_run"
+    argv = ["train", "--dataset", cli_workspace / "data", "--layer-set", "2,3", "--continuous", "--epochs", 2]
+    assert run(argv + ["--out", run_dir]) == 0
+    return run_dir / "checkpoint"
+
+
+@pytest.mark.parametrize("which", ["quantized", "augmented", "continuous"])
+def test_eval_on_dev_gives_the_dev_macro_f1_train_recorded(cli_workspace, artifacts, request, tmp_path, which):
+    ckpt = {
+        "quantized": lambda: artifacts / "tr" / "checkpoint",
+        "augmented": lambda: request.getfixturevalue("aug_run"),
+        "continuous": lambda: request.getfixturevalue("continuous_run"),
+    }[which]()
+    argv = ["eval", "--checkpoint", ckpt, "--dataset", cli_workspace / "data", "--split", "dev", "--out", tmp_path / "ev"]
+    assert run(argv) == 0
+    metrics = json.loads((tmp_path / "ev" / "metrics.json").read_text())
+    assert metrics["macro_f1"] == json.loads((ckpt / "meta.json").read_text())["dev_macro_f1"]
+
+
+@pytest.mark.parametrize("fmt", [None, 1])
+def test_checkpoint_of_another_format_exits_3_naming_meta_json(cli_workspace, artifacts, tmp_path, capsys, fmt):
+    damaged = tmp_path / "checkpoint"
+    shutil.copytree(artifacts / "tr" / "checkpoint", damaged)
+    meta = json.loads((damaged / "meta.json").read_text())
+    del meta["format"]
+    (damaged / "meta.json").write_text(json.dumps(meta if fmt is None else dict(meta, format=fmt)))
+    assert run(["eval", "--checkpoint", damaged, "--dataset", cli_workspace / "data", "--out", tmp_path / "ev"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: data:") and f"{damaged / 'meta.json'}: checkpoint format {fmt}, not 2" in err
 
 
 def _edit_sidecar(**changes):
@@ -589,27 +616,36 @@ def _nan_row(centroids):
     return centroids
 
 
+def _empty_npy(base):
+    Path(f"{base}.npy").write_bytes(b"")
+
+
 @pytest.mark.parametrize(
     "stem, edit",
     [
-        pytest.param("layer_02", _edit_sidecar(k=9), id="wrong_k"),
-        pytest.param("layer_02", _edit_sidecar(seed=1), id="wrong_seed"),
-        pytest.param("osm_prosody", _edit_sidecar(stream_id="osm:spectral"), id="wrong_stream_id"),
-        pytest.param("osm_mfcc", _remove_book, id="missing"),  # a book eval needs
-        pytest.param("layer_00", _edit_centroids(_nan_row), id="nan_centroid"),
-        pytest.param("layer_01", _edit_centroids(lambda c: c[:, :-1]), id="narrow_centroids"),
+        pytest.param("codebooks/layer_02", _edit_sidecar(k=9), id="wrong_k"),
+        pytest.param("codebooks/layer_02", _edit_sidecar(seed=1), id="wrong_seed"),
+        pytest.param("codebooks/osm_prosody", _edit_sidecar(stream_id="osm:spectral"), id="wrong_stream_id"),
+        pytest.param("codebooks/osm_mfcc", _remove_book, id="missing"),  # a book eval needs
+        pytest.param("codebooks/layer_00", _edit_centroids(_nan_row), id="nan_centroid"),
+        pytest.param("codebooks/layer_01", _edit_centroids(lambda c: c[:, :-1]), id="narrow_centroids"),
+        pytest.param("codebooks/layer_02", _empty_npy, id="empty_centroids"),
+        pytest.param("params/head.w1", _empty_npy, id="empty_tensor"),
+        # the paralinguistic tensors load all together or not at all
+        pytest.param("params/fusion.mod_gain_osm", lambda base: Path(f"{base}.npy").unlink(), id="modality_gap"),
     ],
 )
 def test_damaged_checkpoint_codebook_exits_3_naming_the_file(cli_workspace, aug_run, tmp_path, capsys, stem, edit):
+    """A damaged or missing book or parameter tensor of the checkpoint."""
     damaged = tmp_path / "checkpoint"
     shutil.copytree(aug_run, damaged)
-    edit(damaged / "codebooks" / stem)
+    edit(damaged / stem)
     assert run(["eval", "--checkpoint", damaged, "--dataset", cli_workspace / "data", "--out", tmp_path / "ev"]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("error: data:") and str(damaged / "codebooks" / stem) in err
+    assert err.startswith("error: data:") and str(damaged / stem) in err
 
 
-def test_eval_and_tokenize_read_only_the_feature_files_they_use(cli_workspace, tmp_path, monkeypatch):
+def test_eval_and_tokenize_read_only_the_feature_files_they_use(cli_workspace, tmp_path, monkeypatch, capsys):
     from disq import dataio
 
     data = cli_workspace / "data"
@@ -668,15 +704,15 @@ def test_eval_and_tokenize_read_only_the_feature_files_they_use(cli_workspace, t
         "test", (1, 3)
     )
 
-    ckpt, fitted = tmp_path / "run" / "checkpoint", tmp_path / "fitted"
-    shutil.copytree(ckpt, fitted)
-    shutil.rmtree(fitted / "codebooks")
+    ckpt, bookless = tmp_path / "run" / "checkpoint", tmp_path / "bookless"
+    shutil.copytree(ckpt, bookless)
+    shutil.rmtree(bookless / "codebooks")
     eval_argv = ["eval", "--dataset", data, "--split", "dev"]
     assert reads(eval_argv + ["--checkpoint", ckpt, "--out", tmp_path / "ev"]) == files("dev", (1, 3))
-    # without saved codebooks eval fits them, from the train split
-    assert reads(eval_argv + ["--checkpoint", fitted, "--out", tmp_path / "ev_fit"]) == files("dev", (1, 3)) | files(
-        "train", (1, 3)
-    )
+    # a quantized checkpoint without its codebooks exits 3 naming the first book it lacks
+    capsys.readouterr()
+    assert run(eval_argv + ["--checkpoint", bookless, "--out", tmp_path / "ev_bookless"]) == 3
+    assert str(bookless / "codebooks" / "layer_01") in capsys.readouterr().err
     none_ckpt = tmp_path / "run_none" / "checkpoint"
     assert reads(eval_argv + ["--checkpoint", none_ckpt, "--out", tmp_path / "ev_none"]) == files(
         "dev", (1, 3), opensmile=False
