@@ -1,13 +1,12 @@
-"""k-means codebooks: training, assignment, reconstruction, elbow sizing.
+"""k-means codebooks: training, assignment, reconstruction.
 
-Shows the distortion-vs-K tradeoff on a mixture with a known mode count and
-the elbow rule recovering that count.
+Shows the distortion-vs-K tradeoff on a mixture with a known mode count.
 """
 
 import numpy as np
 
 from disq.dataio import FeatureSequence
-from disq.quantize import assign, elbow_k, kmeans_fit, reconstruct, reconstruction_mse
+from disq.quantize import assign, kmeans_fit, reconstruct, reconstruction_mse
 
 rng = np.random.default_rng(3)
 
@@ -19,9 +18,6 @@ print("K   final distortion   iterations")
 for k in (4, 8, 16, 32, 64):
     cb = kmeans_fit(x, k, seed=0)
     print(f"{k:<4d}{cb.final_distortion:<18.4f}{cb.iterations_run}")
-
-chosen = elbow_k(x, [4, 8, 16, 32, 64], seed=0)
-print(f"elbow rule picks K = {chosen} (true mode count 16)")
 
 # tokens are centroid indices; reconstruction is centroid lookup
 cb = kmeans_fit(x, 16, seed=0, stream_id="demo")

@@ -39,4 +39,4 @@ print(rows_to_text(result.rows))
 print("prosody augmentation gains (sparser sets benefit more):")
 for gain in augmentation_report(result.rows, ds.layer_count):
     print(f"  {gain.layer_set:<8s} {gain.base_f1:.3f} -> {gain.aug_f1:.3f}  ({gain.gain_pct:+.1f}%)")
-print(f"\ncodebook fits: {result.cache.misses} (each book fitted once and shared by the cells that use it)")
+print(f"\ncodebook fits: {result.cache.misses} (one per layer and one for prosody, each shared by the cells that use it)")

@@ -24,7 +24,6 @@ from .quantize import (
     RvqCodebook,
     TokenSequence,
     assign,
-    elbow_k,
     kmeans_fit,
     quantize_opensmile,
     reconstruct,

@@ -29,6 +29,7 @@ from .quantize import OPENSMILE_CATEGORIES
 from .sweep import (
     CodebookCache,
     SweepGrid,
+    _needs,
     augmentation_report,
     check_augmentation,
     evaluate,
@@ -214,18 +215,17 @@ def cmd_codebooks(args, argv) -> int:
 
     index = {"k": args.k, "seed": args.seed, "layers": list(ds.layers), "opensmile": bool(args.opensmile)}
     cache = CodebookCache()
-    needs = [("layer", layer, args.k, args.seed) for layer in ds.layers]
-    cache.fill(ds, needs + ([("osm", args.seed)] if args.opensmile else []), workers=fit_workers())
+    needs = _needs(ds.layers, args.k, "all" if args.opensmile else "none", args.seed)
+    cache.fill(ds, needs, workers=fit_workers())
     train_utts = ds.utterances["train"]
-    layer_frames = sum(u.n_frames for u in train_utts)
-    osm_frames = sum(u.opensmile.n_frames for u in train_utts if u.opensmile is not None)
+    train_frames = {
+        "layer": sum(u.n_frames for u in train_utts),
+        "osm": sum(u.opensmile.n_frames for u in train_utts if u.opensmile is not None),
+    }
     try:
-        for layer in ds.layers:
-            cb = cache.layer_codebook(ds, layer, args.k, args.seed)
-            persist.save_codebook(cb, out / f"layer_{layer:02d}", extra={"train_frames": layer_frames})
-        if args.opensmile:
-            for name, cb in cache.osm_codebooks(ds, args.seed).items():
-                persist.save_codebook(cb, out / f"osm_{name}", extra={"train_frames": osm_frames})
+        for need in needs:
+            extra = {"train_frames": train_frames[need[0]]}
+            persist.save_codebook(cache.codebook(ds, need), out / _stem(need), extra=extra)
     except ValueError as exc:
         raise DataError(str(exc)) from exc
     (out / "index.json").write_text(json.dumps(index, indent=1, sort_keys=True) + "\n")
@@ -234,35 +234,36 @@ def cmd_codebooks(args, argv) -> int:
     return 0
 
 
-def _hold_codebooks(cache: CodebookCache, ds, load, book_dir: Path, layers, k, seed, opensmile: bool):
-    """Give `cache` the codebooks saved in `book_dir`, each checked against the run and `ds`.
+def _stem(need: tuple) -> str:
+    """The file stem of a need's codebook: layer_XX or osm_<category>."""
+    kind, name = need[:2]
+    return f"layer_{name:02d}" if kind == "layer" else f"osm_{name}"
 
-    `load` is the persist reader of the directory's format. Returns the layer
-    books and the opensmile books (None unless `opensmile`).
+
+def _hold_codebooks(cache: CodebookCache, ds, load, book_dir: Path, needs) -> dict:
+    """Give `cache` the codebook of each need saved in `book_dir`, each checked against the run and `ds`.
+
+    `load` is the persist reader of the directory's format. Returns the books by need.
     """
-
-    def book(stem: str, stream_id: str, k: int, dim: int):
-        base = book_dir / stem
+    dims = {c.name: c.dim for c in OPENSMILE_CATEGORIES.categories}
+    books = {}
+    for need in needs:
+        kind, name, k, seed = need
+        base = book_dir / _stem(need)
         try:
             cb = load(base)
         except (OSError, ValueError, dataio.FeatureFileError) as exc:  # a parse error does not name the file
             raise DataError(str(exc) if str(base) in str(exc) else f"{base}: {exc}") from exc
-        want = {"stream_id": stream_id, "k": k, "seed": seed}
-        got = {name: getattr(cb, name) for name in want}
+        want = {"stream_id": f"{kind}:{name}", "k": k, "seed": seed}
+        got = {field: getattr(cb, field) for field in want}
         if got != want:
             raise DataError(f"{base.with_suffix('.json')}: holds {got}, the run asks for {want}")
+        dim = ds.feature_dim if kind == "layer" else dims[name]
         if cb.dim != dim:
             raise DataError(f"{base}: centroids have {cb.dim} columns, the stream {dim}")
-        return cb
-
-    layer_books = {l: book(f"layer_{l:02d}", f"layer:{l}", k, ds.feature_dim) for l in layers}
-    osm_books = None
-    if opensmile:
-        osm_books = {
-            c.name: book(f"osm_{c.name}", f"osm:{c.name}", c.k, c.dim) for c in OPENSMILE_CATEGORIES.categories
-        }
-    cache.hold(ds, seed, layer_books, osm_books)
-    return layer_books, osm_books
+        books[need] = cb
+    cache.hold(ds, books)
+    return books
 
 
 def cmd_tokenize(args, argv) -> int:
@@ -280,9 +281,8 @@ def cmd_tokenize(args, argv) -> int:
     opensmile = bool(index.get("opensmile"))
     ds = _load_dataset(args.dataset, (args.split,), index["layers"], opensmile)
     cache, seed = CodebookCache(), index["seed"]
-    layer_books, osm_books = _hold_codebooks(
-        cache, ds, persist.load_codebook, book_dir, index["layers"], index["k"], seed, opensmile
-    )
+    needs = _needs(index["layers"], index["k"], "all" if opensmile else "none", seed)
+    books = _hold_codebooks(cache, ds, persist.load_codebook, book_dir, needs)
 
     utts = ds.utterances[args.split]
     for utt in utts:
@@ -293,19 +293,21 @@ def cmd_tokenize(args, argv) -> int:
         (utt_dir / f"{stem}.tokens.json").write_text(json.dumps(tokens, sort_keys=True) + "\n")
         dataio.write_feature_file(FeatureSequence(recon), utt_dir / f"{stem}.recon.dsqf")
 
-    # the recon files hold float32(C)[idx], the frames prepare_items builds
+    # the recon files hold float32(C)[idx], the frames prepare_items builds; a layer's go in
+    # layer_XX files, the categories' side by side in one opensmile file
     try:
-        for layer, cb in layer_books.items():
-            c32 = cb.centroids.astype(np.float32)
-            for utt, idx in zip(utts, cache.layer_tokens(ds, args.split, layer, cb.k, seed)):
-                doc = {"stream_id": cb.stream_id, "k": cb.k, "indices": idx.tolist()}
-                write(utt, f"layer_{layer:02d}", doc, c32[idx])
-        if osm_books is not None:
-            c32 = {name: cb.centroids.astype(np.float32) for name, cb in osm_books.items()}
-            for utt, tokens in zip(utts, cache.osm_tokens(ds, args.split, seed)):
-                if tokens is not None:
-                    doc = {name: {"k": osm_books[name].k, "indices": i.tolist()} for name, i in tokens.items()}
-                    write(utt, "opensmile", doc, np.concatenate([c32[n][i] for n, i in tokens.items()], axis=1))
+        streams = [(n, books[n], books[n].centroids.astype(np.float32), cache.tokens(ds, args.split, n)) for n in needs]
+        for i, utt in enumerate(utts):
+            osm_doc, osm_recon = {}, []
+            for need, cb, c32, tokens in streams:
+                idx = tokens[i]
+                if need[0] == "layer":
+                    write(utt, _stem(need), {"stream_id": cb.stream_id, "k": cb.k, "indices": idx.tolist()}, c32[idx])
+                elif idx is not None:
+                    osm_doc[need[1]] = {"k": cb.k, "indices": idx.tolist()}
+                    osm_recon.append(c32[idx])
+            if osm_recon:
+                write(utt, "opensmile", osm_doc, np.concatenate(osm_recon, axis=1))
     except ValueError as exc:
         raise DataError(str(exc)) from exc
     _write_metadata(out, "tokenize", argv, {"split": args.split, "k": index["k"]}, [seed], started)
@@ -356,13 +358,10 @@ def cmd_train(args, argv) -> int:
     }
     persist.save_checkpoint(out / "checkpoint", result.params, meta)
     if job.k is not None:  # the exact codebooks the streams were made with, for eval
-        books = {f"layer_{l:02d}": cache.layer_codebook(ds, l, job.k, job.codebook_seed) for l in layers}
-        if job.aug != "none":
-            books.update({f"osm_{n}": cb for n, cb in cache.osm_codebooks(ds, job.codebook_seed).items()})
         book_dir = out / "checkpoint" / "codebooks"
         book_dir.mkdir(exist_ok=True)
-        for stem, cb in books.items():
-            persist.save_exact_codebook(cb, book_dir / stem)
+        for need in _needs(layers, job.k, job.aug, job.codebook_seed):
+            persist.save_exact_codebook(cache.codebook(ds, need), book_dir / _stem(need))
     history = [[h.train_loss, h.dev_macro_f1] for h in result.history]
     (out / "history.json").write_text(json.dumps(history) + "\n")
     _write_metadata(out, "train", argv, meta, [job.train.seed], started)
@@ -392,10 +391,8 @@ def cmd_eval(args, argv) -> int:
 
     cache = CodebookCache()
     if meta["k"] is not None:  # a quantized checkpoint holds the books `train` fitted, and eval fits none
-        _hold_codebooks(
-            cache, ds, persist.load_exact_codebook, Path(args.checkpoint) / "codebooks", meta["layers"], meta["k"],
-            meta["codebook_seed"], meta["aug"] != "none",
-        )
+        needs = _needs(meta["layers"], meta["k"], meta["aug"], meta["codebook_seed"])
+        _hold_codebooks(cache, ds, persist.load_exact_codebook, Path(args.checkpoint) / "codebooks", needs)
     try:
         items = prepare_items(
             ds, args.split, tuple(meta["layers"]), meta["k"], cache, meta["codebook_seed"], meta["aug"]

@@ -18,7 +18,7 @@ import numpy as np
 
 from .dataio import FeatureSequence, read_feature_file, write_feature_file
 from .fusion import FusionParams
-from .model import HeadParams, ModelParams
+from .model import HeadParams, ModelParams, init_model_params
 from .quantize import Codebook
 
 
@@ -131,8 +131,29 @@ def load_checkpoint(ckpt_dir) -> tuple[ModelParams, dict]:
     optional = [f.name for f in fields(FusionParams) if f.default is None]
     augmented = any((params_dir / f"fusion.{name}.npy").is_file() for name in optional)
 
+    paths = {
+        f"{prefix}.{f.name}": params_dir / f"{prefix}.{f.name}.npy"
+        for prefix, cls in (("fusion", FusionParams), ("head", HeadParams))
+        for f in fields(cls)
+        if augmented or f.default is not None
+    }
+    arrays = {name: _load_float64(path) for name, path in paths.items()}
+
+    def sizes(name: str, ndim: int) -> tuple[int, ...]:
+        if arrays[name].ndim != ndim:
+            raise ValueError(f"{paths[name]}: {arrays[name].ndim}-D, not {ndim}-D")
+        return arrays[name].shape
+
+    # every tensor's shape follows from n_layers and dim (layer_gain), osm_dim and hidden:
+    # a freshly initialized model of those sizes has it
+    n_layers, dim = sizes("fusion.layer_gain", 2)
+    osm_dim = sizes("fusion.mod_gain_osm", 1)[0] if augmented else None
+    like = init_model_params(np.random.default_rng(0), n_layers, dim, osm_dim, sizes("head.w1", 2)[0])
+    for name, want in like.param_items() + [("head.class_weights", like.head.class_weights)]:
+        if arrays[name].shape != want.shape:
+            raise ValueError(f"{paths[name]}: shape {arrays[name].shape}, the checkpoint's sizes imply {want.shape}")
+
     def build(cls, prefix: str):
-        names = [f.name for f in fields(cls) if augmented or f.default is not None]
-        return cls(**{name: _load_float64(params_dir / f"{prefix}.{name}.npy") for name in names})
+        return cls(**{name.split(".")[1]: arr for name, arr in arrays.items() if name.startswith(f"{prefix}.")})
 
     return ModelParams(build(FusionParams, "fusion"), build(HeadParams, "head")), meta

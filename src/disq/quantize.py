@@ -1,8 +1,8 @@
 """Codebook training and token assignment.
 
 Covers plain per-stream k-means (Lloyd's algorithm with k-means++ seeding),
-multi-stage residual quantization, elbow-based codebook sizing, and the
-category-wise discretization of 74-dim paralinguistic frames.
+multi-stage residual quantization, and the category-wise discretization of
+74-dim paralinguistic frames.
 
 Distortion below always means the mean over frames of the squared Euclidean
 distance to the chosen centroid (sum over feature dims).
@@ -480,37 +480,6 @@ def reconstruction_mse(x: np.ndarray, x_hat: np.ndarray) -> float:
     return float(np.einsum("nd,nd->n", diff, diff).mean())
 
 
-def knee_by_chord(ks, distortions) -> int:
-    """Interior candidate farthest from the chord through the curve endpoints.
-
-    Ties (e.g. an exactly linear curve) resolve to the smallest interior K.
-    """
-    ks = [int(k) for k in ks]
-    ds = [float(d) for d in distortions]
-    if len(ks) != len(ds):
-        raise ValueError("ks and distortions must have equal length")
-    if len(ks) < 3:
-        raise ValueError("need at least 3 candidates for an interior knee")
-    if any(b <= a for a, b in zip(ks, ks[1:])):
-        raise ValueError("candidate Ks must be strictly ascending")
-    ax, ay = ks[0], ds[0]
-    bx, by = ks[-1], ds[-1]
-    dist = [
-        abs((bx - ax) * (ay - ds[i]) - (ax - ks[i]) * (by - ay)) for i in range(1, len(ks) - 1)
-    ]
-    return ks[1 + int(np.argmax(dist))]
-
-
-def elbow_k(x: np.ndarray, candidate_ks, seed: int) -> int:
-    """Fit every candidate K (same seed) and pick the distortion-curve knee."""
-    candidate_ks = [int(k) for k in candidate_ks]
-    n = np.asarray(x).shape[0]
-    if any(k > n for k in candidate_ks):
-        raise ValueError("every candidate K must be <= number of points")
-    ds = [kmeans_fit(x, k, seed).final_distortion for k in candidate_ks]
-    return knee_by_chord(candidate_ks, ds)
-
-
 @dataclass(frozen=True)
 class FeatureCategory:
     name: str
@@ -559,17 +528,6 @@ OPENSMILE_CATEGORIES = CategoryTable(
         FeatureCategory("additional", 3, 16),
     )
 )
-
-
-def fit_opensmile_codebooks(frames: np.ndarray, seed: int, max_iters: int = 100) -> dict[str, Codebook]:
-    """One codebook per category, trained on that category's column block."""
-    frames = np.asarray(frames, dtype=np.float64)
-    if frames.ndim != 2 or frames.shape[1] != OPENSMILE_DIM:
-        raise ValueError(f"expected N x {OPENSMILE_DIM} frames, got shape {frames.shape}")
-    books = {}
-    for cat, cols in OPENSMILE_CATEGORIES.slices():
-        books[cat.name] = kmeans_fit(frames[:, cols], cat.k, seed, max_iters, stream_id=f"osm:{cat.name}")
-    return books
 
 
 def quantize_opensmile(h_os: FeatureSequence, codebooks: dict[str, Codebook]) -> dict[str, TokenSequence]:

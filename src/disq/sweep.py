@@ -26,17 +26,7 @@ from .dataio import N_CLASSES, FeatureSequence, UtteranceRecord
 from .fusion import LAYER_SETS, resolve_layer_set, resample
 from .metrics import confusion_matrix, macro_f1, per_class_f1
 from .model import ModelParams, PreparedUtterance, TrainConfig, predict, token_table, train
-from .quantize import (
-    OPENSMILE_CATEGORIES,
-    Codebook,
-    TokenSequence,
-    assign,
-    fit_opensmile_codebooks,
-    kmeans_fit,
-    quantize_opensmile,
-    rvq_encode,
-    rvq_fit,
-)
+from .quantize import OPENSMILE_CATEGORIES, Codebook, TokenSequence, assign, kmeans_fit, rvq_encode, rvq_fit
 
 AUGMENTATIONS = OPENSMILE_CATEGORIES.names() + ("all",)
 
@@ -130,6 +120,15 @@ def _train_frames(ds: LoadedDataset, layer: int) -> np.ndarray:
     return np.concatenate([u.layers[layer].frames for u in ds.utterances["train"]])
 
 
+def _stream_frames(ds: LoadedDataset, split: str, need: tuple) -> list[np.ndarray | None]:
+    """Per-utterance frames of a need's stream: a layer's, or a category's opensmile columns (None if absent)."""
+    kind, name = need[:2]
+    if kind == "layer":
+        return [u.layers[name].frames for u in ds.utterances[split]]
+    cols = OPENSMILE_CATEGORIES.column_slice(name)
+    return [None if u.opensmile is None else u.opensmile.frames[:, cols] for u in ds.utterances[split]]
+
+
 class _KeyedCache(dict):
     """Write-once values by key plus a count of misses; a failed fit holds its error."""
 
@@ -148,24 +147,30 @@ class _KeyedCache(dict):
 
 
 def _needs(layers, k: int, aug: str, seed: int) -> list[tuple]:
-    """The codebooks a quantized (layers, K, aug) input looks up, as `CodebookCache.fill` needs."""
-    return [("layer", layer, k, seed) for layer in layers] + ([("osm", seed)] if aug != "none" else [])
+    """The codebooks a quantized (layers, K, aug) input looks up, as (kind, name, K, seed) needs.
+
+    One per layer, then one per paralinguistic category `aug` uses, in table order.
+    """
+    osm = [("osm", c.name, c.k, seed) for c in OPENSMILE_CATEGORIES.categories if aug in ("all", c.name)]
+    return [("layer", layer, k, seed) for layer in layers] + osm
 
 
-def _book_key(ds: LoadedDataset, need: tuple) -> tuple:  # the need with the train-split hash after its stream
+def _book_key(ds: LoadedDataset, need: tuple) -> tuple:  # the need with the train-split hash after its kind
     return (need[0], ds.train_hash, *need[1:])
 
 
 class CodebookCache:
     """Caches trained codebooks, their standardized tables and each split's tokens for one dataset.
 
-    A split is encoded once per codebook: its token entry holds one 1-D
-    index array per utterance (the paralinguistic entry one per category),
-    in the smallest unsigned dtype that holds K - 1. A layer book's
-    `token_table` is derived once, under the book's key, and `prepare_items`
-    hands it to the model with the tokens. Keys include the train-split
-    hash so a cache can never serve a different dataset by accident.
-    `misses` counts actual codebook fits, wherever they ran (see `fill`).
+    Every book is a need (kind, name, K, seed): ("layer", 3, 256, 0) is a
+    layer's book, ("osm", "prosody", 32, 0) a paralinguistic category's. A
+    split is encoded once per book: its token entry holds one 1-D index
+    array per utterance (None where an utterance lacks the stream), in the
+    smallest unsigned dtype that holds K - 1. A book's `token_table` is
+    derived at its first lookup, fitted or held. Keys include the
+    train-split hash so a cache can never serve a different dataset by
+    accident. `misses` counts actual codebook fits, wherever they ran (see
+    `fill`).
     """
 
     def __init__(self, kmeans_max_iters: int = 100):
@@ -178,37 +183,28 @@ class CodebookCache:
     def misses(self) -> int:
         return self._books.misses
 
-    def hold(
-        self,
-        ds: LoadedDataset,
-        seed: int,
-        layer_books: dict[int, Codebook],
-        osm_books: dict[str, Codebook] | None,
-    ) -> None:
-        """Serve codebooks fitted earlier (a checkpoint's) as if fitted here.
+    def hold(self, ds: LoadedDataset, books: dict[tuple, Codebook]) -> None:
+        """Serve codebooks fitted earlier (a checkpoint's), by need, as if fitted here.
 
         Each is stored under the key its fit would have had, so lookups for
         it (and for its table) return it; holding a codebook counts no fit.
         """
-        for layer, cb in layer_books.items():
-            self._books[_book_key(ds, ("layer", layer, cb.k, seed))] = cb
-        if osm_books is not None:
-            self._books[_book_key(ds, ("osm", seed))] = osm_books
+        for need, cb in books.items():
+            self._books[_book_key(ds, need)] = cb
 
     def fill(self, ds: LoadedDataset, needs, splits=(), workers: int = 1) -> None:
-        """Fit each ("layer", layer, K, seed) or ("osm", seed) book the cache lacks, and encode `splits`.
+        """Fit each needed book the cache lacks, and encode `splits` with it.
 
         Each need fills a cache of its own over `_map_phase`, merged back in
         order, so books, tokens and `misses` do not depend on `workers`.
         """
 
         def fit(need):
-            part, (stream, *key) = CodebookCache(self.max_iters), need
-            layer = stream == "layer"
+            part = CodebookCache(self.max_iters)
             with contextlib.suppress(Exception):  # a failed fit stays in `part`, raised at every lookup
-                (part.layer_table if layer else part.osm_codebooks)(ds, *key)
+                part.codebook(ds, need)
                 for split in splits:
-                    (part.layer_tokens if layer else part.osm_tokens)(ds, split, *key)
+                    part.tokens(ds, split, need)
             return part
 
         missing = [need for need in dict.fromkeys(needs) if _book_key(ds, need) not in self._books]
@@ -216,52 +212,42 @@ class CodebookCache:
             for mine, theirs in ((self._books, part._books), (self._tokens, part._tokens)):
                 mine.update(theirs)
                 mine.misses += theirs.misses
-            self._tables.update(part._tables)
 
-    def layer_codebook(self, ds: LoadedDataset, layer: int, k: int, seed: int) -> Codebook:
-        return self._books.get_or_fit(
-            _book_key(ds, ("layer", layer, k, seed)),
-            lambda: kmeans_fit(_train_frames(ds, layer), k, seed, self.max_iters, stream_id=f"layer:{layer}"),
-        )
+    def codebook(self, ds: LoadedDataset, need: tuple) -> Codebook:
+        """The book of one need, fitted on the train split's frames of its stream at first lookup."""
+        kind, name, k, seed = need
 
-    def layer_table(self, ds: LoadedDataset, layer: int, k: int, seed: int) -> np.ndarray:
-        """The (K, dim) `token_table` of a layer codebook, fitted or held."""
-        key = _book_key(ds, ("layer", layer, k, seed))
-        if key not in self._tables:
-            self._tables[key] = token_table(self.layer_codebook(ds, layer, k, seed).centroids)
-        return self._tables[key]
-
-    def osm_codebooks(self, ds: LoadedDataset, seed: int) -> dict[str, Codebook]:
         def fit():
-            frames = [u.opensmile.frames for u in ds.utterances["train"] if u.opensmile is not None]
+            frames = [f for f in _stream_frames(ds, "train", need) if f is not None]
             if not frames:
                 raise ValueError("no opensmile streams in the train split")
-            return fit_opensmile_codebooks(np.concatenate(frames), seed, self.max_iters)
+            return kmeans_fit(np.concatenate(frames), k, seed, self.max_iters, stream_id=f"{kind}:{name}")
 
-        return self._books.get_or_fit(_book_key(ds, ("osm", seed)), fit)
+        return self._books.get_or_fit(_book_key(ds, need), fit)
 
-    def layer_tokens(self, ds: LoadedDataset, split: str, layer: int, k: int, seed: int) -> list[np.ndarray]:
-        """Per-utterance token indices of one (layer, K) stream."""
+    def table(self, ds: LoadedDataset, need: tuple) -> np.ndarray:
+        """The (K, dim) `token_table` of a book, fitted or held."""
+        key = _book_key(ds, need)
+        if key not in self._tables:
+            self._tables[key] = token_table(self.codebook(ds, need).centroids)
+        return self._tables[key]
 
-        def build():
-            cb = self.layer_codebook(ds, layer, k, seed)
-            frames = [u.layers[layer].frames for u in ds.utterances[split]]
-            return per_part(lambda h: _indices(assign(cb, h)), frames)
-
-        return self._tokens.get_or_fit(("layer", ds.train_hash, split, layer, k, seed), build)
-
-    def osm_tokens(self, ds: LoadedDataset, split: str, seed: int) -> list[dict[str, np.ndarray] | None]:
-        """Per-utterance token indices of each opensmile category; None where a stream is missing."""
+    def tokens(self, ds: LoadedDataset, split: str, need: tuple) -> list[np.ndarray | None]:
+        """Per-utterance token indices of one book's stream; None where an utterance lacks it."""
 
         def build():
-            books = self.osm_codebooks(ds, seed)
-            utts = ds.utterances[split]
-            frames = [u.opensmile.frames for u in utts if u.opensmile is not None]
-            rows = iter(per_part(lambda h: tuple(map(_indices, quantize_opensmile(h, books).values())), frames))
-            names = OPENSMILE_CATEGORIES.names()
-            return [None if u.opensmile is None else dict(zip(names, next(rows))) for u in utts]
+            cb = self.codebook(ds, need)
+            parts = _stream_frames(ds, split, need)
+            rows = iter(per_part(lambda h: _indices(assign(cb, h)), [p for p in parts if p is not None]))
+            return [None if p is None else next(rows) for p in parts]
 
-        return self._tokens.get_or_fit(("osm", ds.train_hash, split, seed), build)
+        return self._tokens.get_or_fit((*_book_key(ds, need), split), build)
+
+    def layer_codebook(self, ds: LoadedDataset, layer: int, k: int, seed: int) -> Codebook:
+        return self.codebook(ds, ("layer", layer, k, seed))
+
+    def osm_codebooks(self, ds: LoadedDataset, seed: int) -> dict[str, Codebook]:
+        return {c.name: self.codebook(ds, ("osm", c.name, c.k, seed)) for c in OPENSMILE_CATEGORIES.categories}
 
 
 def _indices(tokens: TokenSequence) -> np.ndarray:
@@ -332,21 +318,25 @@ def prepare_items(
     k=None bypasses quantization entirely (continuous features, and a raw
     paralinguistic block if augmentation is on). A quantized item holds its
     layer tokens and the cache's tables of their codebooks, no frames. The
-    paralinguistic frames, float32(C)[idx] for a quantized item, are
-    aligned to each utterance's frame count here, once, since they are
-    frozen during training.
+    paralinguistic frames of the categories `aug` uses, float32(C)[idx] of
+    each category's book side by side for a quantized item, are aligned to
+    each utterance's frame count here, once, since they are frozen during
+    training.
     """
     check_augmentation(aug)
     if k is not None and cache is None:
         raise ValueError("quantized preparation needs a CodebookCache")
     utts = ds.utterances[split]
     if k is not None:
-        cache.fill(ds, _needs(layers, k, aug, codebook_seed), tuple(ds.utterances), fit_workers())
-        tables = tuple(cache.layer_table(ds, l, k, codebook_seed) for l in layers)
-        tokens = [cache.layer_tokens(ds, split, l, k, codebook_seed) for l in layers]
-        if aug != "none":  # float32(C)[idx] has the bits of float32(C[idx])
-            osm_books = {n: cb.centroids.astype(np.float32) for n, cb in cache.osm_codebooks(ds, codebook_seed).items()}
-            osm_tokens = cache.osm_tokens(ds, split, codebook_seed)
+        needs = _needs(layers, k, aug, codebook_seed)
+        cache.fill(ds, needs, tuple(ds.utterances), fit_workers())
+        layer_needs, osm_needs = needs[: len(layers)], needs[len(layers) :]
+        tables = tuple(cache.table(ds, need) for need in layer_needs)
+        tokens = [cache.tokens(ds, split, need) for need in layer_needs]
+        # float32(C)[idx] has the bits of float32(C[idx])
+        osm_books = [
+            (cache.codebook(ds, need).centroids.astype(np.float32), cache.tokens(ds, split, need)) for need in osm_needs
+        ]
 
     items = []
     for i, utt in enumerate(utts):
@@ -359,13 +349,13 @@ def prepare_items(
         if aug != "none":
             if utt.opensmile is None:
                 raise ValueError(f"{utt.utt_id}: augmentation requested but no opensmile stream")
-            if k is None:
-                osm74 = utt.opensmile.frames
+            if k is not None:
+                block = np.concatenate([c32[idx[i]] for c32, idx in osm_books], axis=1)
+            elif aug == "all":
+                block = utt.opensmile.frames
             else:
-                osm74 = np.concatenate([osm_books[n][idx] for n, idx in osm_tokens[i].items()], axis=1)
-            if aug != "all":
-                osm74 = osm74[:, OPENSMILE_CATEGORIES.column_slice(aug)]
-            item.osm = resample(osm74, item.shape[1])
+                block = utt.opensmile.frames[:, OPENSMILE_CATEGORIES.column_slice(aug)]
+            item.osm = resample(block, item.shape[1])
         items.append(item)
     return items
 

@@ -529,7 +529,7 @@ def aug_run(cli_workspace):
 def test_checkpoint_codebooks_are_the_ones_train_fitted(cli_workspace, aug_run, artifacts):
     ds, cache = load_dataset(cli_workspace / "data"), CodebookCache()
     expected = {f"layer_{l:02d}": cache.layer_codebook(ds, l, 8, 0) for l in range(4)}
-    expected.update({f"osm_{n}": cb for n, cb in cache.osm_codebooks(ds, 0).items()})
+    expected["osm_prosody"] = cache.osm_codebooks(ds, 0)["prosody"]  # only the category its aug uses
     book_dir = aug_run / "codebooks"
     assert sorted(p.name for p in book_dir.iterdir()) == sorted(
         f"{stem}{suffix}" for stem in expected for suffix in (".json", ".npy")
@@ -551,7 +551,6 @@ def test_eval_fits_no_codebook(cli_workspace, aug_run, tmp_path, monkeypatch):
         raise AssertionError("eval fitted a codebook")
 
     monkeypatch.setattr("disq.sweep.kmeans_fit", no_fit)
-    monkeypatch.setattr("disq.sweep.fit_opensmile_codebooks", no_fit)
     assert run(["eval", "--checkpoint", aug_run, "--dataset", cli_workspace / "data", "--out", tmp_path / "ev"]) == 0
 
 
@@ -620,19 +619,30 @@ def _empty_npy(base):
     Path(f"{base}.npy").write_bytes(b"")
 
 
+def _edit_tensor(change):  # a parameter tensor's name has a dot, so with_suffix would cut it
+    def edit(base):
+        path = Path(f"{base}.npy")
+        np.save(path, change(np.load(path, allow_pickle=False)), allow_pickle=False)
+
+    return edit
+
+
 @pytest.mark.parametrize(
     "stem, edit",
     [
         pytest.param("codebooks/layer_02", _edit_sidecar(k=9), id="wrong_k"),
         pytest.param("codebooks/layer_02", _edit_sidecar(seed=1), id="wrong_seed"),
         pytest.param("codebooks/osm_prosody", _edit_sidecar(stream_id="osm:spectral"), id="wrong_stream_id"),
-        pytest.param("codebooks/osm_mfcc", _remove_book, id="missing"),  # a book eval needs
+        pytest.param("codebooks/osm_prosody", _remove_book, id="missing"),  # a book eval needs
         pytest.param("codebooks/layer_00", _edit_centroids(_nan_row), id="nan_centroid"),
         pytest.param("codebooks/layer_01", _edit_centroids(lambda c: c[:, :-1]), id="narrow_centroids"),
         pytest.param("codebooks/layer_02", _empty_npy, id="empty_centroids"),
         pytest.param("params/head.w1", _empty_npy, id="empty_tensor"),
         # the paralinguistic tensors load all together or not at all
         pytest.param("params/fusion.mod_gain_osm", lambda base: Path(f"{base}.npy").unlink(), id="modality_gap"),
+        # each tensor's shape follows from the sizes the checkpoint implies
+        pytest.param("params/head.w1", _edit_tensor(lambda w: w[:, :-1]), id="narrow_tensor"),
+        pytest.param("params/fusion.attn_w", _edit_tensor(lambda w: w[:1]), id="short_tensor"),
     ],
 )
 def test_damaged_checkpoint_codebook_exits_3_naming_the_file(cli_workspace, aug_run, tmp_path, capsys, stem, edit):
@@ -749,8 +759,10 @@ def test_tokenize_writes_the_frames_prepare_items_builds(cli_workspace, tmp_path
 
     ds, cache = load_dataset(data, ("dev",), (1, 3)), CodebookCache()
     layer_books = {layer: persist.load_codebook(cb / f"layer_{layer:02d}") for layer in (1, 3)}
-    osm_books = {c.name: persist.load_codebook(cb / f"osm_{c.name}") for c in OPENSMILE_CATEGORIES.categories}
-    cache.hold(ds, 0, layer_books, osm_books)
+    books = {("layer", layer, 8, 0): book for layer, book in layer_books.items()}
+    for c in OPENSMILE_CATEGORIES.categories:
+        books["osm", c.name, c.k, 0] = persist.load_codebook(cb / f"osm_{c.name}")
+    cache.hold(ds, books)
     items = prepare_items(ds, "dev", (1, 3), 8, cache, 0, "all")
     assert items
     for item in items:

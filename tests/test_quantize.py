@@ -15,10 +15,7 @@ from disq.quantize import (
     _lloyd_update,
     _rescore,
     assign,
-    elbow_k,
-    fit_opensmile_codebooks,
     kmeans_fit,
-    knee_by_chord,
     nearest_centroids,
     quantize_opensmile,
     reconstruct,
@@ -583,37 +580,6 @@ def test_rvq_energy_matches_decode_mse():
         assert mse == pytest.approx(rvq.residual_energies[s - 1], rel=1e-12)
 
 
-# --- elbow selection -------------------------------------------------------------
-
-
-def test_knee_sharp_curve():
-    assert knee_by_chord([16, 32, 64, 128], [100.0, 20.0, 18.0, 17.0]) == 32
-
-
-def test_knee_linear_curve_picks_smallest_interior():
-    # exactly representable points on a line: all interior distances are 0
-    assert knee_by_chord([10, 20, 30, 40], [40.0, 30.0, 20.0, 10.0]) == 20
-
-
-def test_knee_needs_three_candidates():
-    with pytest.raises(ValueError):
-        knee_by_chord([8, 16], [5.0, 4.0])
-    with pytest.raises(ValueError):
-        knee_by_chord([8, 8, 16], [5.0, 4.0, 3.0])
-
-
-def test_elbow_recovers_true_mode_count():
-    rng = np.random.default_rng(41)
-    modes = 10.0 * np.random.default_rng(7).standard_normal((32, 8))
-    x = modes[rng.integers(32, size=1280)] + 0.2 * rng.standard_normal((1280, 8))
-    assert elbow_k(x, [8, 16, 32, 64, 128], seed=0) == 32
-
-
-def test_elbow_candidates_must_fit():
-    with pytest.raises(ValueError):
-        elbow_k(np.zeros((10, 2)), [2, 4, 16], seed=0)
-
-
 # --- paralinguistic categories ----------------------------------------------------
 
 
@@ -652,7 +618,11 @@ def test_category_table_dim_validation():
 def osm_books():
     rng = np.random.default_rng(43)
     frames = rng.standard_normal((300, 74))
-    return frames, fit_opensmile_codebooks(frames, seed=0)
+    books = {
+        c.name: kmeans_fit(frames[:, cols], c.k, seed=0, stream_id=f"osm:{c.name}")
+        for c, cols in OPENSMILE_CATEGORIES.slices()
+    }
+    return frames, books
 
 
 def test_quantize_opensmile_roundtrip_mse(osm_books):

@@ -11,7 +11,7 @@ import pytest
 
 from disq import sweep
 from disq.dataio import SPLITS, generate_synthetic
-from disq.fusion import resolve_layer_set
+from disq.fusion import resample, resolve_layer_set
 from disq.model import PreparedUtterance, _standardized, predict, token_table, train
 from disq.quantize import OPENSMILE_CATEGORIES, assign, quantize_opensmile, reconstruct
 from disq.sweep import (
@@ -35,6 +35,8 @@ from disq.sweep import (
 )
 
 from conftest import tiny_spec, tiny_train_config
+
+OSM_NEEDS = [("osm", c.name, c.k, 0) for c in OPENSMILE_CATEGORIES.categories]  # every category's book, seed 0
 
 
 def _dir_digest(root) -> dict:
@@ -99,8 +101,8 @@ def test_batched_recon_equals_per_utterance_recon(tiny_dataset):
         utts = tiny_dataset.utterances[split]
         assert len({u.n_frames for u in utts}) > 1  # unequal lengths: the cut points matter
         for layer in (0, 3):
-            cb = cache.layer_codebook(tiny_dataset, layer, 8, 0)
-            got = cache.layer_tokens(tiny_dataset, split, layer, 8, 0)
+            cb = cache.codebook(tiny_dataset, ("layer", layer, 8, 0))
+            got = cache.tokens(tiny_dataset, split, ("layer", layer, 8, 0))
             assert len(got) == len(utts)
             for g, u in zip(got, utts):
                 tokens = assign(cb, u.layers[layer])
@@ -108,9 +110,10 @@ def test_batched_recon_equals_per_utterance_recon(tiny_dataset):
                 want = reconstruct(cb, tokens).frames.astype(np.float32)
                 assert cb.centroids.astype(np.float32)[g].tobytes() == want.tobytes()
         books = cache.osm_codebooks(tiny_dataset, 0)
-        got = cache.osm_tokens(tiny_dataset, split, 0)
-        assert len(got) == len(utts)
-        for g, u in zip(got, utts):
+        got = {need[1]: cache.tokens(tiny_dataset, split, need) for need in OSM_NEEDS}
+        assert all(len(t) == len(utts) for t in got.values())
+        for i, u in enumerate(utts):
+            g = {name: t[i] for name, t in got.items()}
             tokens = quantize_opensmile(u.opensmile, books)
             assert list(g) == list(tokens) == list(OPENSMILE_CATEGORIES.names())
             assert all(np.array_equal(g[name], tokens[name].indices) for name in g)
@@ -127,25 +130,50 @@ def test_osm_tokens_reconstruct_no_frames(tiny_dataset, monkeypatch):
     calls = []
     real = quantize.reconstruct
     monkeypatch.setattr(quantize, "reconstruct", lambda *a, **kw: calls.append(a) or real(*a, **kw))
-    tokens = cache.osm_tokens(tiny_dataset, "dev", 0)
-    assert len(tokens) == len(tiny_dataset.utterances["dev"]) and calls == []
+    tokens = [cache.tokens(tiny_dataset, "dev", need) for need in OSM_NEEDS]
+    assert all(len(t) == len(tiny_dataset.utterances["dev"]) for t in tokens) and calls == []
+
+
+def test_an_augmented_cell_fits_only_the_categories_it_uses(tiny_dataset, monkeypatch):
+    from disq import quantize
+
+    fitted = []
+    real = quantize.kmeans_fit
+
+    def spy(x, k, *args, **kwargs):
+        fitted.append(kwargs.get("stream_id"))
+        return real(x, k, *args, **kwargs)
+
+    for module in (quantize, sweep):
+        monkeypatch.setattr(module, "kmeans_fit", spy)
+    monkeypatch.setattr(sweep, "fit_workers", lambda: 1)  # fit in this process, where the spy records
+    cache = CodebookCache()
+    prepare_items(tiny_dataset, "dev", (1, 3), 8, cache, aug="prosody")
+    assert sorted(fitted) == ["layer:1", "layer:3", "osm:prosody"] and cache.misses == 3
+
+    # the "all" block is each category's float32(C)[idx], side by side in table order, resampled
+    items = prepare_items(tiny_dataset, "dev", (1, 3), 8, cache, aug="all")
+    books = cache.osm_codebooks(tiny_dataset, 0)
+    assert cache.misses == 9
+    for it, utt in zip(items, tiny_dataset.utterances["dev"]):
+        tokens = quantize_opensmile(utt.opensmile, books)
+        block = np.concatenate([books[n].centroids.astype(np.float32)[t.indices] for n, t in tokens.items()], axis=1)
+        assert block.shape[1] == 74 and it.osm.tobytes() == resample(block, it.shape[1]).tobytes()
 
 
 def test_cache_keeps_token_indices_not_frames(tiny_dataset):
     cache = CodebookCache()
     for split in SPLITS:
         items = prepare_items(tiny_dataset, split, (1, 3), 8, cache, aug="all")
-        tables = [cache.layer_table(tiny_dataset, layer, 8, 0) for layer in (1, 3)]
+        tables = [cache.table(tiny_dataset, ("layer", layer, 8, 0)) for layer in (1, 3)]
         for it in items:
             assert it.streams is None and it.tokens.dtype == np.uint8
             assert len(it.tables) == 2 and all(a is b for a, b in zip(it.tables, tables))  # shared, not copied
     entries = list(cache._tokens.values())
-    assert len(entries) == 3 * len(SPLITS)  # layers 1 and 3 and the opensmile categories, per split
+    assert len(entries) == 9 * len(SPLITS)  # layers 1 and 3 and the 7 opensmile categories, per split
     for entry in entries:
-        for per_utt in entry:
-            arrays = list(per_utt.values()) if isinstance(per_utt, dict) else [per_utt]
-            for a in arrays:
-                assert isinstance(a, np.ndarray) and a.ndim == 1 and a.dtype == np.uint8
+        for a in entry:
+            assert isinstance(a, np.ndarray) and a.ndim == 1 and a.dtype == np.uint8
 
 
 @pytest.mark.parametrize("k, dtype", [(8, np.uint8), (256, np.uint8), (300, np.uint16)])
@@ -191,7 +219,7 @@ def test_missing_opensmile_stream_has_no_tokens(tmp_path):
     first = ds.utterances["train"][0]
     ds.utterances["train"][0] = replace(first, opensmile=None)
     cache = CodebookCache()
-    tokens = cache.osm_tokens(ds, "train", 0)
+    tokens = cache.tokens(ds, "train", OSM_NEEDS[0])
     assert tokens[0] is None and all(t is not None for t in tokens[1:])
     with pytest.raises(ValueError, match=f"{first.utt_id}: augmentation requested but no opensmile stream"):
         prepare_items(ds, "train", (3,), 4, cache, aug="prosody")
@@ -290,7 +318,7 @@ def test_sweep_workers_match_serial(tiny_dataset):
 
 def test_fill_is_the_same_for_any_worker_count(tiny_dataset):
     ds = tiny_dataset
-    needs = [("layer", 0, 8, 0), ("layer", 3, 8, 0), ("layer", 3, 10**6, 0), ("osm", 0), ("layer", 0, 8, 0)]
+    needs = [("layer", 0, 8, 0), ("layer", 3, 8, 0), ("layer", 3, 10**6, 0), *OSM_NEEDS, ("layer", 0, 8, 0)]
 
     def outputs(workers):
         cache = CodebookCache()
@@ -299,14 +327,13 @@ def test_fill_is_the_same_for_any_worker_count(tiny_dataset):
         misses = cache.misses
         books = [cache.layer_codebook(ds, layer, 8, 0).centroids.tobytes() for layer in (0, 3)]
         books += [cb.centroids.tobytes() for cb in cache.osm_codebooks(ds, 0).values()]
-        tokens = [np.concatenate(cache.layer_tokens(ds, s, layer, 8, 0)).tobytes() for s in SPLITS for layer in (0, 3)]
-        tokens += [b"".join(i.tobytes() for d in cache.osm_tokens(ds, s, 0) for i in d.values()) for s in SPLITS]
+        tokens = [np.concatenate(cache.tokens(ds, s, need)).tobytes() for s in SPLITS for need in needs[:2] + OSM_NEEDS]
         # the K = 10**6 fit raised (K exceeds the train frame count): only what needs that book fails
         assert len(prepare_items(ds, "dev", (0, 3), 8, cache, aug="prosody")) == len(ds.utterances["dev"])
         errors = []
         for lookup in (
             lambda: cache.layer_codebook(ds, 3, 10**6, 0),
-            lambda: cache.layer_tokens(ds, "test", 3, 10**6, 0),
+            lambda: cache.tokens(ds, "test", ("layer", 3, 10**6, 0)),
             lambda: prepare_items(ds, "train", (3,), 10**6, cache),
         ):
             with pytest.raises(ValueError) as err:
@@ -316,7 +343,7 @@ def test_fill_is_the_same_for_any_worker_count(tiny_dataset):
         return books, tokens, misses, errors
 
     serial = outputs(1)
-    assert serial[2] == 4 and len(set(serial[3])) == 1
+    assert serial[2] == 10 and len(set(serial[3])) == 1  # 3 layer books and 7 category books
     for workers in (2, 3):
         assert outputs(workers) == serial
 
