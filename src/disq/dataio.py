@@ -8,6 +8,10 @@ centroids `disq codebooks` writes travel in this format; a checkpoint keeps
 its parameters and codebooks as float64 `.npy` instead (see `persist`),
 since float32 would move them.
 
+A loaded utterance holds its layer frames once: `load_utterance` reads the
+wanted layer files into one read-only float32 block, and every consumer
+(codebook fits, continuous model inputs) reads views of it.
+
 The synthetic generator plants controllable class structure: each layer
 carries a tunable fraction of a seeded per-class mean direction, and the
 paralinguistic stream carries class signal only in its prosody block. That
@@ -128,19 +132,26 @@ def read_feature_file(path, stream_id: str | None = None) -> FeatureSequence:
 
 @dataclass
 class UtteranceRecord:
-    """All streams of one utterance: layer features, optional opensmile, label."""
+    """All streams of one utterance: its loaded layers' frames, optional opensmile, label.
+
+    The frames of the loaded layers `layer_ids` are held once, as one
+    read-only float32 `block` of shape (len(layer_ids), T, dim); each
+    `layers[l].frames` is a view of its row of the block. Nothing writes
+    into loaded frames, so a forked worker that reads them copies no page.
+    """
 
     utt_id: str
-    layers: dict[int, FeatureSequence]
+    block: np.ndarray
+    layer_ids: tuple[int, ...]
     opensmile: FeatureSequence | None
     label: int
+    layers: dict[int, FeatureSequence] = dataclasses.field(init=False, repr=False)
 
     def __post_init__(self):
-        if not self.layers:
-            raise ValueError(f"{self.utt_id}: no layer streams")
-        shapes = {seq.frames.shape for seq in self.layers.values()}
-        if len(shapes) != 1:
-            raise ValueError(f"{self.utt_id}: inconsistent layer shapes {sorted(shapes)}")
+        if self.block.ndim != 3 or not self.layer_ids or len(self.layer_ids) != len(self.block):
+            raise ValueError(f"{self.utt_id}: block {self.block.shape} does not hold layers {self.layer_ids}")
+        self.block.flags.writeable = False  # before the views, which inherit the flag
+        self.layers = {l: FeatureSequence(self.block[i], stream_id=f"layer:{l}") for i, l in enumerate(self.layer_ids)}
         if self.opensmile is not None and self.opensmile.dim != OPENSMILE_DIM:
             raise ValueError(
                 f"{self.utt_id}: opensmile dim {self.opensmile.dim} != {OPENSMILE_DIM}"
@@ -150,7 +161,23 @@ class UtteranceRecord:
 
     @property
     def n_frames(self) -> int:
-        return next(iter(self.layers.values())).n_frames
+        return self.block.shape[1]
+
+    def stack(self, layers) -> np.ndarray:
+        """The read-only (len(layers), T, dim) frames of `layers`, copying only when it must.
+
+        A basic-slice view of the block when the layers' rows in it are
+        evenly spaced and increasing (the loaded layers in load order view
+        the whole block), one gather otherwise.
+        """
+        row = {l: i for i, l in enumerate(self.layer_ids)}
+        rows = [row[l] for l in layers]
+        step = rows[1] - rows[0] if len(rows) > 1 else 1
+        if step > 0 and rows == list(range(rows[0], rows[-1] + 1, step)):
+            return self.block[rows[0] : rows[-1] + 1 : step]
+        out = self.block[rows]
+        out.flags.writeable = False
+        return out
 
 
 @dataclass
@@ -259,18 +286,34 @@ def load_manifest(path) -> DatasetManifest:
 def load_utterance(
     manifest: DatasetManifest, record: ManifestRecord, layers=None, opensmile: bool = True
 ) -> UtteranceRecord:
-    """Read one utterance's `layers` (default: every layer) and, if `opensmile`, its opensmile stream."""
-    wanted = range(len(record.layer_paths)) if layers is None else layers
-    streams = {}
-    for idx in wanted:
-        seq = read_feature_file(manifest.root / record.layer_paths[idx], stream_id=f"layer:{idx}")
-        if seq.dim != manifest.feature_dim:
-            raise ValueError(f"{record.utt_id} layer {idx}: dim {seq.dim} != {manifest.feature_dim}")
-        streams[idx] = seq
+    """Read one utterance's `layers` (default: every layer) and, if `opensmile`, its opensmile stream.
+
+    The layer files are read into one block, in `layers` order (see
+    `UtteranceRecord`). A layer file whose frame count differs from the
+    first one read raises ValueError naming the utterance, both files and
+    both frame counts.
+    """
+    wanted = tuple(range(len(record.layer_paths)) if layers is None else layers)
+    if not wanted:
+        raise ValueError(f"{record.utt_id}: no layer streams")
+    block = None
+    for row, idx in enumerate(wanted):
+        path = manifest.root / record.layer_paths[idx]
+        frames = read_feature_file(path, stream_id=f"layer:{idx}").frames
+        if frames.shape[1] != manifest.feature_dim:
+            raise ValueError(f"{record.utt_id} layer {idx}: dim {frames.shape[1]} != {manifest.feature_dim}")
+        if block is None:
+            block = np.empty((len(wanted), *frames.shape), dtype=np.float32)
+        elif len(frames) != block.shape[1]:
+            first = manifest.root / record.layer_paths[wanted[0]]
+            raise ValueError(
+                f"{record.utt_id}: {path} has {len(frames)} frames, but {first} has {block.shape[1]}"
+            )
+        block[row] = frames
     osm = None
     if opensmile and record.opensmile_path is not None:
         osm = read_feature_file(manifest.root / record.opensmile_path, stream_id="osm")
-    return UtteranceRecord(record.utt_id, streams, osm, record.label)
+    return UtteranceRecord(record.utt_id, block, wanted, osm, record.label)
 
 
 def load_split(dataset_dir, split: str) -> DatasetManifest:

@@ -7,7 +7,9 @@ All math runs in float64 so the gradient checks hold at tight tolerances.
 
 The input layer norms split in two: the per-frame standardization x̂ and its
 frame mean ŝ depend on no parameter, so `train` and `predict` compute them
-once per utterance per call; a token stream gathers its x̂ from the
+once per utterance per call. A continuous utterance's frames are read-only
+(a view of its loaded block, held once) and are only read, into a float64
+copy that is standardized in place; a token stream gathers its x̂ from the
 standardized table of its codebook, which is computed once per codebook
 before any call (`token_table`). A batch refers to each utterance's own x̂,
 held (dim, T_b, n_layers) at its own frame count, and never pads or copies
@@ -197,18 +199,26 @@ class _Standardized:
     osm: np.ndarray | None  # (T, osm_dim) x̂
 
 
-def _standardize(x: np.ndarray):
+def _standardize(x: np.ndarray, out: np.ndarray | None = None):
     """Per-row (x - mean) / sqrt(var + eps) over the last axis, and 1 / sqrt(var + eps).
 
-    Every row is reduced on its own, so a row gives the same bits alone or
-    inside a larger array.
+    The variance is np.var's own arithmetic on the centred rows x̂ already
+    holds, so it has np.var's bits without centring x a second time. Every
+    row is reduced on its own, so a row gives the same bits alone or inside
+    a larger array. x̂ goes to `out`, which may be x itself.
     """
     mean = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
+    xhat = np.subtract(x, mean, out=out)
+    var = np.square(xhat).sum(axis=-1, keepdims=True) / x.shape[-1]
     inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
-    xhat = x - mean
     xhat *= inv
     return xhat, inv
+
+
+def _standardized_copy(a: np.ndarray) -> np.ndarray:
+    """The x̂ of a float64 copy of `a`, standardized in that copy; `a` is only read."""
+    x = np.array(a, dtype=np.float64, order="C")
+    return _standardize(x, out=x)[0]
 
 
 def token_table(centroids: np.ndarray) -> np.ndarray:
@@ -217,7 +227,7 @@ def token_table(centroids: np.ndarray) -> np.ndarray:
     `_standardize` reduces each row on its own, so the x̂ of the frames
     float32(C)[idx] is table[idx], bit for bit.
     """
-    return _standardize(np.asarray(centroids, dtype=np.float32).astype(np.float64))[0]
+    return _standardized_copy(np.asarray(centroids, dtype=np.float32))
 
 
 def _standardized(it: PreparedUtterance) -> _Standardized:
@@ -226,15 +236,22 @@ def _standardized(it: PreparedUtterance) -> _Standardized:
     A token stream's x̂ is gathered from its table, with the bits and layout
     that standardizing its frames would give.
     """
+    # The kept x̂ and ŝ are allocated before the temporaries, so that across the
+    # utterances of a call the kept arrays pack together and the temporaries
+    # free back to the top of the heap instead of leaving holes between them.
+    n_layers, _, dim = it.shape
+    dtn, s_hat = np.empty(it.shape[::-1]), np.empty((n_layers, dim))
     if it.tokens is None:
-        xhat = _standardize(np.ascontiguousarray(it.streams, dtype=np.float64))[0]
+        xhat = _standardized_copy(it.streams)
     else:
         xhat = np.empty(it.shape)
         for n, (table, idx) in enumerate(zip(it.tables, it.tokens)):
             np.take(table, idx, axis=0, out=xhat[n])
-    osm = None if it.osm is None else _standardize(np.ascontiguousarray(it.osm, dtype=np.float64))[0]
-    dtn = np.ascontiguousarray(xhat.transpose(2, 1, 0))
-    return _Standardized(it.utt_id, dtn, xhat.mean(axis=1), it.label, osm)
+    dtn[...] = xhat.transpose(2, 1, 0)
+    np.mean(xhat, axis=1, out=s_hat)
+    del xhat
+    osm = None if it.osm is None else _standardized_copy(it.osm)
+    return _Standardized(it.utt_id, dtn, s_hat, it.label, osm)
 
 
 def _pad(items: list[_Standardized]) -> Batch:
@@ -314,7 +331,7 @@ def forward_batch(params: ModelParams, batch: Batch):
     f += (alpha @ fp.layer_bias)[:, None, :]
 
     if fp.augmented:
-        f_xhat, f_inv = _standardize(f)
+        f_xhat, f_inv = _standardize(f, out=f)  # f itself is not read again
         fhat_out = fp.mod_gain_fused * f_xhat + fp.mod_bias_fused
         ohat_out = fp.mod_gain_osm * batch.osm + fp.mod_bias_osm
         z = np.concatenate(

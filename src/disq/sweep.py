@@ -4,7 +4,9 @@ A sweep cell is one (layer set, K, augmentation) combination; each cell is
 trained once per seed on frozen token streams (or continuous features).
 Codebooks are trained once per (stream, K, codebook seed, train-split hash)
 and shared by every cell that touches them, mirroring a
-generate-once-then-freeze protocol.
+generate-once-then-freeze protocol. Continuous features are the loaded
+frames themselves, held once per utterance and read-only, so the forked
+workers of a sweep read them without copying a page.
 """
 
 from __future__ import annotations
@@ -316,12 +318,15 @@ def prepare_items(
     """Assemble frozen model inputs for one split.
 
     k=None bypasses quantization entirely (continuous features, and a raw
-    paralinguistic block if augmentation is on). A quantized item holds its
-    layer tokens and the cache's tables of their codebooks, no frames. The
-    paralinguistic frames of the categories `aug` uses, float32(C)[idx] of
-    each category's book side by side for a quantized item, are aligned to
-    each utterance's frame count here, once, since they are frozen during
-    training.
+    paralinguistic block if augmentation is on). A continuous item's
+    streams are its utterance's read-only loaded frames
+    (`UtteranceRecord.stack`): a view of the block, copied only for a layer
+    set whose rows in it are not evenly spaced (`sparse` or `ten` over all
+    24 loaded layers). A quantized item holds its layer tokens and the
+    cache's tables of their codebooks, no frames. The paralinguistic frames
+    of the categories `aug` uses, float32(C)[idx] of each category's book
+    side by side for a quantized item, are aligned to each utterance's
+    frame count here, once, since they are frozen during training.
     """
     check_augmentation(aug)
     if k is not None and cache is None:
@@ -341,8 +346,7 @@ def prepare_items(
     items = []
     for i, utt in enumerate(utts):
         if k is None:
-            streams = np.stack([utt.layers[l].frames for l in layers]).astype(np.float32, copy=False)
-            item = PreparedUtterance(utt.utt_id, streams, utt.label)
+            item = PreparedUtterance(utt.utt_id, utt.stack(layers), utt.label)
         else:
             layer_tokens = np.stack([t[i] for t in tokens])
             item = PreparedUtterance(utt.utt_id, None, utt.label, tokens=layer_tokens, tables=tables)

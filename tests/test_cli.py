@@ -11,7 +11,7 @@ import pytest
 import disq.cli as cli
 import disq.sweep as sweep
 from disq.cli import build_parser, main
-from disq.dataio import read_feature_file
+from disq.dataio import FeatureSequence, read_feature_file, write_feature_file
 from disq.quantize import OPENSMILE_CATEGORIES
 from disq.sweep import CodebookCache, load_dataset
 
@@ -838,3 +838,17 @@ def test_manifests_that_disagree_exit_3(cli_workspace, tmp_path, capsys):
     assert run(argv) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: data:") and "manifests disagree" in err and "dev: 4 x 13" in err
+
+
+def test_layer_files_of_different_lengths_exit_3_naming_the_file(cli_workspace, tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(cli_workspace / "data", data)
+    rec = json.loads((data / "manifest_train.json").read_text())["records"][0]
+    first, bad = data / rec["layers"][0], data / rec["layers"][2]
+    t = read_feature_file(first).n_frames
+    write_feature_file(FeatureSequence(np.zeros((t + 1, 12), dtype=np.float32)), bad)
+    argv = ["train", "--dataset", data, "--layer-set", "0,1,2,3", "--continuous", "--epochs", 1, "--out", tmp_path / "tr"]
+    assert run(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: data:")
+    assert f"{rec['utt_id']}: {bad} has {t + 1} frames, but {first} has {t}" in err

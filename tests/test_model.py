@@ -44,6 +44,19 @@ def random_items(rng, n_items=3, n_layers=3, dim=6, osm_dim=None, t_range=(4, 9)
     return items
 
 
+@pytest.mark.parametrize("shape", [(16, 50, 32), (7,), (3, 1), (4, 9, 1024), (2, 3, 5, 74)])
+def test_standardize_has_the_bits_of_np_var(shape):
+    x = 3.0 * np.random.default_rng(len(shape)).standard_normal(shape) + 1.0
+    xhat, inv = model._standardize(x)
+    want_inv = 1.0 / np.sqrt(np.var(x, axis=-1, keepdims=True) + LAYER_NORM_EPS)
+    want = (x - x.mean(axis=-1, keepdims=True)) * want_inv
+    assert np.array_equal(inv.view(np.uint64), want_inv.view(np.uint64))
+    assert np.array_equal(xhat.view(np.uint64), want.view(np.uint64))
+    in_place = x.copy()
+    assert model._standardize(in_place, out=in_place)[0] is in_place
+    assert np.array_equal(in_place.view(np.uint64), want.view(np.uint64))
+
+
 # --- attentive statistics pooling -----------------------------------------------
 
 

@@ -547,6 +547,30 @@ def test_prepare_items_aug_variants(tiny_dataset, tiny_cache):
         prepare_items(tiny_dataset, "dev", layers, 8, tiny_cache, aug="bogus")
 
 
+@pytest.fixture(scope="module")
+def deep_dataset(tmp_path_factory):
+    """A small 24-layer dataset, deep enough for every named layer set."""
+    root = tmp_path_factory.mktemp("deep_dataset")
+    spec = tiny_spec(n_per_class=2, layer_count=24, t_range=(3, 6), layer_informativeness=(0.5,) * 24)
+    generate_synthetic(spec, root)
+    return load_dataset(root)
+
+
+@pytest.mark.parametrize("layer_set, view", [("all", True), ("last8", True), ("last_only", True), ("sparse", False)])
+def test_continuous_items_view_the_loaded_frames(deep_dataset, layer_set, view):
+    _, layers = resolve_layer_set(layer_set, 24)
+    utts = deep_dataset.utterances["train"]
+    items = prepare_items(deep_dataset, "train", layers, None, None)
+    for utt, it in zip(utts, items):
+        want = np.stack([utt.layers[l].frames for l in layers])
+        assert it.streams.dtype == np.float32 and np.array_equal(it.streams.view(np.uint32), want.view(np.uint32))
+        assert np.shares_memory(it.streams, utt.block) == view
+        with pytest.raises(ValueError, match="read-only"):
+            it.streams[0, 0, 0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        utts[0].layers[0].frames[0, 0] = 0.0
+
+
 def test_average_rows_single():
     row = _avg_row("all", 8, "none", 0.4)
     row.seed = 3
