@@ -125,9 +125,10 @@ def read_feature_file(path, stream_id: str | None = None) -> FeatureSequence:
     if len(raw) > expected:
         raise FeatureFormatError(f"{path}: {len(raw) - expected} trailing bytes after payload")
     frames = np.frombuffer(raw, dtype="<f4", offset=_HEADER.size).reshape(t, d).copy()
-    if not np.isfinite(frames).all():
-        raise NonFinitePayloadError(f"{path}: payload contains NaN or Inf")
-    return FeatureSequence(frames, stream_id=stream_id if stream_id is not None else path.stem)
+    try:
+        return FeatureSequence(frames, stream_id=stream_id if stream_id is not None else path.stem)
+    except ValueError:  # the shape is valid, so finiteness is the check that failed
+        raise NonFinitePayloadError(f"{path}: payload contains NaN or Inf") from None
 
 
 @dataclass
