@@ -49,8 +49,6 @@ FIT_PLACEMENT = (
     "when BLAS is unpinned (`sweep` uses --workers instead). Set OPENBLAS_NUM_THREADS=1 to fit on every core. "
     "The outputs never depend on where the fits ran."
 )
-# what `eval` reads from a checkpoint's meta.json
-CHECKPOINT_META_FIELDS = ("layer_set", "layers", "k", "aug", "codebook_seed", "train", "train_hash")
 
 
 class ConfigError(Exception):
@@ -70,16 +68,11 @@ class NumericError(Exception):
 
 def _load_json_config(path) -> dict:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return dataio.read_json(dict, path)
     except OSError as exc:
         raise ConfigError(f"{path}: {exc.strerror or exc}") from exc
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: top-level value must be an object")
-    return doc
+    except ValueError as exc:  # not JSON, or not an object
+        raise ConfigError(str(exc)) from exc
 
 
 def _override(doc: dict, args, names) -> None:
@@ -110,6 +103,39 @@ class TrainJob:
         if self.k is not None and self.k < 1:
             raise ValueError("k must be >= 1")
         check_augmentation(self.aug)
+
+
+@dataclass
+class CodebookIndex:
+    """The `index.json` of a `disq codebooks` directory: what its books were fitted for."""
+
+    k: int
+    seed: int
+    layers: tuple[int, ...]
+    opensmile: bool = False
+
+
+@dataclass
+class CheckpointMeta:
+    """A checkpoint's `meta.json` but its `format`, which `persist` owns.
+
+    `train` stays a plain object that must hold an integer seed: a `TrainConfig` would default it to 0.
+    """
+
+    layer_set: str
+    layers: tuple[int, ...]
+    k: int | None
+    aug: str
+    codebook_seed: int
+    train: dict
+    train_hash: str
+    best_epoch: int
+    dev_macro_f1: float
+
+    def __post_init__(self):
+        if "seed" not in self.train:
+            raise ValueError("train.seed: missing required field")
+        dataio.from_json(int, self.train["seed"], "train.seed")
 
 
 # --- run directory and metadata -------------------------------------------------
@@ -147,22 +173,16 @@ def _write_metadata(out: Path, command: str, argv, config_payload, seeds, starte
         "wall_time_s": round(time.time() - started, 3),
         "outputs": outputs,
     }
-    (out / "run_metadata.json").write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    dataio.write_json(doc, out / "run_metadata.json")
 
 
 # --- shared data helpers ---------------------------------------------------------
 
 
-def _require_fields(doc: dict, path, names) -> None:
-    missing = [name for name in names if name not in doc]
-    if missing:
-        raise DataError(f"{path}: missing {', '.join(missing)}")
-
-
 def _load_dataset(dataset_dir, splits=dataio.SPLITS, layers=None, opensmile=True):
     try:
         return load_dataset(dataset_dir, splits, layers, opensmile)
-    except (FileNotFoundError, dataio.FeatureFileError, ValueError, json.JSONDecodeError) as exc:
+    except (FileNotFoundError, dataio.FeatureFileError, ValueError) as exc:
         raise DataError(f"dataset {dataset_dir}: {exc}") from exc
 
 
@@ -213,7 +233,7 @@ def cmd_codebooks(args, argv) -> int:
     out = _out_dir(args, "codebooks")
     ds = _load_dataset(args.dataset, ("train",), _layer_picker({"": args.layers}), args.opensmile)
 
-    index = {"k": args.k, "seed": args.seed, "layers": list(ds.layers), "opensmile": bool(args.opensmile)}
+    index = CodebookIndex(args.k, args.seed, tuple(ds.layers), args.opensmile)
     cache = CodebookCache()
     needs = _needs(ds.layers, args.k, "all" if args.opensmile else "none", args.seed)
     cache.fill(ds, needs, workers=fit_workers())
@@ -228,8 +248,8 @@ def cmd_codebooks(args, argv) -> int:
             persist.save_codebook(cache.codebook(ds, need), out / _stem(need), extra=extra)
     except ValueError as exc:
         raise DataError(str(exc)) from exc
-    (out / "index.json").write_text(json.dumps(index, indent=1, sort_keys=True) + "\n")
-    _write_metadata(out, "codebooks", argv, index, [args.seed], started)
+    dataio.write_json(asdict(index), out / "index.json")
+    _write_metadata(out, "codebooks", argv, asdict(index), [args.seed], started)
     print(f"codebooks written to {out}")
     return 0
 
@@ -270,18 +290,13 @@ def cmd_tokenize(args, argv) -> int:
     started = time.time()
     out = _out_dir(args, "tokenize")
     book_dir = Path(args.codebooks)
-    index_path = book_dir / "index.json"
-    if not index_path.is_file():
-        raise DataError(f"{book_dir}: missing index.json")
     try:
-        index = json.loads(index_path.read_text())
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{index_path}: {exc}") from exc
-    _require_fields(index, index_path, ("k", "seed", "layers"))
-    opensmile = bool(index.get("opensmile"))
-    ds = _load_dataset(args.dataset, (args.split,), index["layers"], opensmile)
-    cache, seed = CodebookCache(), index["seed"]
-    needs = _needs(index["layers"], index["k"], "all" if opensmile else "none", seed)
+        index = dataio.read_json(CodebookIndex, book_dir / "index.json")
+    except (OSError, ValueError) as exc:
+        raise DataError(str(exc)) from exc
+    ds = _load_dataset(args.dataset, (args.split,), index.layers, index.opensmile)
+    cache, seed = CodebookCache(), index.seed
+    needs = _needs(index.layers, index.k, "all" if index.opensmile else "none", seed)
     books = _hold_codebooks(cache, ds, persist.load_codebook, book_dir, needs)
 
     utts = ds.utterances[args.split]
@@ -310,7 +325,7 @@ def cmd_tokenize(args, argv) -> int:
                 write(utt, "opensmile", osm_doc, np.concatenate(osm_recon, axis=1))
     except ValueError as exc:
         raise DataError(str(exc)) from exc
-    _write_metadata(out, "tokenize", argv, {"split": args.split, "k": index["k"]}, [seed], started)
+    _write_metadata(out, "tokenize", argv, {"split": args.split, "k": index.k}, [seed], started)
     print(f"tokens written to {out}")
     return 0
 
@@ -333,41 +348,40 @@ def cmd_train(args, argv) -> int:
     ds = _load_dataset(
         args.dataset, ("train", "dev"), _layer_picker({"layer_set: ": job.layer_set}), job.aug != "none"
     )
-    name, layers = job.layer_set, ds.layers
 
     cache = CodebookCache()
     try:
         splits = {
-            split: prepare_items(ds, split, layers, job.k, cache, job.codebook_seed, job.aug)
+            split: prepare_items(ds, split, ds.layers, job.k, cache, job.codebook_seed, job.aug)
             for split in ("train", "dev")
         }
         result = train(splits["train"], splits["dev"], job.train)
     except ValueError as exc:
         raise DataError(str(exc)) from exc
 
-    meta = {
-        "layer_set": name,
-        "layers": list(layers),
-        "k": job.k,
-        "aug": job.aug,
-        "codebook_seed": job.codebook_seed,
-        "train": vars(job.train).copy(),
-        "train_hash": ds.train_hash,
-        "best_epoch": result.best_epoch,
-        "dev_macro_f1": result.history[result.best_epoch].dev_macro_f1,
-    }
-    persist.save_checkpoint(out / "checkpoint", result.params, meta)
+    meta = CheckpointMeta(
+        layer_set=job.layer_set,
+        layers=ds.layers,
+        k=job.k,
+        aug=job.aug,
+        codebook_seed=job.codebook_seed,
+        train=asdict(job.train),
+        train_hash=ds.train_hash,
+        best_epoch=result.best_epoch,
+        dev_macro_f1=result.history[result.best_epoch].dev_macro_f1,
+    )
+    persist.save_checkpoint(out / "checkpoint", result.params, asdict(meta))
     if job.k is not None:  # the exact codebooks the streams were made with, for eval
         book_dir = out / "checkpoint" / "codebooks"
         book_dir.mkdir(exist_ok=True)
-        for need in _needs(layers, job.k, job.aug, job.codebook_seed):
+        for need in _needs(ds.layers, job.k, job.aug, job.codebook_seed):
             persist.save_exact_codebook(cache.codebook(ds, need), book_dir / _stem(need))
     history = [[h.train_loss, h.dev_macro_f1] for h in result.history]
     (out / "history.json").write_text(json.dumps(history) + "\n")
-    _write_metadata(out, "train", argv, meta, [job.train.seed], started)
+    _write_metadata(out, "train", argv, asdict(meta), [job.train.seed], started)
     print(
         f"checkpoint written to {out / 'checkpoint'} "
-        f"(best epoch {result.best_epoch}, dev macro F1 {meta['dev_macro_f1']:.4f})"
+        f"(best epoch {result.best_epoch}, dev macro F1 {meta.dev_macro_f1:.4f})"
     )
     return 0
 
@@ -378,34 +392,24 @@ def cmd_eval(args, argv) -> int:
     if args.split not in dataio.SPLITS:
         raise ConfigError(f"--split: must be one of {dataio.SPLITS}")
     try:
-        params, meta = persist.load_checkpoint(args.checkpoint)
+        params, doc = persist.load_checkpoint(args.checkpoint)
     except (OSError, ValueError) as exc:
         raise DataError(f"checkpoint {args.checkpoint}: {exc}") from exc
-    meta_path = Path(args.checkpoint) / "meta.json"
-    _require_fields(meta, meta_path, CHECKPOINT_META_FIELDS)
-    if not isinstance(meta["train"], dict) or "seed" not in meta["train"]:
-        raise DataError(f"{meta_path}: missing train.seed")
-    ds = _load_dataset(args.dataset, (args.split,), meta["layers"], meta["aug"] != "none")
-    if meta["train_hash"] != ds.train_hash:
+    try:
+        meta = dataio.from_json(CheckpointMeta, {k: v for k, v in doc.items() if k != "format"})
+    except ValueError as exc:
+        raise DataError(f"{Path(args.checkpoint) / 'meta.json'}: {exc}") from exc
+    ds = _load_dataset(args.dataset, (args.split,), meta.layers, meta.aug != "none")
+    if meta.train_hash != ds.train_hash:
         raise DataError("checkpoint was trained on a different dataset (train manifest hash mismatch)")
 
     cache = CodebookCache()
-    if meta["k"] is not None:  # a quantized checkpoint holds the books `train` fitted, and eval fits none
-        needs = _needs(meta["layers"], meta["k"], meta["aug"], meta["codebook_seed"])
+    if meta.k is not None:  # a quantized checkpoint holds the books `train` fitted, and eval fits none
+        needs = _needs(meta.layers, meta.k, meta.aug, meta.codebook_seed)
         _hold_codebooks(cache, ds, persist.load_exact_codebook, Path(args.checkpoint) / "codebooks", needs)
     try:
-        items = prepare_items(
-            ds, args.split, tuple(meta["layers"]), meta["k"], cache, meta["codebook_seed"], meta["aug"]
-        )
-        row = evaluate(
-            params,
-            items,
-            tuple(meta["layers"]),
-            layer_set=meta["layer_set"],
-            k=meta["k"],
-            seed=meta["train"]["seed"],
-            aug=meta["aug"],
-        )
+        items = prepare_items(ds, args.split, meta.layers, meta.k, cache, meta.codebook_seed, meta.aug)
+        row = evaluate(params, items, meta.layers, meta.layer_set, meta.k, meta.train["seed"], meta.aug)
     except ValueError as exc:
         raise DataError(str(exc)) from exc
 
@@ -415,9 +419,9 @@ def cmd_eval(args, argv) -> int:
         "per_class_f1": [float(v) for v in row.per_class_f1],
         "mean_alpha": {str(layer): v for layer, v in sorted(row.mean_alpha.items())},
     }
-    (out / "metrics.json").write_text(json.dumps(metrics_doc, indent=1, sort_keys=True) + "\n")
+    dataio.write_json(metrics_doc, out / "metrics.json")
     (out / "row.csv").write_text(rows_to_csv([row]))
-    _write_metadata(out, "eval", argv, metrics_doc, [meta["train"]["seed"]], started)
+    _write_metadata(out, "eval", argv, metrics_doc, [meta.train["seed"]], started)
     print(f"{args.split} macro F1 = {row.macro_f1:.4f} (metrics in {out})")
     return 0
 
@@ -463,7 +467,7 @@ def cmd_gradcheck(args, argv) -> int:
     out = _out_dir(args, "gradcheck")
     err = gradient_check(seed=args.seed)
     report = {"seed": args.seed, "max_rel_err": err, "threshold": GRADCHECK_THRESHOLD}
-    (out / "gradcheck.json").write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
+    dataio.write_json(report, out / "gradcheck.json")
     _write_metadata(out, "gradcheck", argv, {"seed": args.seed}, [args.seed], started)
     print(f"gradcheck seed={args.seed} max_rel_err={err:.6e} threshold={GRADCHECK_THRESHOLD:g}")
     if not err < GRADCHECK_THRESHOLD:

@@ -183,33 +183,7 @@ class UtteranceRecord:
 
 @dataclass
 class ManifestRecord:
-    utt_id: str
-    layer_paths: list[str]
-    label: int
-    opensmile_path: str | None = None
-
-
-@dataclass
-class DatasetManifest:
-    """Per-split listing of utterances; paths are relative to `root`."""
-
-    records: list[ManifestRecord]
-    layer_count: int
-    feature_dim: int
-    split: str
-    root: Path
-
-    def labels(self) -> np.ndarray:
-        return np.array([r.label for r in self.records], dtype=int)
-
-
-def manifest_path(dataset_dir, split: str) -> Path:
-    return Path(dataset_dir) / f"manifest_{split}.json"
-
-
-@dataclass
-class _RecordDoc:
-    """One manifest record as it is stored in JSON."""
+    """One utterance of a manifest: its layer files in layer order, its optional opensmile file, its label."""
 
     utt_id: str
     label: int
@@ -221,61 +195,61 @@ MANIFEST_VERSION = 1
 
 
 @dataclass
-class _ManifestDoc:
-    """A manifest file's JSON document, read and written through one schema."""
+class DatasetManifest:
+    """A manifest file's document: one split's utterances, paths relative to `root`.
+
+    `root`, the manifest's directory, is not stored: loading or generating a manifest sets it.
+    """
 
     version: int
     split: str
     layer_count: int
     feature_dim: int
-    records: tuple[_RecordDoc, ...]
+    records: tuple[ManifestRecord, ...]
+    root: Path | None = dataclasses.field(default=None, init=False)
+
+    def labels(self) -> np.ndarray:
+        return np.array([r.label for r in self.records], dtype=int)
+
+
+def manifest_path(dataset_dir, split: str) -> Path:
+    return Path(dataset_dir) / f"manifest_{split}.json"
 
 
 def save_manifest(manifest: DatasetManifest, path) -> None:
-    doc = _ManifestDoc(
-        version=MANIFEST_VERSION,
-        split=manifest.split,
-        layer_count=manifest.layer_count,
-        feature_dim=manifest.feature_dim,
-        records=tuple(
-            _RecordDoc(r.utt_id, r.label, tuple(r.layer_paths), r.opensmile_path)
-            for r in manifest.records
-        ),
-    )
-    text = json.dumps(dataclasses.asdict(doc), indent=1, sort_keys=True)
-    Path(path).write_text(text + "\n", encoding="utf-8")
+    doc = dataclasses.asdict(manifest)
+    del doc["root"]
+    write_json(doc, path)
 
 
 def load_manifest(path) -> DatasetManifest:
-    """Load and validate a manifest: every listed path must resolve.
+    """Load and validate a manifest: every listed path must resolve, and no utterance is listed twice.
 
-    The document is read through `from_json`, so a missing or unknown field
+    The document is read through `read_json`, so a missing or unknown field
     or a wrong JSON type (a label of 2.7) raises ValueError naming the file
     and the field. A record may omit its opensmile stream (tokens-only
     experiments), but a missing layer file is always an error.
     """
     path = Path(path)
-    try:
-        doc = from_json(_ManifestDoc, json.loads(path.read_text(encoding="utf-8")), doc_name="")
-    except ValueError as exc:
-        raise ValueError(f"{path.name}: {exc}") from exc
-    if doc.version != MANIFEST_VERSION:
-        raise ValueError(f"{path.name}: version: expected {MANIFEST_VERSION}, got {doc.version}")
-    root = path.parent
-    base = str(root)  # os.path on strings: a pathlib join per listed file costs more than the stat
-    records = []
-    for rec in doc.records:
-        if len(rec.layers) != doc.layer_count:
+    manifest = read_json(DatasetManifest, path)
+    if manifest.version != MANIFEST_VERSION:
+        raise ValueError(f"{path}: version: expected {MANIFEST_VERSION}, got {manifest.version}")
+    manifest.root = path.parent
+    base = str(path.parent)  # os.path on strings: a pathlib join per listed file costs more than the stat
+    seen = set()
+    for rec in manifest.records:
+        if rec.utt_id in seen:
+            raise ValueError(f"{path}: utt_id {rec.utt_id!r} is listed twice")
+        seen.add(rec.utt_id)
+        if len(rec.layers) != manifest.layer_count:
             raise ValueError(
-                f"{rec.utt_id}: {len(rec.layers)} layer paths, expected {doc.layer_count}"
+                f"{rec.utt_id}: {len(rec.layers)} layer paths, expected {manifest.layer_count}"
             )
         for rel in rec.layers:
             if not os.path.isfile(os.path.join(base, rel)):
-                raise FileNotFoundError(f"{rec.utt_id}: missing layer file {root / rel}")
+                raise FileNotFoundError(f"{rec.utt_id}: missing layer file {manifest.root / rel}")
         if rec.opensmile is not None and not os.path.isfile(os.path.join(base, rec.opensmile)):
-            raise FileNotFoundError(f"{rec.utt_id}: missing opensmile file {root / rec.opensmile}")
-        records.append(ManifestRecord(rec.utt_id, list(rec.layers), rec.label, rec.opensmile))
-    manifest = DatasetManifest(records, doc.layer_count, doc.feature_dim, doc.split, root)
+            raise FileNotFoundError(f"{rec.utt_id}: missing opensmile file {manifest.root / rec.opensmile}")
     if manifest.split == "train":
         counts = np.bincount(manifest.labels(), minlength=N_CLASSES)
         if (counts == 0).any():
@@ -294,26 +268,26 @@ def load_utterance(
     first one read raises ValueError naming the utterance, both files and
     both frame counts.
     """
-    wanted = tuple(range(len(record.layer_paths)) if layers is None else layers)
+    wanted = tuple(range(len(record.layers)) if layers is None else layers)
     if not wanted:
         raise ValueError(f"{record.utt_id}: no layer streams")
     block = None
     for row, idx in enumerate(wanted):
-        path = manifest.root / record.layer_paths[idx]
+        path = manifest.root / record.layers[idx]
         frames = read_feature_file(path, stream_id=f"layer:{idx}").frames
         if frames.shape[1] != manifest.feature_dim:
             raise ValueError(f"{record.utt_id} layer {idx}: dim {frames.shape[1]} != {manifest.feature_dim}")
         if block is None:
             block = np.empty((len(wanted), *frames.shape), dtype=np.float32)
         elif len(frames) != block.shape[1]:
-            first = manifest.root / record.layer_paths[wanted[0]]
+            first = manifest.root / record.layers[wanted[0]]
             raise ValueError(
                 f"{record.utt_id}: {path} has {len(frames)} frames, but {first} has {block.shape[1]}"
             )
         block[row] = frames
     osm = None
-    if opensmile and record.opensmile_path is not None:
-        osm = read_feature_file(manifest.root / record.opensmile_path, stream_id="osm")
+    if opensmile and record.opensmile is not None:
+        osm = read_feature_file(manifest.root / record.opensmile, stream_id="osm")
     return UtteranceRecord(record.utt_id, block, wanted, osm, record.label)
 
 
@@ -367,7 +341,7 @@ class SyntheticSpec:
         return from_json(cls, doc)
 
 
-# --- JSON configs ---------------------------------------------------------------
+# --- JSON documents: configs and the files disq writes and reads back ------------
 
 _JSON_NAMES = {
     type(None): "null", bool: "boolean", int: "integer", float: "number",
@@ -376,7 +350,7 @@ _JSON_NAMES = {
 
 
 def from_json(cls, doc, path: str = "", doc_name: str = "config"):
-    """Read a parsed JSON value as `cls`, a config dataclass or one of its field types.
+    """Read a parsed JSON value as `cls`, a document dataclass or one of its field types.
 
     Unknown fields, missing required fields and wrong JSON types raise
     ValueError naming the field's dotted path (`train.beta1`, `ks[0]`). A
@@ -392,7 +366,7 @@ def from_json(cls, doc, path: str = "", doc_name: str = "config"):
     if origin in (typing.Union, types.UnionType):
         if doc is None and type(None) in args:
             return None
-        (inner,) = (a for a in args if a is not type(None))  # configs only use `X | None`
+        (inner,) = (a for a in args if a is not type(None))  # documents only use `X | None`
         return from_json(inner, doc, path, doc_name)
     if origin is tuple:
         if not isinstance(doc, (list, tuple)):
@@ -444,6 +418,20 @@ def _type_error(expected: str, doc, where: str) -> ValueError:
     got = _JSON_NAMES.get(type(doc), type(doc).__name__)
     prefix = f"{where}: " if where else ""
     return ValueError(f"{prefix}expected {expected}, got {got}")
+
+
+def read_json(cls, path):
+    """Read the JSON file at `path` as `cls` through `from_json`; a ValueError names the file."""
+    path = Path(path)
+    try:
+        return from_json(cls, json.loads(path.read_text(encoding="utf-8")), doc_name="")
+    except ValueError as exc:  # a JSONDecodeError too
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+def write_json(doc, path) -> None:
+    """Write a JSON document as disq stores them: one-space indent, sorted keys, a final newline."""
+    Path(path).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
 
 
 PLACEMENT_RESTARTS = 10
@@ -537,7 +525,7 @@ def generate_synthetic(spec: SyntheticSpec, out_dir) -> dict[str, DatasetManifes
             osm[:, PROSODY_COLS] += spec.paralinguistic_gain * nu[label]
             osm_rel = f"feats/{utt_id}/opensmile.dsqf"
             write_feature_file(FeatureSequence(osm, stream_id="osm"), out_dir / osm_rel)
-            records.append(ManifestRecord(utt_id, layer_paths, label, osm_rel))
+            records.append(ManifestRecord(utt_id, label, tuple(layer_paths), osm_rel))
 
     by_split: dict[str, list[ManifestRecord]] = {s: [] for s in SPLITS}
     for label in range(spec.n_classes):
@@ -551,8 +539,9 @@ def generate_synthetic(spec: SyntheticSpec, out_dir) -> dict[str, DatasetManifes
 
     manifests = {}
     for split in SPLITS:
-        recs = sorted(by_split[split], key=lambda r: r.utt_id)
-        manifest = DatasetManifest(recs, spec.layer_count, spec.feature_dim, split, out_dir)
+        recs = tuple(sorted(by_split[split], key=lambda r: r.utt_id))
+        manifest = DatasetManifest(MANIFEST_VERSION, split, spec.layer_count, spec.feature_dim, recs)
+        manifest.root = out_dir
         save_manifest(manifest, manifest_path(out_dir, split))
         manifests[split] = manifest
     return manifests

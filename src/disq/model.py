@@ -301,6 +301,17 @@ def _ln_backward(dy, xhat, inv, gain):
     return (dx, *_affine_backward(dy, xhat))
 
 
+def _softmax(u):
+    """Softmax over axis 1 (a -inf entry gets weight 0): the layer attention α and the pooling weights."""
+    e = np.exp(u - u.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def _softmax_backward(a, da):
+    """The gradient of the softmax's input, from its output `a` and the output's gradient `da`."""
+    return a * (da - (a * da).sum(axis=1, keepdims=True))
+
+
 def forward_batch(params: ModelParams, batch: Batch):
     """Loss plus a cache of every intermediate the reverse pass needs."""
     fp, hp = params.fusion, params.head
@@ -318,9 +329,7 @@ def forward_batch(params: ModelParams, batch: Batch):
     s = fp.layer_gain * batch.s_hat + fp.layer_bias
     tau = temperature_from_raw(fp.temperature_raw)
     u = s @ fp.attn_w / tau
-    u_shift = u - u.max(axis=1, keepdims=True)
-    eu = np.exp(u_shift)
-    alpha = eu / eu.sum(axis=1, keepdims=True)
+    alpha = _softmax(u)
 
     # fused sequence f = Σₙ (αₙ gₙ) x̂ₙ + Σₙ αₙ bₙ, one matvec per utterance and dim over
     # its own frames; padded frames carry the bias only and are masked in pooling
@@ -342,10 +351,7 @@ def forward_batch(params: ModelParams, batch: Batch):
         z = f
 
     # attentive statistics pooling over valid frames
-    e = np.where(batch.mask, z @ hp.pool_v, -np.inf)
-    e_shift = e - e.max(axis=1, keepdims=True)
-    ee = np.exp(e_shift)
-    a_t = ee / ee.sum(axis=1, keepdims=True)
+    a_t = _softmax(np.where(batch.mask, z @ hp.pool_v, -np.inf))
     mu = np.einsum("bt,btf->bf", a_t, z)
     q = np.einsum("bt,btf->bf", a_t, z * z)
     var = q - mu * mu
@@ -416,7 +422,7 @@ def backward_batch(params: ModelParams, cache) -> dict[str, np.ndarray]:
     dmu = dmu_out - 2.0 * mu * dvar
     dz = a_t[:, :, None] * (dmu[:, None, :] + 2.0 * z * dq[:, None, :])
     da = np.einsum("btf,bf->bt", z, dmu) + np.einsum("btf,bf->bt", z * z, dq)
-    de = a_t * (da - (a_t * da).sum(axis=1, keepdims=True))
+    de = _softmax_backward(a_t, da)
     grads["head.pool_v"] = np.einsum("bt,btf->f", de, z)
     dz += de[:, :, None] * hp.pool_v
 
@@ -449,7 +455,7 @@ def backward_batch(params: ModelParams, cache) -> dict[str, np.ndarray]:
 
     # attention softmax, temperature, scorer
     s, u, tau = cache["s"], cache["u"], cache["tau"]
-    du = alpha * (dalpha - (alpha * dalpha).sum(axis=1, keepdims=True))
+    du = _softmax_backward(alpha, dalpha)
     grads["fusion.attn_w"] = np.einsum("bn,bnd->d", du, s) / tau
     ds = du[:, :, None] * (fp.attn_w / tau)
     dtau = -float((du * u).sum()) / tau
@@ -561,7 +567,6 @@ class TrainResult:
     params: ModelParams
     history: list[EpochStats]
     best_epoch: int
-    class_weights: np.ndarray
 
 
 def train(
@@ -618,7 +623,7 @@ def train(
             best_epoch = epoch
             best = params.copy()
     assert best is not None
-    return TrainResult(best, history, best_epoch, weights)
+    return TrainResult(best, history, best_epoch)
 
 
 # --- finite-difference verification ------------------------------------------

@@ -1,44 +1,46 @@
 """Codebook and checkpoint files.
 
 Codebooks from `disq codebooks` travel as a DSQF centroid matrix plus a JSON
-sidecar carrying provenance. A checkpoint is exact instead: `meta.json`
-(with the checkpoint `format`), one float64 `.npy` per parameter tensor at
-its logical shape, and the codebooks it was trained on as float64 `.npy`
-centroids next to the same sidecar, so that eval runs the very model and
-books that `train` kept.
+sidecar carrying provenance (`CodebookSidecar`). A checkpoint is exact
+instead: `meta.json` (with the checkpoint `format`), one float64 `.npy` per
+parameter tensor at its logical shape, and the codebooks it was trained on
+as float64 `.npy` centroids next to the same sidecar, so that eval runs the
+very model and books that `train` kept.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .dataio import FeatureSequence, read_feature_file, write_feature_file
+from .dataio import FeatureSequence, read_feature_file, read_json, write_feature_file, write_json
 from .fusion import FusionParams
 from .model import HeadParams, ModelParams, init_model_params
 from .quantize import Codebook
 
 
+@dataclass
+class CodebookSidecar:
+    """A codebook's `.json` sidecar: its provenance. Only `disq codebooks` records `train_frames`."""
+
+    stream_id: str
+    k: int
+    seed: int
+    final_distortion: float
+    iterations_run: int
+    train_frames: int | None = None
+
+
 def _write_sidecar(cb: Codebook, base: Path, extra: dict | None) -> None:
-    sidecar = {
-        "stream_id": cb.stream_id,
-        "k": cb.k,
-        "seed": cb.seed,
-        "final_distortion": cb.final_distortion,
-        "iterations_run": cb.iterations_run,
-    }
-    if extra:
-        sidecar.update(extra)
-    base.with_suffix(".json").write_text(
-        json.dumps(sidecar, indent=1, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    sidecar = CodebookSidecar(cb.stream_id, cb.k, cb.seed, cb.final_distortion, cb.iterations_run, **(extra or {}))
+    # no null is stored: an exact book's sidecar has no `train_frames` key
+    write_json({name: v for name, v in asdict(sidecar).items() if v is not None}, base.with_suffix(".json"))
 
 
 def save_codebook(cb: Codebook, base_path, extra: dict | None = None) -> None:
-    """Write <base>.dsqf (centroids) and <base>.json (provenance)."""
+    """Write <base>.dsqf (centroids) and <base>.json (provenance; `extra` holds `train_frames`)."""
     base = Path(base_path)
     write_feature_file(FeatureSequence(cb.centroids, stream_id=cb.stream_id), base.with_suffix(".dsqf"))
     _write_sidecar(cb, base, extra)
@@ -49,39 +51,6 @@ def save_exact_codebook(cb: Codebook, base_path) -> None:
     base = Path(base_path)
     np.save(base.with_suffix(".npy"), np.asarray(cb.centroids, dtype=np.float64), allow_pickle=False)
     _write_sidecar(cb, base, None)
-
-
-SIDECAR_FIELDS = ("stream_id", "k", "seed", "final_distortion", "iterations_run")
-
-
-def _read_sidecar(base: Path) -> dict:
-    sidecar_path = base.with_suffix(".json")
-    sidecar = json.loads(sidecar_path.read_text(encoding="utf-8"))
-    missing = [name for name in SIDECAR_FIELDS if name not in sidecar]
-    if missing:
-        raise ValueError(f"{sidecar_path}: missing {', '.join(missing)}")
-    return sidecar
-
-
-def _codebook(base: Path, centroids: np.ndarray, sidecar: dict) -> Codebook:
-    if centroids.ndim != 2 or centroids.shape[0] != sidecar["k"]:
-        raise ValueError(f"{base}: payload has shape {centroids.shape}, sidecar says k={sidecar['k']}")
-    return Codebook(
-        centroids=centroids,
-        stream_id=sidecar["stream_id"],
-        k=int(sidecar["k"]),
-        seed=int(sidecar["seed"]),
-        final_distortion=float(sidecar["final_distortion"]),
-        iterations_run=int(sidecar["iterations_run"]),
-    )
-
-
-def load_codebook(base_path) -> Codebook:
-    """Read a codebook written by `save_codebook`."""
-    base = Path(base_path)
-    sidecar = _read_sidecar(base)
-    seq = read_feature_file(base.with_suffix(".dsqf"), stream_id=sidecar["stream_id"])
-    return _codebook(base, seq.frames.astype(np.float64), sidecar)
 
 
 def _load_float64(path: Path) -> np.ndarray:
@@ -97,11 +66,25 @@ def _load_float64(path: Path) -> np.ndarray:
     return arr
 
 
+def _load_book(base: Path, suffix: str, read_centroids) -> Codebook:
+    """A codebook from its sidecar and its centroid file <base><suffix>, read as float64 by `read_centroids`."""
+    sidecar = read_json(CodebookSidecar, base.with_suffix(".json"))
+    centroids = read_centroids(base.with_suffix(suffix))
+    if centroids.ndim != 2 or centroids.shape[0] != sidecar.k:
+        raise ValueError(f"{base}: payload has shape {centroids.shape}, sidecar says k={sidecar.k}")
+    return Codebook(
+        centroids, sidecar.stream_id, sidecar.k, sidecar.seed, sidecar.final_distortion, sidecar.iterations_run
+    )
+
+
+def load_codebook(base_path) -> Codebook:
+    """Read a codebook written by `save_codebook`."""
+    return _load_book(Path(base_path), ".dsqf", lambda path: read_feature_file(path).frames.astype(np.float64))
+
+
 def load_exact_codebook(base_path) -> Codebook:
     """Read a codebook written by `save_exact_codebook`."""
-    base = Path(base_path)
-    sidecar = _read_sidecar(base)
-    return _codebook(base, _load_float64(base.with_suffix(".npy")), sidecar)
+    return _load_book(Path(base_path), ".npy", _load_float64)
 
 
 CHECKPOINT_FORMAT = 2
@@ -113,16 +96,15 @@ def save_checkpoint(ckpt_dir, params: ModelParams, meta: dict) -> None:
     (ckpt_dir / "params").mkdir(parents=True, exist_ok=True)
     for name, arr in params.param_items() + [("head.class_weights", params.head.class_weights)]:
         np.save(ckpt_dir / "params" / f"{name}.npy", np.asarray(arr, dtype=np.float64), allow_pickle=False)
-    doc = dict(meta, format=CHECKPOINT_FORMAT)
-    (ckpt_dir / "meta.json").write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    write_json(dict(meta, format=CHECKPOINT_FORMAT), ckpt_dir / "meta.json")
 
 
 def load_checkpoint(ckpt_dir) -> tuple[ModelParams, dict]:
     """Read a checkpoint written by `save_checkpoint`; any other format is a ValueError naming meta.json."""
     ckpt_dir = Path(ckpt_dir)
     meta_path = ckpt_dir / "meta.json"
-    meta = json.loads(meta_path.read_text(encoding="utf-8"))
-    found = meta.get("format") if isinstance(meta, dict) else None
+    meta = read_json(dict, meta_path)
+    found = meta.get("format")
     if found != CHECKPOINT_FORMAT:
         raise ValueError(f"{meta_path}: checkpoint format {found}, not {CHECKPOINT_FORMAT}; retrain it with this disq")
     params_dir = ckpt_dir / "params"

@@ -504,7 +504,111 @@ def test_damaged_artifact_exits_3_naming_file_and_field(
         argv = ["eval", "--checkpoint", damaged / "checkpoint", "--dataset", data, "--out", out]
     assert run(argv) == 3
     err = capsys.readouterr().err
-    assert err.startswith("error: data:") and f"{damaged / doc_name}: missing {field}" in err
+    assert err.startswith("error: data:") and f"{damaged / doc_name}: {field}: missing required field" in err
+
+
+def test_stored_documents_keep_their_key_sets(cli_workspace, artifacts):
+    """The keys of each JSON document disq writes and reads back: renaming a schema field changes a file format."""
+
+    def keys(path):
+        return sorted(json.loads(path.read_text()))
+
+    manifest = json.loads((cli_workspace / "data" / "manifest_dev.json").read_text())
+    assert sorted(manifest) == ["feature_dim", "layer_count", "records", "split", "version"]
+    assert {tuple(sorted(rec)) for rec in manifest["records"]} == {("label", "layers", "opensmile", "utt_id")}
+    assert keys(artifacts / "cb" / "index.json") == ["k", "layers", "opensmile", "seed"]
+    book = ["final_distortion", "iterations_run", "k", "seed", "stream_id"]
+    assert keys(artifacts / "cb" / "layer_03.json") == sorted(book + ["train_frames"])
+    assert keys(artifacts / "tr" / "checkpoint" / "codebooks" / "layer_03.json") == book  # an exact book's
+    meta = json.loads((artifacts / "tr" / "checkpoint" / "meta.json").read_text())
+    assert sorted(meta) == [
+        "aug", "best_epoch", "codebook_seed", "dev_macro_f1", "format", "k", "layer_set", "layers", "train", "train_hash",
+    ]
+    assert sorted(meta["train"]) == [
+        "adam_eps", "batch_size", "beta1", "beta2", "clip_norm", "epochs", "hidden", "learning_rate", "seed",
+    ]
+
+
+def _drop(key):
+    return lambda doc: doc.pop(key)
+
+
+@pytest.mark.parametrize(
+    "artifact, doc_name, edit, field",
+    [
+        ("cb", "index.json", lambda doc: doc.update(k="8"), "k: expected integer, got string"),
+        ("cb", "index.json", lambda doc: doc.update(opensmile=1), "opensmile: expected boolean, got integer"),
+        ("cb", "index.json", lambda doc: doc.update(K=8), "K: unknown field"),
+        ("cb", "index.json", _drop("seed"), "seed: missing required field"),
+        ("cb", "layer_03.json", lambda doc: doc.update(final_distortion="0.5"), "final_distortion: expected number"),
+        ("cb", "layer_03.json", lambda doc: doc.update(train_frames=1.5), "train_frames: expected integer"),
+        ("cb", "layer_03.json", lambda doc: doc.update(dead_codes=0), "dead_codes: unknown field"),
+        ("tr", "checkpoint/codebooks/layer_03.json", lambda doc: doc.update(seed=0.0), "seed: expected integer"),
+        ("tr", "checkpoint/codebooks/layer_03.json", _drop("iterations_run"), "iterations_run: missing required field"),
+        ("tr", "checkpoint/meta.json", lambda doc: doc.update(layers=["3"]), "layers[0]: expected integer"),
+        ("tr", "checkpoint/meta.json", lambda doc: doc.update(k="8"), "k: expected integer, got string"),
+        ("tr", "checkpoint/meta.json", lambda doc: doc.update(train=[0]), "train: expected object, got array"),
+        ("tr", "checkpoint/meta.json", lambda doc: doc["train"].update(seed="0"), "train.seed: expected integer"),
+        ("tr", "checkpoint/meta.json", lambda doc: doc.update(epochs=3), "epochs: unknown field"),
+    ],
+    ids=[
+        "index_k", "index_opensmile", "index_unknown", "index_missing",
+        "sidecar_distortion", "sidecar_train_frames", "sidecar_unknown",
+        "exact_sidecar_seed", "exact_sidecar_missing",
+        "meta_layers", "meta_k", "meta_train", "meta_train_seed", "meta_unknown",
+    ],
+)
+def test_stored_document_with_a_wrong_field_exits_3_naming_file_and_field(
+    cli_workspace, artifacts, tmp_path, capsys, artifact, doc_name, edit, field
+):
+    damaged = tmp_path / artifact
+    shutil.copytree(artifacts / artifact, damaged)
+    doc = json.loads((damaged / doc_name).read_text())
+    edit(doc)
+    (damaged / doc_name).write_text(json.dumps(doc))
+    data, out = cli_workspace / "data", tmp_path / "out"
+    if artifact == "cb":
+        argv = ["tokenize", "--dataset", data, "--codebooks", damaged, "--out", out]
+    else:
+        argv = ["eval", "--checkpoint", damaged / "checkpoint", "--dataset", data, "--out", out]
+    assert run(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: data:") and f"{damaged / doc_name}: {field}" in err
+
+
+@pytest.mark.parametrize("book_dir", ["missing", "a_file", "empty"])
+def test_tokenize_without_an_index_exits_3_naming_it(cli_workspace, tmp_path, capsys, book_dir):
+    path = tmp_path / book_dir
+    if book_dir == "a_file":
+        path.write_text("{}")
+    elif book_dir == "empty":
+        path.mkdir()
+    argv = ["tokenize", "--dataset", cli_workspace / "data", "--codebooks", path, "--out", tmp_path / "t"]
+    assert run(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: data:") and str(path / "index.json") in err
+
+
+@pytest.mark.parametrize("split", ["dev", "train"])
+def test_a_split_that_lists_an_utterance_twice_exits_3(cli_workspace, artifacts, tmp_path, capsys, split):
+    data = tmp_path / "data"
+    shutil.copytree(cli_workspace / "data", data)
+    doc = json.loads((data / f"manifest_{split}.json").read_text())
+    utt_id = doc["records"][0]["utt_id"]
+    doc["records"][1]["utt_id"] = utt_id  # its own files, another utterance's id
+    (data / f"manifest_{split}.json").write_text(json.dumps(doc))
+    message = f"{data / f'manifest_{split}.json'}: utt_id {utt_id!r} is listed twice"
+    if split == "dev":
+        argv = ["tokenize", "--dataset", data, "--split", "dev", "--codebooks", artifacts / "cb", "--out", tmp_path / "t"]
+        assert run(argv) == 3
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "t" / "tokens").exists()
+        argv = ["eval", "--checkpoint", artifacts / "tr" / "checkpoint", "--dataset", data, "--split", "dev"]
+    else:
+        argv = ["train", "--dataset", data, "--layer-set", "3", "--k", 8, "--epochs", 1]
+    assert run(argv + ["--out", tmp_path / "o"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: data:") and message in err
 
 
 @pytest.mark.parametrize("layer", [9, -1])
@@ -671,7 +775,7 @@ def test_eval_and_tokenize_read_only_the_feature_files_they_use(cli_workspace, t
         return {
             manifest.root / rel
             for rec in manifest.records
-            for rel in [rec.layer_paths[l] for l in layers] + ([rec.opensmile_path] if opensmile else [])
+            for rel in [rec.layers[l] for l in layers] + ([rec.opensmile] if opensmile else [])
         }
 
     def reads(argv):

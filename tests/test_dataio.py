@@ -168,9 +168,9 @@ def test_missing_layer_file_is_error_missing_opensmile_is_not(tmp_path):
     record = manifest.records[0]
 
     # opensmile may legally be absent from a record
-    (manifest.root / record.opensmile_path).unlink()
+    (manifest.root / record.opensmile).unlink()
     record_doc_path = manifest_path(tmp_path, "train")
-    doc = record_doc_path.read_text().replace(record.opensmile_path, "")
+    doc = record_doc_path.read_text().replace(record.opensmile, "")
     import json
 
     doc = json.loads(record_doc_path.read_text())
@@ -183,7 +183,7 @@ def test_missing_layer_file_is_error_missing_opensmile_is_not(tmp_path):
     assert utt.opensmile is None
 
     # a missing layer file is always an error
-    (manifest.root / record.layer_paths[1]).unlink()
+    (manifest.root / record.layers[1]).unlink()
     with pytest.raises(FileNotFoundError):
         load_manifest(record_doc_path)
 
