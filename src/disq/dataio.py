@@ -208,6 +208,14 @@ class DatasetManifest:
     records: tuple[ManifestRecord, ...]
     root: Path | None = dataclasses.field(default=None, init=False)
 
+    def __post_init__(self):
+        """Each record's label is a class index, and it lists one layer path per layer."""
+        for i, rec in enumerate(self.records):
+            if not 0 <= rec.label < N_CLASSES:
+                raise ValueError(f"records[{i}].label: {rec.label} is not in 0..{N_CLASSES - 1}")
+            if len(rec.layers) != self.layer_count:
+                raise ValueError(f"records[{i}].layers: {len(rec.layers)} layer paths, expected {self.layer_count}")
+
     def labels(self) -> np.ndarray:
         return np.array([r.label for r in self.records], dtype=int)
 
@@ -225,9 +233,10 @@ def save_manifest(manifest: DatasetManifest, path) -> None:
 def load_manifest(path) -> DatasetManifest:
     """Load and validate a manifest: every listed path must resolve, and no utterance is listed twice.
 
-    The document is read through `read_json`, so a missing or unknown field
-    or a wrong JSON type (a label of 2.7) raises ValueError naming the file
-    and the field. A record may omit its opensmile stream (tokens-only
+    The document is read through `read_json`, so a missing or unknown field,
+    a wrong JSON type (a label of 2.7) or a broken value rule (a label of
+    -1, a record with too few layer paths) raises ValueError naming the
+    file and the field. A record may omit its opensmile stream (tokens-only
     experiments), but a missing layer file is always an error.
     """
     path = Path(path)
@@ -241,10 +250,6 @@ def load_manifest(path) -> DatasetManifest:
         if rec.utt_id in seen:
             raise ValueError(f"{path}: utt_id {rec.utt_id!r} is listed twice")
         seen.add(rec.utt_id)
-        if len(rec.layers) != manifest.layer_count:
-            raise ValueError(
-                f"{rec.utt_id}: {len(rec.layers)} layer paths, expected {manifest.layer_count}"
-            )
         for rel in rec.layers:
             if not os.path.isfile(os.path.join(base, rel)):
                 raise FileNotFoundError(f"{rec.utt_id}: missing layer file {manifest.root / rel}")

@@ -4,6 +4,14 @@ Covers plain per-stream k-means (Lloyd's algorithm with k-means++ seeding),
 multi-stage residual quantization, and the category-wise discretization of
 74-dim paralinguistic frames.
 
+The kernels are exact: `nearest_centroids` returns the brute-force winner,
+and `kmeans_fit` the centroids of a straightforward implementation, bit for
+bit. Both score in float32 on rows scaled by one power of two and rescore
+in float64 where float32 cannot decide: `nearest_centroids` by a per-row
+tie tolerance, k-means++ seeding by a float32 lower bound on each point's
+distance to the new centre. A fit ends on an assignment pass, so it also
+hands back each training row's token (`kmeans_fit`'s `assignment`).
+
 Distortion below always means the mean over frames of the squared Euclidean
 distance to the chosen centroid (sum over feature dims).
 """
@@ -215,50 +223,69 @@ def _column_sq_dist(xt: np.ndarray, c: np.ndarray) -> np.ndarray:
     return diff.sum(axis=0)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a bound may overflow; NaN is rescored
+@np.errstate(over="ignore", invalid="ignore")  # a distance or its bound may overflow; both are rescored
 def _kmeanspp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """k-means++ seeding that computes a full distance only where a point can move.
 
     After centre c is drawn, d2 becomes min(d2, D) with D the exact
-    subtract/square/sum distance of `_column_sq_dist`. A cheap lower bound
-    on D comes first:
+    subtract/square/sum distance of `_column_sq_dist`. A cheap float32
+    lower bound on D comes first, in the units of `nearest_centroids`: x
+    and c scaled by s = 2^-e, exactly, with e from `_max_exponent(x)`, so
+    every scaled coordinate lies below 1 in magnitude. With X = |x s|,
+    C = |c s| and u = 2^-24,
 
-        L = |x|^2 - 2 x.c + |c|^2 - beta (|x| + |c|)^2 - eta
+        L = X^2 - 2 (x s).(c s) + C^2 - beta (X + C)^2 - eta,
 
-    with beta = 4 (d + 2) u, u = 2^-53 and eta = (2d + 3) 2^-1074. Evaluated
-    in float64, the expansion with its bound term lands within about
-    (2d + 5) u (|x| + |c|)^2 of its exact value, and D within (d + 2) u
-    |x - c|^2 <= (d + 2) u (|x| + |c|)^2 of |x - c|^2; beta leaves
-    (d + 1) u (|x| + |c|)^2 to spare. Products that underflow lose at most
-    2^-1075 each, about 4d + 4 of them in all, which eta covers. So computed
-    L <= D, and where L >= d2 the minimum keeps d2 bit for bit: only the
-    other points (NaN counts as one) get their exact D. d2, and with it every
-    rng draw, is bitwise what a full distance pass at every step gives.
+    beta = (d + 8) u / (1 - (d + 8) u), eta = (d + 2) 2^-123 + d 2^(-1074 - 2e).
 
-    Norms are computed once per fit. Rows [x | |x| | (1 - beta)|x|^2 | 1] are
-    held dim-major, so L for every point is one GEMV against
-    [-2c, -2 beta |c|, 1, (1 - beta)|c|^2 - eta].
+    Evaluated in float32, L lands within (d + 6) u (X + C)^2 of its exact
+    value, slack for second-order terms aside: rounding x s and c s to
+    float32 moves the cross term by at most (4u + 2u^2) X C <= (u + u^2/2)
+    (X + C)^2; rounding the float64 norm terms moves X^2 and C^2 by at most
+    2u of themselves; the (d + 3)-term dot product errs by at most
+    (d + 3) u / (1 - (d + 3) u) times its absolute sum, about (X + C)^2, in
+    any summation order, with or without FMA. The float64 D times s^2 lies
+    within (d + 2) 2^-53 (X + C)^2 of |x s - c s|^2, short of squares that
+    underflow, d 2^(-1074 - 2e) in all in scaled units; beta keeps
+    2u (X + C)^2 for that and for the second-order terms. Float32 underflow, gradual or flushed to zero, loses at
+    most 2^-126 per rounded input, product, norm term and partial sum:
+    X, C <= sqrt(d) bound the input terms by 2^-124 d and the rest by
+    (3d + 8) 2^-126, together below (d + 2) 2^-123. So computed L <= D s^2.
+
+    Each point's d2 s^2 is held as a float32 rounded up from it (`_ceil32`),
+    so where L >= that value, D >= d2 and the minimum keeps d2 bit for bit:
+    only the other points get their exact D. A d2 that overflowed is inf,
+    which no L reaches, so its point is rescored. d2, and with it every rng
+    draw, is bitwise what a full distance pass at every step gives.
+
+    Norms are computed once per fit. Rows [x s | X | (1 - beta) X^2 | 1] are
+    held dim-major in float32, so L for every point is one SGEMV against
+    [-2 c s, -2 beta C, 1, (1 - beta) C^2 - eta].
     """
     n, d = x.shape
     centroids = np.empty((k, d))
     chosen = np.zeros(n, dtype=bool)
-    beta = 4 * (d + 2) * 2.0**-53
-    eta = (2 * d + 3) * 2.0**-1074
-    aug = np.empty((d + 3, n))
-    xt = aug[:d]  # dim-major x: each exact pass is d contiguous row updates
-    xt[...] = x.T
-    sq = np.einsum("dn,dn->n", xt, xt)
-    np.sqrt(sq, out=aug[d])
-    np.multiply(sq, 1.0 - beta, out=aug[d + 1])
+    exp = _max_exponent(x)
+    beta = (d + 8) * 2.0**-24 / (1 - (d + 8) * 2.0**-24)
+    eta = (d + 2) * 2.0**-123 + np.ldexp(float(d), -1074 - 2 * exp)
+    xt = np.ascontiguousarray(x.T)  # dim-major x: each exact pass is d contiguous row updates
+    xs = np.ldexp(xt, -exp)
+    sq = np.einsum("dn,dn->n", xs, xs)
+    norms = np.sqrt(sq)
+    aug = np.empty((d + 3, n), dtype=np.float32)
+    aug[:d] = xs
+    aug[d] = norms
+    aug[d + 1] = (1.0 - beta) * sq
     aug[d + 2] = 1.0
-    w = np.empty(d + 3)
+    w = np.empty(d + 3, dtype=np.float32)
     w[d + 1] = 1.0
-    low = np.empty(n)
+    low = np.empty(n, dtype=np.float32)
 
     first = int(rng.integers(n))
     centroids[0] = x[first]
     chosen[first] = True
     d2 = _column_sq_dist(xt, centroids[0])
+    d2s = _ceil32(np.ldexp(d2, -2 * exp))
     for j in range(1, k):
         total = float(d2.sum())
         if total > 0.0:
@@ -272,14 +299,15 @@ def _kmeanspp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
         chosen[idx] = True
         if j == k - 1:
             break
-        np.multiply(centroids[j], -2.0, out=w[:d])
-        w[d] = -2.0 * beta * aug[d, idx]
-        w[d + 2] = aug[d + 1, idx] - eta
+        np.multiply(aug[:d, idx], -2.0, out=w[:d])
+        w[d] = -2.0 * beta * norms[idx]
+        w[d + 2] = (1.0 - beta) * sq[idx] - eta
         np.matmul(w, aug, out=low)
-        cols = np.flatnonzero(~(low >= d2))
+        cols = np.flatnonzero(~(low >= d2s))
         if cols.size:
-            exact = _column_sq_dist(np.take(xt, cols, axis=1), centroids[j])
-            d2[cols] = np.minimum(d2[cols], exact)
+            new = np.minimum(d2[cols], _column_sq_dist(np.take(xt, cols, axis=1), centroids[j]))
+            d2[cols] = new
+            d2s[cols] = _ceil32(np.ldexp(new, -2 * exp))
     return centroids
 
 
@@ -313,6 +341,7 @@ def kmeans_fit(
     seed: int,
     max_iters: int = 100,
     stream_id: str = "",
+    assignment: np.ndarray | None = None,
 ) -> Codebook:
     """Lloyd's algorithm with k-means++ seeding, seeded and deterministic.
 
@@ -321,6 +350,10 @@ def kmeans_fit(
     assignment passes. Empty clusters are reseeded to the point farthest
     from its assigned centroid, so all k rows stay live. The recorded
     distortion sequence is asserted non-increasing.
+
+    The loop ends on an assignment pass, before any update, so that pass
+    gives each row of x the index of its nearest returned centroid, the one
+    `assign` picks. `assignment`, an (n,) integer array, receives it.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
@@ -359,6 +392,8 @@ def kmeans_fit(
         if stop or it == max_iters:
             break
         centroids, repaired = _lloyd_update(x, centroids, assign_idx, d2, k)
+    if assignment is not None:
+        assignment[...] = assign_idx
 
     return Codebook(
         centroids=centroids,
@@ -427,11 +462,11 @@ def rvq_fit(
     if n_stages < 1:
         raise ValueError("n_stages must be >= 1")
     residual = np.asarray(x, dtype=np.float64).copy()
+    idx = np.empty(len(residual), dtype=np.int64)
     stages: list[Codebook] = []
     energies: list[float] = []
     for s in range(n_stages):
-        cb = kmeans_fit(residual, k_per_stage, seed + s, stream_id=f"{stream_id}:stage{s}")
-        _, idx = nearest_centroids(residual, cb.centroids)
+        cb = kmeans_fit(residual, k_per_stage, seed + s, stream_id=f"{stream_id}:stage{s}", assignment=idx)
         residual -= cb.centroids[idx]
         energy = float(np.einsum("nd,nd->n", residual, residual).mean())
         if energies:

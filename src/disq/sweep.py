@@ -28,7 +28,7 @@ from .dataio import N_CLASSES, FeatureSequence, UtteranceRecord
 from .fusion import LAYER_SETS, resolve_layer_set, resample
 from .metrics import confusion_matrix, macro_f1, per_class_f1
 from .model import ModelParams, PreparedUtterance, TrainConfig, predict, token_table, train
-from .quantize import OPENSMILE_CATEGORIES, Codebook, TokenSequence, assign, kmeans_fit, rvq_encode, rvq_fit
+from .quantize import OPENSMILE_CATEGORIES, Codebook, assign, kmeans_fit, rvq_encode, rvq_fit
 
 AUGMENTATIONS = OPENSMILE_CATEGORIES.names() + ("all",)
 
@@ -166,13 +166,13 @@ class CodebookCache:
 
     Every book is a need (kind, name, K, seed): ("layer", 3, 256, 0) is a
     layer's book, ("osm", "prosody", 32, 0) a paralinguistic category's. A
-    split is encoded once per book: its token entry holds one 1-D index
-    array per utterance (None where an utterance lacks the stream), in the
-    smallest unsigned dtype that holds K - 1. A book's `token_table` is
-    derived at its first lookup, fitted or held. Keys include the
-    train-split hash so a cache can never serve a different dataset by
-    accident. `misses` counts actual codebook fits, wherever they ran (see
-    `fill`).
+    split is encoded once per book, the train split by the book's own fit:
+    its token entry holds one 1-D index array per utterance (None where an
+    utterance lacks the stream), in the smallest unsigned dtype that holds
+    K - 1. A book's `token_table` is derived at its first lookup, fitted or
+    held. Keys include the train-split hash so a cache can never serve a
+    different dataset by accident. `misses` counts actual codebook fits,
+    wherever they ran (see `fill`).
     """
 
     def __init__(self, kmeans_max_iters: int = 100):
@@ -216,16 +216,26 @@ class CodebookCache:
                 mine.misses += theirs.misses
 
     def codebook(self, ds: LoadedDataset, need: tuple) -> Codebook:
-        """The book of one need, fitted on the train split's frames of its stream at first lookup."""
+        """The book of one need, fitted on the train split's frames of its stream at first lookup.
+
+        The fit's last Lloyd pass assigns each train frame its nearest
+        centroid, as `assign` would, so it also fills the train split's tokens.
+        """
         kind, name, k, seed = need
+        key = _book_key(ds, need)
 
         def fit():
-            frames = [f for f in _stream_frames(ds, "train", need) if f is not None]
+            parts = _stream_frames(ds, "train", need)
+            frames = [f for f in parts if f is not None]
             if not frames:
                 raise ValueError("no opensmile streams in the train split")
-            return kmeans_fit(np.concatenate(frames), k, seed, self.max_iters, stream_id=f"{kind}:{name}")
+            x = np.concatenate(frames)
+            idx = np.empty(len(x), dtype=np.int64)
+            cb = kmeans_fit(x, k, seed, self.max_iters, stream_id=f"{kind}:{name}", assignment=idx)
+            self._tokens[(*key, "train")] = _with_gaps(parts, _cut(_indices(idx, k), frames))
+            return cb
 
-        return self._books.get_or_fit(_book_key(ds, need), fit)
+        return self._books.get_or_fit(key, fit)
 
     def table(self, ds: LoadedDataset, need: tuple) -> np.ndarray:
         """The (K, dim) `token_table` of a book, fitted or held."""
@@ -240,8 +250,8 @@ class CodebookCache:
         def build():
             cb = self.codebook(ds, need)
             parts = _stream_frames(ds, split, need)
-            rows = iter(per_part(lambda h: _indices(assign(cb, h)), [p for p in parts if p is not None]))
-            return [None if p is None else next(rows) for p in parts]
+            rows = per_part(lambda h: _indices(assign(cb, h).indices, cb.k), [p for p in parts if p is not None])
+            return _with_gaps(parts, rows)
 
         return self._tokens.get_or_fit((*_book_key(ds, need), split), build)
 
@@ -252,9 +262,20 @@ class CodebookCache:
         return {c.name: self.codebook(ds, ("osm", c.name, c.k, seed)) for c in OPENSMILE_CATEGORIES.categories}
 
 
-def _indices(tokens: TokenSequence) -> np.ndarray:
-    """A token sequence's indices in the smallest unsigned dtype that holds K - 1 (uint8 for K <= 256)."""
-    return tokens.indices.astype(np.min_scalar_type(tokens.k - 1))
+def _indices(indices: np.ndarray, k: int) -> np.ndarray:
+    """Token indices in the smallest unsigned dtype that holds K - 1 (uint8 for K <= 256)."""
+    return indices.astype(np.min_scalar_type(k - 1))
+
+
+def _with_gaps(parts: list, rows: list) -> list:
+    """`rows`, one per part that is not None, in order, with None kept where a part is None."""
+    rows = iter(rows)
+    return [None if p is None else next(rows) for p in parts]
+
+
+def _cut(rows: np.ndarray, parts: list[np.ndarray]) -> list[np.ndarray]:
+    """Rows aligned with the concatenated parts, cut back per part."""
+    return np.split(rows, np.cumsum([len(p) for p in parts])[:-1])
 
 
 def per_part(frame_fn, parts: list[np.ndarray]) -> list:
@@ -265,11 +286,10 @@ def per_part(frame_fn, parts: list[np.ndarray]) -> list:
     """
     if not parts:
         return []
-    cuts = np.cumsum([len(p) for p in parts])[:-1]
     rows = frame_fn(FeatureSequence(np.concatenate(parts)))
     if isinstance(rows, tuple):
-        return list(zip(*(np.split(r, cuts) for r in rows)))
-    return np.split(rows, cuts)
+        return list(zip(*(_cut(r, parts) for r in rows)))
+    return _cut(rows, parts)
 
 
 def prepare_rvq_items(
@@ -298,7 +318,7 @@ def prepare_rvq_items(
 
     def stage_rows(h):
         tokens = rvq_encode(rvq, h)
-        return tuple(_indices(tokens[s]) for s in stages)
+        return tuple(_indices(tokens[s].indices, k_per_stage) for s in stages)
 
     return [
         PreparedUtterance(utt.utt_id, None, utt.label, tokens=np.stack(rows), tables=tables)

@@ -464,8 +464,14 @@ def test_tokenize_an_empty_split(tmp_path):
             "records[1].layers[2]: expected string, got integer",
         ),
         (lambda doc: doc.update(version=2), "version: expected 1, got 2"),
+        (lambda doc: doc["records"][1].update(label=-1), "records[1].label: -1 is not in 0..7"),
+        (lambda doc: doc["records"][0].update(label=9), "records[0].label: 9 is not in 0..7"),
+        (lambda doc: doc["records"][2]["layers"].pop(), "records[2].layers: 3 layer paths, expected 4"),
     ],
-    ids=["no_feature_dim", "float_label", "bool_label", "unknown_field", "string_layers", "int_layer_path", "version_2"],
+    ids=[
+        "no_feature_dim", "float_label", "bool_label", "unknown_field", "string_layers", "int_layer_path",
+        "version_2", "negative_label", "label_9", "three_layer_paths",
+    ],
 )
 def test_malformed_manifest_exits_3_naming_the_field(cli_workspace, artifacts, tmp_path, capsys, edit, field):
     data = tmp_path / "data"

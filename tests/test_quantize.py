@@ -144,7 +144,7 @@ def _bound_stress_cases():
     rng = np.random.default_rng(71)
     base = rng.standard_normal(6)
     bumps = rng.integers(0, 2, size=(80, 6)).astype(bool)
-    return {
+    cases = {
         # the expansion cancels 1e8-sized terms down to 1e-6-sized distances
         "common_offset": (1e4 + 1e-3 * rng.standard_normal((300, 8)), 40),
         "tiny_scale": (1e-150 * rng.standard_normal((200, 6)), 30),
@@ -158,6 +158,34 @@ def _bound_stress_cases():
         "d_is_1": (rng.standard_normal((100, 1)), 30),
         "k_is_n": (rng.standard_normal((25, 3)), 25),
     }
+    # float32 seeding bound: drawn after the cases above, which keep their data
+    unit_rows = rng.standard_normal((4, 5))
+    row_scales = np.where(rng.random((200, 1)) < 0.5, 1e-60, 1.0)
+    return cases | {
+        # row scales 1e-60 against 1: the small rows' scaled coordinates underflow float32 to 0
+        "float32_underflow_rows": (row_scales * rng.standard_normal((200, 6)), 30),
+        # points 1e-30 across beside unit-scale rows: their scaled d2 lies below float32's range
+        "d2_below_float32_range": (np.vstack([unit_rows, 1e-30 * rng.standard_normal((200, 5))]), 30),
+        # ... and near 1e-45, float32's subnormal steps, where only the bound's eta covers underflow
+        "d2_at_float32_subnormals": (
+            np.vstack([unit_rows, 10.0 ** rng.uniform(-23, -22, (200, 1)) * rng.standard_normal((200, 5))]),
+            30,
+        ),
+        "float32_near_ties": (_near_tie_rows(rng), 30),
+    }
+
+
+def _near_tie_rows(rng):
+    """Two far anchors and points on their bisector, moved off it by 0 to a few float32 ulps.
+
+    Once both anchors are centres, a point's distances to them differ by 4 times its offset,
+    about the resolution of the float32 bound at this scale.
+    """
+    rows = rng.standard_normal((200, 4))
+    rows[:, 0] = rng.integers(-1, 2, 200) * np.ldexp(1.0, rng.integers(-30, -18, 200))
+    anchors = np.zeros((2, 4))
+    anchors[:, 0] = (-3.0, 3.0)
+    return np.vstack([anchors, rows])
 
 
 @pytest.mark.parametrize("case", sorted(_bound_stress_cases()))
@@ -578,6 +606,44 @@ def test_rvq_energy_matches_decode_mse():
     for s in (1, 2, 3):
         mse = reconstruction_mse(x, rvq_decode(rvq, tokens, n_stages_used=s).frames)
         assert mse == pytest.approx(rvq.residual_energies[s - 1], rel=1e-12)
+
+
+def reference_rvq_fit(x, n_stages, k_per_stage, seed, stream_id="rvq"):
+    """Stage-wise residual fit that re-assigns each stage's residual with nearest_centroids."""
+    residual = x.copy()
+    stages, energies = [], []
+    for s in range(n_stages):
+        cb = kmeans_fit(residual, k_per_stage, seed + s, stream_id=f"{stream_id}:stage{s}")
+        _, idx = nearest_centroids(residual, cb.centroids)
+        residual -= cb.centroids[idx]
+        stages.append(cb)
+        energies.append(float(np.einsum("nd,nd->n", residual, residual).mean()))
+    return stages, energies
+
+
+@pytest.mark.parametrize("n,d,stages,k", [(200, 5, 3, 6), (300, 8, 2, 40), (64, 2, 4, 16)])
+def test_rvq_fit_matches_stagewise_reassignment_bitwise(n, d, stages, k):
+    x = np.random.default_rng(n + d).standard_normal((n, d)) * 10.0 ** (np.arange(d) - d // 2)
+    rvq = rvq_fit(x, stages, k, seed=5)
+    want, energies = reference_rvq_fit(x, stages, k, seed=5)
+    assert rvq.residual_energies == energies
+    for got, ref in zip(rvq.stages, want, strict=True):
+        assert got.centroids.tobytes() == ref.centroids.tobytes()
+        assert (got.stream_id, got.iterations_run, got.distortion_history) == (
+            ref.stream_id, ref.iterations_run, ref.distortion_history,
+        )
+
+
+@pytest.mark.parametrize("max_iters", [1, 3, 100])
+def test_kmeans_fit_assignment_is_assign_on_its_rows(max_iters):
+    """The fit's last Lloyd pass gives each row the token `assign` gives it under the returned book."""
+    rng = np.random.default_rng(max_iters)
+    x = np.vstack([rng.standard_normal((300, 6)), np.repeat(rng.standard_normal((3, 6)), 20, axis=0)])
+    got = np.full(len(x), -1)
+    cb = kmeans_fit(x, 24, 0, max_iters, assignment=got)
+    assert np.array_equal(got, assign(cb, FeatureSequence(x)).indices)
+    assert np.array_equal(got, brute_force_nearest(x, cb.centroids)[1])
+    assert cb.centroids.tobytes() == kmeans_fit(x, 24, 0, max_iters).centroids.tobytes()
 
 
 # --- paralinguistic categories ----------------------------------------------------

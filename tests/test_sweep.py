@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from disq import sweep
-from disq.dataio import SPLITS, generate_synthetic
+from disq.dataio import SPLITS, FeatureSequence, generate_synthetic
 from disq.fusion import resample, resolve_layer_set
 from disq.model import PreparedUtterance, _standardized, predict, token_table, train
 from disq.quantize import OPENSMILE_CATEGORIES, assign, quantize_opensmile, reconstruct
@@ -223,6 +223,31 @@ def test_missing_opensmile_stream_has_no_tokens(tmp_path):
     assert tokens[0] is None and all(t is not None for t in tokens[1:])
     with pytest.raises(ValueError, match=f"{first.utt_id}: augmentation requested but no opensmile stream"):
         prepare_items(ds, "train", (3,), 4, cache, aug="prosody")
+
+
+@pytest.mark.parametrize("max_iters", [2, 100])
+def test_a_fit_stores_the_train_tokens_assign_gives(tmp_path, max_iters):
+    """The train split's tokens come from the fit's last Lloyd pass and equal `assign` on each utterance."""
+    generate_synthetic(tiny_spec(n_per_class=3, t_range=(40, 48)), tmp_path)
+    ds = load_dataset(tmp_path)
+    train = ds.utterances["train"]
+    for i in (0, 5):
+        train[i] = replace(train[i], opensmile=None)
+    cache = CodebookCache(kmeans_max_iters=max_iters)
+    for need in (("layer", 3, 16, 0), OSM_NEEDS[0]):
+        book = cache.codebook(ds, need)
+        stored = cache._tokens[(*sweep._book_key(ds, need), "train")]  # filled by the fit, not by `tokens`
+        assert cache.tokens(ds, "train", need) is stored
+        held = CodebookCache()
+        held.hold(ds, {need: book})
+        encoded = held.tokens(ds, "train", need)
+        for got, want, part in zip(stored, encoded, sweep._stream_frames(ds, "train", need), strict=True):
+            if part is None:
+                assert got is None and want is None
+            else:
+                assert got.dtype == want.dtype == np.uint8 and np.array_equal(got, want)
+                assert np.array_equal(got, assign(book, FeatureSequence(part)).indices)
+    assert [t is None for t in stored] == [u.opensmile is None for u in train]
 
 
 def test_quantized_items_of_an_empty_split(tmp_path):
