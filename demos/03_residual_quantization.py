@@ -26,12 +26,13 @@ for s in (0, 1, 2, 4, 8):
 
 # per-stage tokens can also feed the attention head as independent streams,
 # each with its stage codebook's standardized table: the codec-style
-# counterpart of per-layer token streams
+# counterpart of per-layer token streams. Each stage is a book of the
+# codebook cache, fitted once for every split that uses it
 import tempfile
 
 from disq.dataio import SyntheticSpec, generate_synthetic
 from disq.model import TrainConfig, train
-from disq.sweep import load_dataset, prepare_rvq_items
+from disq.sweep import CodebookCache, load_dataset, prepare_rvq_items
 
 spec = SyntheticSpec(
     n_per_class=12, layer_count=2, feature_dim=10, t_range=(10, 16),
@@ -41,8 +42,9 @@ spec = SyntheticSpec(
 work = tempfile.mkdtemp(prefix="disq_demo3_")
 generate_synthetic(spec, work)
 ds = load_dataset(work)
-tr = prepare_rvq_items(ds, "train", layer=1, n_stages=4, k_per_stage=12)
-dv = prepare_rvq_items(ds, "dev", layer=1, n_stages=4, k_per_stage=12)
+cache = CodebookCache()
+tr = prepare_rvq_items(ds, "train", layer=1, stages=(0, 1, 2, 3), k_per_stage=12, cache=cache)
+dv = prepare_rvq_items(ds, "dev", layer=1, stages=(0, 1, 2, 3), k_per_stage=12, cache=cache)
 result = train(tr, dv, TrainConfig(epochs=10, batch_size=8, hidden=24))
 print(f"\n4 RVQ stage streams through the attention head: "
       f"dev macro F1 {max(h.dev_macro_f1 for h in result.history):.3f}")

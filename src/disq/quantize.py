@@ -495,9 +495,9 @@ def rvq_decode(
     """Sum of the first n_stages_used stage centroids; 0 stages gives zeros."""
     if n_stages_used is None:
         n_stages_used = len(tokens)
-    if n_stages_used > rvq.n_stages or n_stages_used > len(tokens):
+    if not 0 <= n_stages_used <= min(rvq.n_stages, len(tokens)):
         raise ValueError(
-            f"n_stages_used={n_stages_used} exceeds available stages "
+            f"n_stages_used={n_stages_used} is not in 0..{min(rvq.n_stages, len(tokens))} "
             f"({rvq.n_stages} trained, {len(tokens)} encoded)"
         )
     t = len(tokens[0]) if tokens else None

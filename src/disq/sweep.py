@@ -4,9 +4,11 @@ A sweep cell is one (layer set, K, augmentation) combination; each cell is
 trained once per seed on frozen token streams (or continuous features).
 Codebooks are trained once per (stream, K, codebook seed, train-split hash)
 and shared by every cell that touches them, mirroring a
-generate-once-then-freeze protocol. Continuous features are the loaded
-frames themselves, held once per utterance and read-only, so the forked
-workers of a sweep read them without copying a page.
+generate-once-then-freeze protocol; a residual-VQ stage is such a stream,
+the residual its layer's earlier stages leave (`prepare_rvq_items`).
+Continuous features are the loaded frames themselves, held once per
+utterance and read-only, so the forked workers of a sweep read them
+without copying a page.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .dataio import N_CLASSES, FeatureSequence, UtteranceRecord
 from .fusion import LAYER_SETS, resolve_layer_set, resample
 from .metrics import confusion_matrix, macro_f1, per_class_f1
 from .model import ModelParams, PreparedUtterance, TrainConfig, predict, token_table, train
-from .quantize import OPENSMILE_CATEGORIES, Codebook, assign, kmeans_fit, rvq_encode, rvq_fit
+from .quantize import OPENSMILE_CATEGORIES, Codebook, assign, kmeans_fit
 
 AUGMENTATIONS = OPENSMILE_CATEGORIES.names() + ("all",)
 
@@ -118,15 +120,25 @@ def load_dataset(dataset_dir, splits=dataio.SPLITS, layers=None, opensmile: bool
     )
 
 
-def _train_frames(ds: LoadedDataset, layer: int) -> np.ndarray:
-    return np.concatenate([u.layers[layer].frames for u in ds.utterances["train"]])
+def _stream_frames(ds: LoadedDataset, split: str, need: tuple, cache: CodebookCache) -> list[np.ndarray | None]:
+    """Per-utterance frames of a need's stream (None where an utterance lacks it).
 
-
-def _stream_frames(ds: LoadedDataset, split: str, need: tuple) -> list[np.ndarray | None]:
-    """Per-utterance frames of a need's stream: a layer's, or a category's opensmile columns (None if absent)."""
-    kind, name = need[:2]
+    A layer's frames; a category's opensmile columns; or, for RVQ stage s
+    of a layer, the float64 residual that the layer's stages before s leave,
+    their books and tokens looked up in `cache` in stage order.
+    """
+    kind, name, k, seed = need
     if kind == "layer":
         return [u.layers[name].frames for u in ds.utterances[split]]
+    if kind == "rvq":
+        layer, stage = name
+        residual = [u.layers[layer].frames.astype(np.float64) for u in ds.utterances[split]]
+        for s in range(stage):
+            earlier = ("rvq", (layer, s), k, seed - stage + s)
+            centroids = cache.codebook(ds, earlier).centroids
+            for r, idx in zip(residual, cache.tokens(ds, split, earlier)):
+                r -= centroids[idx]
+        return residual
     cols = OPENSMILE_CATEGORIES.column_slice(name)
     return [None if u.opensmile is None else u.opensmile.frames[:, cols] for u in ds.utterances[split]]
 
@@ -165,14 +177,16 @@ class CodebookCache:
     """Caches trained codebooks, their standardized tables and each split's tokens for one dataset.
 
     Every book is a need (kind, name, K, seed): ("layer", 3, 256, 0) is a
-    layer's book, ("osm", "prosody", 32, 0) a paralinguistic category's. A
-    split is encoded once per book, the train split by the book's own fit:
-    its token entry holds one 1-D index array per utterance (None where an
-    utterance lacks the stream), in the smallest unsigned dtype that holds
-    K - 1. A book's `token_table` is derived at its first lookup, fitted or
-    held. Keys include the train-split hash so a cache can never serve a
-    different dataset by accident. `misses` counts actual codebook fits,
-    wherever they ran (see `fill`).
+    layer's book, ("osm", "prosody", 32, 0) a paralinguistic category's,
+    ("rvq", (3, 1), 256, 1) stage 1 of a layer 3 residual quantizer seeded
+    0 (stage s has seed + s, as in `rvq_fit`). A split is encoded once per
+    book, the train split by the book's own fit: its token entry holds one
+    1-D index array per utterance (None where an utterance lacks the
+    stream), in the smallest unsigned dtype that holds K - 1. A book's
+    `token_table` is derived at its first lookup, fitted or held. Keys
+    include the train-split hash so a cache can never serve a different
+    dataset by accident. `misses` counts actual codebook fits, wherever
+    they ran (see `fill`).
     """
 
     def __init__(self, kmeans_max_iters: int = 100):
@@ -198,7 +212,8 @@ class CodebookCache:
         """Fit each needed book the cache lacks, and encode `splits` with it.
 
         Each need fills a cache of its own over `_map_phase`, merged back in
-        order, so books, tokens and `misses` do not depend on `workers`.
+        order, so books, tokens and `misses` do not depend on `workers`. An
+        RVQ stage is not filled: its part would fit the stages before it again.
         """
 
         def fit(need):
@@ -225,7 +240,7 @@ class CodebookCache:
         key = _book_key(ds, need)
 
         def fit():
-            parts = _stream_frames(ds, "train", need)
+            parts = _stream_frames(ds, "train", need, self)
             frames = [f for f in parts if f is not None]
             if not frames:
                 raise ValueError("no opensmile streams in the train split")
@@ -249,9 +264,12 @@ class CodebookCache:
 
         def build():
             cb = self.codebook(ds, need)
-            parts = _stream_frames(ds, split, need)
-            rows = per_part(lambda h: _indices(assign(cb, h).indices, cb.k), [p for p in parts if p is not None])
-            return _with_gaps(parts, rows)
+            parts = _stream_frames(ds, split, need, self)
+            frames = [p for p in parts if p is not None]
+            if not frames:
+                return parts
+            rows = _indices(assign(cb, FeatureSequence(np.concatenate(frames))).indices, cb.k)
+            return _with_gaps(parts, _cut(rows, frames))
 
         return self._tokens.get_or_fit((*_book_key(ds, need), split), build)
 
@@ -278,52 +296,37 @@ def _cut(rows: np.ndarray, parts: list[np.ndarray]) -> list[np.ndarray]:
     return np.split(rows, np.cumsum([len(p) for p in parts])[:-1])
 
 
-def per_part(frame_fn, parts: list[np.ndarray]) -> list:
-    """Run a row-wise frame_fn once on all parts' frames, cut back per part.
-
-    frame_fn returns one row-aligned array, or a tuple of them; each part
-    gets its rows of that array, or a tuple of its rows of each.
-    """
-    if not parts:
-        return []
-    rows = frame_fn(FeatureSequence(np.concatenate(parts)))
-    if isinstance(rows, tuple):
-        return list(zip(*(_cut(r, parts) for r in rows)))
-    return _cut(rows, parts)
+def _token_items(ds: LoadedDataset, split: str, needs: list[tuple], cache: CodebookCache) -> list[PreparedUtterance]:
+    """One quantized item per utterance: a token row per need, with the needs' tables."""
+    tables = tuple(cache.table(ds, need) for need in needs)
+    tokens = [cache.tokens(ds, split, need) for need in needs]
+    return [
+        PreparedUtterance(utt.utt_id, None, utt.label, tokens=np.stack([t[i] for t in tokens]), tables=tables)
+        for i, utt in enumerate(ds.utterances[split])
+    ]
 
 
 def prepare_rvq_items(
     ds: LoadedDataset,
     split: str,
     layer: int,
-    n_stages: int,
+    stages: tuple[int, ...],
     k_per_stage: int,
+    cache: CodebookCache,
     seed: int = 0,
-    stages_used: tuple[int, ...] | None = None,
 ) -> list[PreparedUtterance]:
     """Codec-style streams: per-stage RVQ tokens of one layer.
 
-    The quantizer is trained on the train split's frames for `layer`; each
-    selected stage's tokens become one stream, with the stage codebook's
-    `token_table`, so the downstream attention head consumes them exactly
-    like per-layer token streams. The split is encoded in one pass over its
-    concatenated frames.
+    Stage s is the cache's ("rvq", (layer, s), k_per_stage, seed + s) book,
+    fitted on the train split's residual after stages 0..s-1, as `rvq_fit`
+    fits it. Each of `stages`, in the order given, becomes one token stream
+    with its book's `token_table`, so the downstream attention head consumes
+    them exactly like per-layer token streams.
     """
-    rvq = rvq_fit(_train_frames(ds, layer), n_stages, k_per_stage, seed, stream_id=f"rvq:layer{layer}")
-    stages = tuple(range(n_stages)) if stages_used is None else tuple(stages_used)
-    if not stages or any(s < 0 or s >= n_stages for s in stages):
-        raise ValueError(f"stages_used {stages} outside 0..{n_stages - 1}")
-    utts = ds.utterances[split]
-    tables = tuple(token_table(rvq.stages[s].centroids) for s in stages)
-
-    def stage_rows(h):
-        tokens = rvq_encode(rvq, h)
-        return tuple(_indices(tokens[s].indices, k_per_stage) for s in stages)
-
-    return [
-        PreparedUtterance(utt.utt_id, None, utt.label, tokens=np.stack(rows), tables=tables)
-        for utt, rows in zip(utts, per_part(stage_rows, [u.layers[layer].frames for u in utts]))
-    ]
+    stages = tuple(stages)
+    if not stages or any(s < 0 for s in stages):
+        raise ValueError(f"stages {stages}: need at least one, each >= 0")
+    return _token_items(ds, split, [("rvq", (layer, s), k_per_stage, seed + s) for s in stages], cache)
 
 
 def prepare_items(
@@ -352,25 +355,19 @@ def prepare_items(
     if k is not None and cache is None:
         raise ValueError("quantized preparation needs a CodebookCache")
     utts = ds.utterances[split]
-    if k is not None:
+    if k is None:
+        items = [PreparedUtterance(utt.utt_id, utt.stack(layers), utt.label) for utt in utts]
+    else:
         needs = _needs(layers, k, aug, codebook_seed)
         cache.fill(ds, needs, tuple(ds.utterances), fit_workers())
-        layer_needs, osm_needs = needs[: len(layers)], needs[len(layers) :]
-        tables = tuple(cache.table(ds, need) for need in layer_needs)
-        tokens = [cache.tokens(ds, split, need) for need in layer_needs]
+        items = _token_items(ds, split, needs[: len(layers)], cache)
         # float32(C)[idx] has the bits of float32(C[idx])
         osm_books = [
-            (cache.codebook(ds, need).centroids.astype(np.float32), cache.tokens(ds, split, need)) for need in osm_needs
+            (cache.codebook(ds, need).centroids.astype(np.float32), cache.tokens(ds, split, need))
+            for need in needs[len(layers) :]
         ]
-
-    items = []
-    for i, utt in enumerate(utts):
-        if k is None:
-            item = PreparedUtterance(utt.utt_id, utt.stack(layers), utt.label)
-        else:
-            layer_tokens = np.stack([t[i] for t in tokens])
-            item = PreparedUtterance(utt.utt_id, None, utt.label, tokens=layer_tokens, tables=tables)
-        if aug != "none":
+    if aug != "none":
+        for i, (item, utt) in enumerate(zip(items, utts)):
             if utt.opensmile is None:
                 raise ValueError(f"{utt.utt_id}: augmentation requested but no opensmile stream")
             if k is not None:
@@ -380,7 +377,6 @@ def prepare_items(
             else:
                 block = utt.opensmile.frames[:, OPENSMILE_CATEGORIES.column_slice(aug)]
             item.osm = resample(block, item.shape[1])
-        items.append(item)
     return items
 
 
@@ -426,14 +422,14 @@ class SweepGrid:
     train: TrainConfig = field(default_factory=TrainConfig)
 
     def __post_init__(self):
-        for name in ("ks", "seeds"):
-            values = tuple(getattr(self, name))
+        for name in ("ks", "layer_sets", "seeds", "augmentations"):
+            values, integral = tuple(getattr(self, name)), name in ("ks", "seeds")
             for i, v in enumerate(values):
-                if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+                if integral and (isinstance(v, bool) or not isinstance(v, numbers.Integral)):
                     raise ValueError(f"{name}[{i}]: expected an integer, got {v!r}")
-            setattr(self, name, tuple(int(v) for v in values))
-        self.layer_sets = tuple(self.layer_sets)
-        self.augmentations = tuple(self.augmentations)
+                if v in values[:i]:
+                    raise ValueError(f"{name}[{i}]: {v!r} is listed twice")
+            setattr(self, name, tuple(int(v) for v in values) if integral else values)
         if not (self.ks and self.layer_sets and self.seeds and self.augmentations):
             raise ValueError("every grid axis must be non-empty")
         for aug in self.augmentations:

@@ -50,6 +50,10 @@ REJECTED = [
     ("sweep", GRID, {"train": {"beta2": 2.0}}, "train: beta2 must be in [0, 1)"),
     ("sweep", GRID, {"ks": [8, True]}, "ks[1]: expected integer, got boolean"),
     ("sweep", GRID, {"layer_sets": ["3", 3]}, "layer_sets[1]: expected string, got integer"),
+    ("sweep", GRID, {"ks": [8, 16, 8]}, "ks[2]: 8 is listed twice"),
+    ("sweep", GRID, {"layer_sets": ["3", "3"]}, "layer_sets[1]: '3' is listed twice"),
+    ("sweep", GRID, {"seeds": [0, 0]}, "seeds[1]: 0 is listed twice"),
+    ("sweep", GRID, {"augmentations": ["none", "prosody", "prosody"]}, "augmentations[2]: 'prosody' is listed twice"),
 ]
 
 

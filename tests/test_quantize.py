@@ -598,6 +598,14 @@ def test_rvq_decode_stage_counts():
         rvq_decode(rvq, tokens, n_stages_used=5)
 
 
+def test_rvq_decode_rejects_a_negative_stage_count():
+    x = np.random.default_rng(41).standard_normal((50, 3))
+    rvq = rvq_fit(x, n_stages=2, k_per_stage=4, seed=0)
+    tokens = rvq_encode(rvq, FeatureSequence(x))
+    with pytest.raises(ValueError, match=r"n_stages_used=-1 is not in 0\.\.2"):
+        rvq_decode(rvq, tokens, n_stages_used=-1)
+
+
 def test_rvq_energy_matches_decode_mse():
     rng = np.random.default_rng(37)
     x = rng.standard_normal((200, 5))

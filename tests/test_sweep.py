@@ -3,17 +3,18 @@ import hashlib
 import io
 import multiprocessing
 import os
+import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from disq import sweep
+from disq import quantize, sweep
 from disq.dataio import SPLITS, FeatureSequence, generate_synthetic
 from disq.fusion import resample, resolve_layer_set
 from disq.model import PreparedUtterance, _standardized, predict, token_table, train
-from disq.quantize import OPENSMILE_CATEGORIES, assign, quantize_opensmile, reconstruct
+from disq.quantize import OPENSMILE_CATEGORIES, assign, quantize_opensmile, reconstruct, rvq_encode, rvq_fit
 from disq.sweep import (
     CodebookCache,
     CSV_COLUMNS,
@@ -28,6 +29,7 @@ from disq.sweep import (
     load_dataset,
     pool_size,
     prepare_items,
+    prepare_rvq_items,
     rows_to_csv,
     rows_to_text,
     run_cell,
@@ -198,10 +200,8 @@ def test_token_streams_give_the_bits_of_standardizing_their_frames(tiny_dataset,
 
 
 def test_no_quantized_item_holds_float_layer_frames(tiny_dataset, tiny_cache):
-    from disq.sweep import prepare_rvq_items
-
     prepared = [prepare_items(tiny_dataset, "dev", (1, 2), 8, tiny_cache, aug=aug) for aug in ("none", "all")]
-    prepared.append(prepare_rvq_items(tiny_dataset, "dev", layer=3, n_stages=2, k_per_stage=8))
+    prepared.append(prepare_rvq_items(tiny_dataset, "dev", layer=3, stages=(0, 1), k_per_stage=8, cache=tiny_cache))
     for items in prepared:
         for it in items:
             assert it.streams is None and it.tokens.dtype.kind == "u"
@@ -241,7 +241,7 @@ def test_a_fit_stores_the_train_tokens_assign_gives(tmp_path, max_iters):
         held = CodebookCache()
         held.hold(ds, {need: book})
         encoded = held.tokens(ds, "train", need)
-        for got, want, part in zip(stored, encoded, sweep._stream_frames(ds, "train", need), strict=True):
+        for got, want, part in zip(stored, encoded, sweep._stream_frames(ds, "train", need, cache), strict=True):
             if part is None:
                 assert got is None and want is None
             else:
@@ -604,17 +604,19 @@ def test_average_rows_single():
     assert out.macro_f1 == row.macro_f1
 
 
-def test_prepare_rvq_items_stage_streams(tiny_dataset):
-    from disq.quantize import rvq_fit
-    from disq.sweep import prepare_rvq_items
+def _rvq_reference(ds, layer, n_stages, k, seed):
+    train_frames = np.concatenate([u.layers[layer].frames for u in ds.utterances["train"]])
+    return rvq_fit(train_frames, n_stages, k, seed)
 
-    items = prepare_rvq_items(tiny_dataset, "dev", layer=3, n_stages=4, k_per_stage=8)
+
+def test_prepare_rvq_items_stage_streams(tiny_dataset):
+    cache = CodebookCache()
+    items = prepare_rvq_items(tiny_dataset, "dev", layer=3, stages=(0, 1, 2, 3), k_per_stage=8, cache=cache)
     assert items[0].tokens.shape[0] == len(items[0].tables) == 4
     utt = tiny_dataset.utterances["dev"][0]
     assert items[0].tokens.shape[1] == utt.n_frames
     # later stages add detail: cumulative reconstruction error shrinks
-    train_frames = np.concatenate([u.layers[3].frames for u in tiny_dataset.utterances["train"]])
-    rvq = rvq_fit(train_frames, 4, 8, 0, stream_id="rvq:layer3")
+    rvq = _rvq_reference(tiny_dataset, 3, 4, 8, 0)
     x = utt.layers[3].frames.astype(np.float64)
     cumulative = np.zeros_like(x)
     errs = []
@@ -623,44 +625,76 @@ def test_prepare_rvq_items_stage_streams(tiny_dataset):
         errs.append(float(((x - cumulative) ** 2).sum()))
     assert errs == sorted(errs, reverse=True)
     # a stage subset keeps the requested order
-    pair = prepare_rvq_items(tiny_dataset, "dev", layer=3, n_stages=4, k_per_stage=8, stages_used=(0, 2))
+    pair = prepare_rvq_items(tiny_dataset, "dev", layer=3, stages=(0, 2), k_per_stage=8, cache=cache)
     assert pair[0].tokens.shape[0] == len(pair[0].tables) == 2
     assert np.array_equal(pair[0].tokens[0], items[0].tokens[0])
     assert pair[0].tables[1].tobytes() == items[0].tables[2].tobytes()
     with pytest.raises(ValueError):
-        prepare_rvq_items(tiny_dataset, "dev", layer=3, n_stages=2, k_per_stage=8, stages_used=(5,))
+        prepare_rvq_items(tiny_dataset, "dev", layer=3, stages=(1, -1), k_per_stage=8, cache=cache)
 
 
 def test_rvq_stage_streams_train_like_layers(tiny_dataset):
-    from disq.sweep import prepare_rvq_items
-
-    tr = prepare_rvq_items(tiny_dataset, "train", layer=3, n_stages=3, k_per_stage=8)
-    dv = prepare_rvq_items(tiny_dataset, "dev", layer=3, n_stages=3, k_per_stage=8)
+    cache = CodebookCache()
+    tr = prepare_rvq_items(tiny_dataset, "train", layer=3, stages=(0, 1, 2), k_per_stage=8, cache=cache)
+    dv = prepare_rvq_items(tiny_dataset, "dev", layer=3, stages=(0, 1, 2), k_per_stage=8, cache=cache)
     result = train(tr, dv, tiny_train_config(epochs=3))
     assert len(result.history) == 3
 
 
 @pytest.mark.parametrize("split,stages", [("train", None), ("dev", (2, 0)), ("test", (1,))])
 def test_batched_rvq_items_equal_per_utterance_encoding(tiny_dataset, split, stages):
-    from disq.quantize import rvq_encode, rvq_fit
-    from disq.sweep import prepare_rvq_items
-
-    items = prepare_rvq_items(tiny_dataset, split, layer=2, n_stages=3, k_per_stage=8, seed=4, stages_used=stages)
-    train_frames = np.concatenate([u.layers[2].frames for u in tiny_dataset.utterances["train"]])
-    rvq = rvq_fit(train_frames, 3, 8, 4, stream_id="rvq:layer2")
+    stages = stages or (0, 1, 2)
+    items = prepare_rvq_items(tiny_dataset, split, layer=2, stages=stages, k_per_stage=8, cache=CodebookCache(), seed=4)
+    rvq = _rvq_reference(tiny_dataset, 2, 3, 8, 4)
     utts = tiny_dataset.utterances[split]
     assert [it.utt_id for it in items] == [u.utt_id for u in utts]
-    tables = [token_table(rvq.stages[s].centroids) for s in stages or range(3)]
+    tables = [token_table(rvq.stages[s].centroids) for s in stages]
     for it, utt in zip(items, utts):
         tokens = rvq_encode(rvq, utt.layers[2])
-        expected = np.stack([tokens[s].indices for s in stages or range(3)])
+        expected = np.stack([tokens[s].indices for s in stages])
         assert it.label == utt.label and it.osm is None and it.streams is None
         assert it.tokens.dtype == np.uint8 and np.array_equal(it.tokens, expected)
         assert [t.tobytes() for t in it.tables] == [t.tobytes() for t in tables]
 
 
 def test_rvq_items_need_a_stage(tiny_dataset):
-    from disq.sweep import prepare_rvq_items
-
     with pytest.raises(ValueError):
-        prepare_rvq_items(tiny_dataset, "dev", layer=3, n_stages=2, k_per_stage=8, stages_used=())
+        prepare_rvq_items(tiny_dataset, "dev", layer=3, stages=(), k_per_stage=8, cache=CodebookCache())
+
+
+def test_each_rvq_stage_is_fitted_once_per_cache(tiny_dataset, monkeypatch):
+    """Every split and every stage selection of one (layer, K, seed) shares its stage books: they are `rvq_fit`'s."""
+    fits = []
+
+    def spy(*args, **kwargs):
+        fits.append(args)
+        return quantize.kmeans_fit(*args, **kwargs)
+
+    monkeypatch.setattr(sweep, "kmeans_fit", spy)
+    cache = CodebookCache()
+    stages = (0, 1, 2, 3)
+    for split in SPLITS:
+        prepare_rvq_items(tiny_dataset, split, layer=1, stages=stages, k_per_stage=8, cache=cache, seed=2)
+    assert cache.misses == len(fits) == len(stages)
+    for split in SPLITS:
+        prepare_rvq_items(tiny_dataset, split, layer=1, stages=(0, 1), k_per_stage=8, cache=cache, seed=2)
+    assert cache.misses == len(fits) == len(stages)
+    assert cache.max_iters == 100  # `rvq_fit`'s, through `kmeans_fit`'s default
+    for s, want in enumerate(_rvq_reference(tiny_dataset, 1, 4, 8, 2).stages):
+        assert cache.codebook(tiny_dataset, ("rvq", (1, s), 8, 2 + s)).centroids.tobytes() == want.centroids.tobytes()
+    assert cache.misses == len(stages)
+
+
+def test_rvq_train_tokens_come_from_the_stage_fits(tiny_dataset, monkeypatch):
+    """On the train split every row is assigned by a stage fit's last Lloyd pass, and by nothing else."""
+    callers = []
+    nearest = quantize.nearest_centroids
+
+    def spy(x, centroids, rows=None):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return nearest(x, centroids, rows)
+
+    monkeypatch.setattr(quantize, "nearest_centroids", spy)
+    items = prepare_rvq_items(tiny_dataset, "train", layer=3, stages=(0, 1), k_per_stage=8, cache=CodebookCache())
+    assert len(items) == len(tiny_dataset.utterances["train"])
+    assert callers and set(callers) == {"kmeans_fit"}
