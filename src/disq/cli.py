@@ -2,8 +2,11 @@
 
 Every command reads its inputs, writes all artifacts under one output
 directory (never touching inputs), and finishes by writing run metadata.
-Exit codes: 0 ok, 2 config error, 3 data error, 4 numeric failure; failures
-print one machine-readable line `error: <category>: <message>` to stderr.
+A run that succeeds exits 0. A failure prints one machine-readable line
+`error: <category>: <message>` to stderr and exits with its category's code
+in `FAILURES`: 2 config (usage errors included), 3 data, 4 numeric (a fit or
+sweep worker process that dies included). Any other exception is a bug and
+keeps its traceback.
 """
 
 from __future__ import annotations
@@ -47,20 +50,35 @@ FIT_PLACEMENT = (
     "The codebook fits run side by side in forked worker processes, as many as the usable cores divided by "
     "the BLAS threads that OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or MKL_NUM_THREADS pins, and in this process "
     "when BLAS is unpinned (`sweep` uses --workers instead). Set OPENBLAS_NUM_THREADS=1 to fit on every core. "
-    "The outputs never depend on where the fits ran."
+    "The outputs never depend on where the fits ran. A fit worker process that dies exits 4."
 )
 
 
 class ConfigError(Exception):
-    exit_code = 2
+    pass
 
 
 class DataError(Exception):
-    exit_code = 3
+    pass
 
 
 class NumericError(Exception):
-    exit_code = 4
+    pass
+
+
+# every failure `main` reports, by exception type: (types, category, exit code)
+FAILURES = (
+    ((ConfigError,), "config", 2),
+    ((DataError, dataio.FeatureFileError, OSError, ValueError), "data", 3),
+    ((NumericError, FloatingPointError, BrokenExecutor), "numeric", 4),
+)
+
+
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a config error; subcommand parsers inherit this class."""
+
+    def error(self, message):
+        raise ConfigError(message)
 
 
 # --- config plumbing ----------------------------------------------------------
@@ -102,6 +120,8 @@ class TrainJob:
     def __post_init__(self):
         if self.k is not None and self.k < 1:
             raise ValueError("k must be >= 1")
+        if self.codebook_seed < 0:
+            raise ValueError("codebook_seed must be >= 0")
         check_augmentation(self.aug)
 
 
@@ -219,8 +239,6 @@ def cmd_gen(args, argv) -> int:
         dataio.generate_synthetic(spec, out)
     except ValueError as exc:  # e.g. no room for the class directions in feature_dim dims
         raise ConfigError(f"{args.spec}: {exc}") from exc
-    except OSError as exc:
-        raise DataError(str(exc)) from exc
     _write_metadata(out, "gen", argv, spec.to_json(), [spec.seed], started)
     print(f"dataset written to {out}")
     return 0
@@ -230,6 +248,8 @@ def cmd_codebooks(args, argv) -> int:
     started = time.time()
     if args.k < 1:
         raise ConfigError("--k: must be >= 1")
+    if args.seed < 0:
+        raise ConfigError("--seed: must be >= 0")
     out = _out_dir(args, "codebooks")
     ds = _load_dataset(args.dataset, ("train",), _layer_picker({"": args.layers}), args.opensmile)
 
@@ -242,12 +262,9 @@ def cmd_codebooks(args, argv) -> int:
         "layer": sum(u.n_frames for u in train_utts),
         "osm": sum(u.opensmile.n_frames for u in train_utts if u.opensmile is not None),
     }
-    try:
-        for need in needs:
-            extra = {"train_frames": train_frames[need[0]]}
-            persist.save_codebook(cache.codebook(ds, need), out / _stem(need), extra=extra)
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
+    for need in needs:
+        extra = {"train_frames": train_frames[need[0]]}
+        persist.save_codebook(cache.codebook(ds, need), out / _stem(need), extra=extra)
     dataio.write_json(asdict(index), out / "index.json")
     _write_metadata(out, "codebooks", argv, asdict(index), [args.seed], started)
     print(f"codebooks written to {out}")
@@ -290,10 +307,7 @@ def cmd_tokenize(args, argv) -> int:
     started = time.time()
     out = _out_dir(args, "tokenize")
     book_dir = Path(args.codebooks)
-    try:
-        index = dataio.read_json(CodebookIndex, book_dir / "index.json")
-    except (OSError, ValueError) as exc:
-        raise DataError(str(exc)) from exc
+    index = dataio.read_json(CodebookIndex, book_dir / "index.json")
     ds = _load_dataset(args.dataset, (args.split,), index.layers, index.opensmile)
     cache, seed = CodebookCache(), index.seed
     needs = _needs(index.layers, index.k, "all" if index.opensmile else "none", seed)
@@ -310,21 +324,18 @@ def cmd_tokenize(args, argv) -> int:
 
     # the recon files hold float32(C)[idx], the frames prepare_items builds; a layer's go in
     # layer_XX files, the categories' side by side in one opensmile file
-    try:
-        streams = [(n, books[n], books[n].centroids.astype(np.float32), cache.tokens(ds, args.split, n)) for n in needs]
-        for i, utt in enumerate(utts):
-            osm_doc, osm_recon = {}, []
-            for need, cb, c32, tokens in streams:
-                idx = tokens[i]
-                if need[0] == "layer":
-                    write(utt, _stem(need), {"stream_id": cb.stream_id, "k": cb.k, "indices": idx.tolist()}, c32[idx])
-                elif idx is not None:
-                    osm_doc[need[1]] = {"k": cb.k, "indices": idx.tolist()}
-                    osm_recon.append(c32[idx])
-            if osm_recon:
-                write(utt, "opensmile", osm_doc, np.concatenate(osm_recon, axis=1))
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
+    streams = [(n, books[n], books[n].centroids.astype(np.float32), cache.tokens(ds, args.split, n)) for n in needs]
+    for i, utt in enumerate(utts):
+        osm_doc, osm_recon = {}, []
+        for need, cb, c32, tokens in streams:
+            idx = tokens[i]
+            if need[0] == "layer":
+                write(utt, _stem(need), {"stream_id": cb.stream_id, "k": cb.k, "indices": idx.tolist()}, c32[idx])
+            elif idx is not None:
+                osm_doc[need[1]] = {"k": cb.k, "indices": idx.tolist()}
+                osm_recon.append(c32[idx])
+        if osm_recon:
+            write(utt, "opensmile", osm_doc, np.concatenate(osm_recon, axis=1))
     _write_metadata(out, "tokenize", argv, {"split": args.split, "k": index.k}, [seed], started)
     print(f"tokens written to {out}")
     return 0
@@ -343,21 +354,17 @@ def _train_job(args) -> TrainJob:
 
 def cmd_train(args, argv) -> int:
     started = time.time()
-    out = _out_dir(args, "train")
     job = _train_job(args)
+    out = _out_dir(args, "train")
     ds = _load_dataset(
         args.dataset, ("train", "dev"), _layer_picker({"layer_set: ": job.layer_set}), job.aug != "none"
     )
 
     cache = CodebookCache()
-    try:
-        splits = {
-            split: prepare_items(ds, split, ds.layers, job.k, cache, job.codebook_seed, job.aug)
-            for split in ("train", "dev")
-        }
-        result = train(splits["train"], splits["dev"], job.train)
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
+    train_items, dev_items = (
+        prepare_items(ds, split, ds.layers, job.k, cache, job.codebook_seed, job.aug) for split in ("train", "dev")
+    )
+    result = train(train_items, dev_items, job.train)
 
     meta = CheckpointMeta(
         layer_set=job.layer_set,
@@ -389,8 +396,6 @@ def cmd_train(args, argv) -> int:
 def cmd_eval(args, argv) -> int:
     started = time.time()
     out = _out_dir(args, "eval")
-    if args.split not in dataio.SPLITS:
-        raise ConfigError(f"--split: must be one of {dataio.SPLITS}")
     try:
         params, doc = persist.load_checkpoint(args.checkpoint)
     except (OSError, ValueError) as exc:
@@ -407,11 +412,8 @@ def cmd_eval(args, argv) -> int:
     if meta.k is not None:  # a quantized checkpoint holds the books `train` fitted, and eval fits none
         needs = _needs(meta.layers, meta.k, meta.aug, meta.codebook_seed)
         _hold_codebooks(cache, ds, persist.load_exact_codebook, Path(args.checkpoint) / "codebooks", needs)
-    try:
-        items = prepare_items(ds, args.split, meta.layers, meta.k, cache, meta.codebook_seed, meta.aug)
-        row = evaluate(params, items, meta.layers, meta.layer_set, meta.k, meta.train["seed"], meta.aug)
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
+    items = prepare_items(ds, args.split, meta.layers, meta.k, cache, meta.codebook_seed, meta.aug)
+    row = evaluate(params, items, meta.layers, meta.layer_set, meta.k, meta.train["seed"], meta.aug)
 
     metrics_doc = {
         "split": args.split,
@@ -428,12 +430,12 @@ def cmd_eval(args, argv) -> int:
 
 def cmd_sweep(args, argv) -> int:
     started = time.time()
-    out = _out_dir(args, "sweep")
     grid = _read_config(SweepGrid, _load_json_config(args.grid))
     if args.workers < 1:
         raise ConfigError("--workers: must be >= 1")
     if args.workers > 1 and "fork" not in multiprocessing.get_all_start_methods():
         raise ConfigError("--workers: more than 1 needs the fork start method, which this platform lacks")
+    out = _out_dir(args, "sweep")
     layer_sets = {f"layer_sets[{i}]: ": entry for i, entry in enumerate(grid.layer_sets)}
     opensmile = any(aug != "none" for aug in grid.augmentations)
     ds = _load_dataset(args.dataset, layers=_layer_picker(layer_sets), opensmile=opensmile)
@@ -448,15 +450,15 @@ def cmd_sweep(args, argv) -> int:
 
     (out / "results.csv").write_text(rows_to_csv(result.rows))
     (out / "results.txt").write_text(rows_to_text(result.rows))
-    if any(r.aug != "none" for r in result.rows):
-        gains = augmentation_report(result.rows, ds.layer_count)
-        (out / "aug_report.csv").write_text(gains_to_csv(gains))
     if result.failures:
         lines = [
             f"{f.layer_set} K={f.k} aug={f.aug} seed={f.seed}: {f.error}" for f in result.failures
         ]
         (out / "failures.txt").write_text("\n".join(lines) + "\n")
         print(f"warning: {len(result.failures)} cell runs failed (see failures.txt)", file=sys.stderr)
+    if any(r.aug != "none" for r in result.rows):  # fails if a baseline cell failed on every seed or scored 0
+        gains = augmentation_report(result.rows, ds.layer_count)
+        (out / "aug_report.csv").write_text(gains_to_csv(gains))
     _write_metadata(out, "sweep", argv, asdict(grid), list(grid.seeds), started)
     print(f"sweep results written to {out} ({len(result.rows)} rows)")
     return 0
@@ -479,7 +481,7 @@ def cmd_gradcheck(args, argv) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="disq",
         description="Discrete-token classification pipeline: synthetic data, codebooks, fusion training, sweeps.",
     )
@@ -533,7 +535,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a checkpoint on one split")
     p.add_argument("--checkpoint", required=True, help="checkpoint directory from `disq train`")
     p.add_argument("--dataset", required=True, help="dataset directory")
-    p.add_argument("--split", default="test", help="split to evaluate (train, dev, test)")
+    p.add_argument("--split", default="test", choices=dataio.SPLITS, help="split to evaluate")
     p.add_argument("--out", help="output directory")
     p.set_defaults(func=cmd_eval)
 
@@ -561,28 +563,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args, argv)
-    except ConfigError as exc:
-        print(f"error: config: {exc}", file=sys.stderr)
-        return ConfigError.exit_code
-    except DataError as exc:
-        print(f"error: data: {exc}", file=sys.stderr)
-        return DataError.exit_code
-    except NumericError as exc:
-        print(f"error: numeric: {exc}", file=sys.stderr)
-        return NumericError.exit_code
-    except dataio.FeatureFileError as exc:
-        print(f"error: data: {exc}", file=sys.stderr)
-        return DataError.exit_code
-    except FileNotFoundError as exc:
-        print(f"error: data: {exc}", file=sys.stderr)
-        return DataError.exit_code
-    except FloatingPointError as exc:
-        print(f"error: numeric: {exc}", file=sys.stderr)
-        return NumericError.exit_code
+    except Exception as exc:
+        for types, category, code in FAILURES:
+            if isinstance(exc, types):
+                print(f"error: {category}: {exc}", file=sys.stderr)
+                return code
+        raise
 
 
 if __name__ == "__main__":

@@ -327,6 +327,8 @@ class SyntheticSpec:
         for name in ("n_per_class", "layer_count", "feature_dim"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if len(self.layer_informativeness) != self.layer_count:
             raise ValueError("layer_informativeness length must equal layer_count")
         if any(not 0.0 <= v <= 1.0 for v in self.layer_informativeness):

@@ -87,6 +87,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.learning_rate < 0:
             raise ValueError("learning_rate must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         for name in ("epochs", "batch_size", "hidden"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")

@@ -427,6 +427,8 @@ class SweepGrid:
             for i, v in enumerate(values):
                 if integral and (isinstance(v, bool) or not isinstance(v, numbers.Integral)):
                     raise ValueError(f"{name}[{i}]: expected an integer, got {v!r}")
+                if name == "seeds" and v < 0:
+                    raise ValueError(f"seeds[{i}]: must be >= 0, got {v}")
                 if v in values[:i]:
                     raise ValueError(f"{name}[{i}]: {v!r} is listed twice")
             setattr(self, name, tuple(int(v) for v in values) if integral else values)
@@ -434,6 +436,10 @@ class SweepGrid:
             raise ValueError("every grid axis must be non-empty")
         for aug in self.augmentations:
             check_augmentation(aug)
+        if "none" not in self.augmentations:
+            raise ValueError('augmentations: must list "none", the baseline each augmentation is reported against')
+        if self.codebook_seed < 0:
+            raise ValueError("codebook_seed must be >= 0")
 
     def cells(self) -> list[tuple[int | None, str, str]]:
         out = [(k, ls, aug) for k in self.ks for ls in self.layer_sets for aug in self.augmentations]

@@ -3,6 +3,7 @@ import json
 import multiprocessing
 import os
 import shutil
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -355,6 +356,119 @@ def test_exit_codes(cli_workspace, tmp_path, capsys):
 
     # k larger than the train frame count is a data error
     assert run(["codebooks", "--dataset", cli_workspace / "data", "--layers", "3", "--k", 10**6, "--out", tmp_path / "w"]) == 3
+
+    # a grid without the "none" baseline is a config error
+    no_baseline = tmp_path / "no_baseline.json"
+    no_baseline.write_text('{"ks": [8], "layer_sets": ["3"], "seeds": [0], "augmentations": ["prosody"]}')
+    assert run(["sweep", "--dataset", cli_workspace / "data", "--grid", no_baseline, "--out", tmp_path / "v"]) == 2
+
+
+FAILURE_TABLE = [
+    (cli.ConfigError, 2, "config"),
+    (cli.DataError, 3, "data"),
+    (cli.dataio.FeatureFileError, 3, "data"),
+    (OSError, 3, "data"),
+    (FileExistsError, 3, "data"),
+    (ValueError, 3, "data"),
+    (cli.NumericError, 4, "numeric"),
+    (FloatingPointError, 4, "numeric"),
+    (BrokenProcessPool, 4, "numeric"),
+]
+
+
+@pytest.mark.parametrize("exc_type, code, category", FAILURE_TABLE)
+def test_every_failure_exits_through_one_table(tmp_path, capsys, monkeypatch, exc_type, code, category):
+    def fail(args, argv):
+        raise exc_type("planted")
+
+    monkeypatch.setattr(cli, "cmd_gradcheck", fail)
+    assert run(["gradcheck", "--out", tmp_path / "gc"]) == code
+    assert capsys.readouterr().err == f"error: {category}: planted\n"
+
+
+def test_an_exception_outside_the_table_keeps_its_traceback(tmp_path, monkeypatch):
+    def fail(args, argv):
+        raise TypeError("a bug")
+
+    monkeypatch.setattr(cli, "cmd_gradcheck", fail)
+    with pytest.raises(TypeError, match="a bug"):
+        run(["gradcheck", "--out", tmp_path / "gc"])
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="fit workers need fork")
+@pytest.mark.parametrize("command, args", [("codebooks", ["--layers", "2,3"]), ("train", ["--layer-set", "2,3"])])
+def test_a_dead_fit_worker_exits_4(cli_workspace, tmp_path, capsys, monkeypatch, command, args):
+    parent = os.getpid()
+
+    def fit_or_die(*a, **kw):
+        if os.getpid() != parent:
+            os._exit(1)
+        pytest.fail("a fit ran in this process")
+
+    for module in (cli, sweep):  # two fit workers, whatever the environment pins
+        monkeypatch.setattr(module, "fit_workers", lambda: 2)
+    monkeypatch.setattr(sweep, "kmeans_fit", fit_or_die)  # the forked workers inherit the patch
+    argv = [command, "--dataset", cli_workspace / "data", *args, "--k", 8, "--out", tmp_path / "out"]
+    assert run(argv) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: numeric:")
+    assert not multiprocessing.active_children()
+
+
+@pytest.mark.parametrize("sub", ["", "sub"])
+def test_an_out_that_names_a_file_exits_3(tmp_path, capsys, sub):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert run(["gradcheck", "--out", taken / sub]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: data:") and str(taken) in err[0]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["eval", "--checkpoint", "ckpt", "--dataset", "data", "--split", "bogus"], "argument --split: invalid choice"),
+        (["train", "--layer-set", "3"], "the following arguments are required: --dataset"),
+        (["codebooks", "--dataset", "data", "--k", "notint"], "argument --k: invalid int value: 'notint'"),
+        (["bogus"], "invalid choice: 'bogus'"),
+        ([], "the following arguments are required: command"),
+    ],
+)
+def test_usage_errors_are_config_errors(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    assert run(argv + (["--out", out] if argv else [])) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: config:") and message in err[0], err
+    assert not out.exists()
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        run(["--help"])
+    assert exit_info.value.code == 0
+    assert "gradcheck" in capsys.readouterr().out
+
+
+def test_a_report_without_its_baseline_keeps_the_failure_list(cli_workspace, tmp_path, capsys, monkeypatch):
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"ks": [8], "layer_sets": ["3"], "seeds": [0], "augmentations": ["none", "prosody"],
+                                "train": {"epochs": 1}}))
+    real_run_cell = sweep.run_cell
+
+    def baseline_fails(ds, layer_set, k, seed, cache, train_config, aug="none", codebook_seed=0):
+        if aug == "none":
+            return sweep.CellFailure(k, layer_set, aug, seed, "ValueError: planted")
+        return real_run_cell(ds, layer_set, k, seed, cache, train_config, aug, codebook_seed)
+
+    monkeypatch.setattr(sweep, "run_cell", baseline_fails)
+    out = tmp_path / "sw"
+    assert run(["sweep", "--dataset", cli_workspace / "data", "--grid", grid, "--out", out]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1] == "error: data: missing augmentation baseline for ('3', 8)"
+    assert (out / "failures.txt").read_text() == "3 K=8 aug=none seed=0: ValueError: planted\n"
+    assert (out / "results.csv").is_file() and not (out / "aug_report.csv").exists()
 
 
 def test_tokenize_rejects_codebooks_the_dataset_cannot_use(cli_workspace, tmp_path, capsys):

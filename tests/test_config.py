@@ -54,6 +54,13 @@ REJECTED = [
     ("sweep", GRID, {"layer_sets": ["3", "3"]}, "layer_sets[1]: '3' is listed twice"),
     ("sweep", GRID, {"seeds": [0, 0]}, "seeds[1]: 0 is listed twice"),
     ("sweep", GRID, {"augmentations": ["none", "prosody", "prosody"]}, "augmentations[2]: 'prosody' is listed twice"),
+    ("sweep", GRID, {"augmentations": ["prosody"]}, 'augmentations: must list "none"'),
+    ("sweep", GRID, {"seeds": [0, -1]}, "seeds[1]: must be >= 0, got -1"),
+    ("sweep", GRID, {"codebook_seed": -1}, "codebook_seed must be >= 0"),
+    ("sweep", GRID, {"train": {"seed": -1}}, "train: seed must be >= 0"),
+    ("train", TRAIN, {"codebook_seed": -1}, "codebook_seed must be >= 0"),
+    ("train", TRAIN, {"train": {"seed": -1}}, "train: seed must be >= 0"),
+    ("gen", SPEC, {"seed": -1}, "seed must be >= 0"),
 ]
 
 
@@ -80,6 +87,37 @@ def test_cli_rejects_a_config_that_is_not_an_object(tiny_dataset, tmp_path, caps
         argv += ["--dataset", tiny_dataset.root]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: config:")
+
+
+@pytest.mark.parametrize(
+    "command, seed, message",
+    [
+        ("train", "-1", "train: seed must be >= 0"),
+        ("codebooks", "-2", "--seed: must be >= 0"),
+        ("gen", "-1", "seed must be >= 0"),
+    ],
+)
+def test_cli_rejects_negative_seed_flags(tiny_dataset, tmp_path, monkeypatch, capsys, command, seed, message):
+    monkeypatch.setattr("disq.dataio.read_feature_file", lambda *a, **kw: pytest.fail("a feature file was read"))
+    out = tmp_path / "out"
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(SPEC))
+    argv = [command, "--seed", seed, "--out", str(out)]
+    argv += ["--spec", str(spec)] if command == "gen" else ["--dataset", str(tiny_dataset.root)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config:") and err.endswith(f"{message}\n") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
+def test_a_grid_without_a_baseline_is_rejected_before_any_feature_file_is_read(tiny_dataset, tmp_path, monkeypatch):
+    monkeypatch.setattr("disq.dataio.read_feature_file", lambda *a, **kw: pytest.fail("a feature file was read"))
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps({**GRID, "augmentations": ["prosody", "mfcc"]}))
+    assert main(["sweep", "--grid", str(path), "--dataset", str(tiny_dataset.root), "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+    with pytest.raises(ValueError, match='must list "none"'):
+        SweepGrid(ks=(8,), layer_sets=("3",), seeds=(0,), augmentations=("prosody",))
 
 
 @pytest.mark.parametrize(
