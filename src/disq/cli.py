@@ -1,12 +1,15 @@
 """Single entry point exposing the pipeline as reproducible subcommands.
 
-Every command reads its inputs, writes all artifacts under one output
-directory (never touching inputs), and finishes by writing run metadata.
-A run that succeeds exits 0. A failure prints one machine-readable line
-`error: <category>: <message>` to stderr and exits with its category's code
-in `FAILURES`: 2 config (usage errors included), 3 data, 4 numeric (a fit or
-sweep worker process that dies included). Any other exception is a bug and
-keeps its traceback.
+Every command reads its inputs, never touching them, and writes all artifacts
+under one output directory, which it creates just before its first write.
+`main` frames each run: it starts the clock, resolves `--out`, runs the
+command, writes `run_metadata.json` from the config payload and seeds the
+command returns, and prints its success line. A run that succeeds exits 0. A
+failure prints one line `error: <category>: <message>` to stderr, exits with
+its category's code in `FAILURES` (2 config, usage errors included; 3 data; 4
+numeric, a fit or sweep worker process that dies included) and leaves no
+`--out`, except that a failing gradcheck keeps its `gradcheck.json`. Any other
+exception is a bug and keeps its traceback.
 """
 
 from __future__ import annotations
@@ -158,16 +161,7 @@ class CheckpointMeta:
         dataio.from_json(int, self.train["seed"], "train.seed")
 
 
-# --- run directory and metadata -------------------------------------------------
-
-
-def _out_dir(args, command: str) -> Path:
-    if args.out:
-        out = Path(args.out)
-    else:
-        out = Path(os.environ.get("DISQ_RUN_DIR", "runs")) / command
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+# --- run metadata -----------------------------------------------------------------
 
 
 def _config_digest(payload) -> str:
@@ -175,6 +169,7 @@ def _config_digest(payload) -> str:
 
 
 def _write_metadata(out: Path, command: str, argv, config_payload, seeds, started: float) -> None:
+    out.mkdir(parents=True, exist_ok=True)  # a run may have written nothing, e.g. tokenize of an empty split
     outputs = []  # every file's relative path but run_metadata.json, at any depth
     for root, _, files in os.walk(out):
         rel = os.path.relpath(root, out)
@@ -229,28 +224,22 @@ def _layer_picker(entries: dict[str, str]):
 # --- subcommands ------------------------------------------------------------------
 
 
-def cmd_gen(args, argv) -> int:
-    started = time.time()
+def cmd_gen(args, out: Path) -> tuple:
     doc = _load_json_config(args.spec)
     _override(doc, args, ("seed", "n_per_class"))
     spec = _read_config(SyntheticSpec, doc)
-    out = _out_dir(args, "gen")
     try:
         dataio.generate_synthetic(spec, out)
     except ValueError as exc:  # e.g. no room for the class directions in feature_dim dims
         raise ConfigError(f"{args.spec}: {exc}") from exc
-    _write_metadata(out, "gen", argv, spec.to_json(), [spec.seed], started)
-    print(f"dataset written to {out}")
-    return 0
+    return spec.to_json(), [spec.seed], f"dataset written to {out}"
 
 
-def cmd_codebooks(args, argv) -> int:
-    started = time.time()
+def cmd_codebooks(args, out: Path) -> tuple:
     if args.k < 1:
         raise ConfigError("--k: must be >= 1")
     if args.seed < 0:
         raise ConfigError("--seed: must be >= 0")
-    out = _out_dir(args, "codebooks")
     ds = _load_dataset(args.dataset, ("train",), _layer_picker({"": args.layers}), args.opensmile)
 
     index = CodebookIndex(args.k, args.seed, tuple(ds.layers), args.opensmile)
@@ -262,13 +251,12 @@ def cmd_codebooks(args, argv) -> int:
         "layer": sum(u.n_frames for u in train_utts),
         "osm": sum(u.opensmile.n_frames for u in train_utts if u.opensmile is not None),
     }
+    out.mkdir(parents=True, exist_ok=True)
     for need in needs:
         extra = {"train_frames": train_frames[need[0]]}
         persist.save_codebook(cache.codebook(ds, need), out / _stem(need), extra=extra)
     dataio.write_json(asdict(index), out / "index.json")
-    _write_metadata(out, "codebooks", argv, asdict(index), [args.seed], started)
-    print(f"codebooks written to {out}")
-    return 0
+    return asdict(index), [args.seed], f"codebooks written to {out}"
 
 
 def _stem(need: tuple) -> str:
@@ -303,9 +291,7 @@ def _hold_codebooks(cache: CodebookCache, ds, load, book_dir: Path, needs) -> di
     return books
 
 
-def cmd_tokenize(args, argv) -> int:
-    started = time.time()
-    out = _out_dir(args, "tokenize")
+def cmd_tokenize(args, out: Path) -> tuple:
     book_dir = Path(args.codebooks)
     index = dataio.read_json(CodebookIndex, book_dir / "index.json")
     ds = _load_dataset(args.dataset, (args.split,), index.layers, index.opensmile)
@@ -336,9 +322,7 @@ def cmd_tokenize(args, argv) -> int:
                 osm_recon.append(c32[idx])
         if osm_recon:
             write(utt, "opensmile", osm_doc, np.concatenate(osm_recon, axis=1))
-    _write_metadata(out, "tokenize", argv, {"split": args.split, "k": index.k}, [seed], started)
-    print(f"tokens written to {out}")
-    return 0
+    return {"split": args.split, "k": index.k}, [seed], f"tokens written to {out}"
 
 
 def _train_job(args) -> TrainJob:
@@ -352,10 +336,8 @@ def _train_job(args) -> TrainJob:
     return _read_config(TrainJob, doc)
 
 
-def cmd_train(args, argv) -> int:
-    started = time.time()
+def cmd_train(args, out: Path) -> tuple:
     job = _train_job(args)
-    out = _out_dir(args, "train")
     ds = _load_dataset(
         args.dataset, ("train", "dev"), _layer_picker({"layer_set: ": job.layer_set}), job.aug != "none"
     )
@@ -385,17 +367,11 @@ def cmd_train(args, argv) -> int:
             persist.save_exact_codebook(cache.codebook(ds, need), book_dir / _stem(need))
     history = [[h.train_loss, h.dev_macro_f1] for h in result.history]
     (out / "history.json").write_text(json.dumps(history) + "\n")
-    _write_metadata(out, "train", argv, asdict(meta), [job.train.seed], started)
-    print(
-        f"checkpoint written to {out / 'checkpoint'} "
-        f"(best epoch {result.best_epoch}, dev macro F1 {meta.dev_macro_f1:.4f})"
-    )
-    return 0
+    best = f"best epoch {result.best_epoch}, dev macro F1 {meta.dev_macro_f1:.4f}"
+    return asdict(meta), [job.train.seed], f"checkpoint written to {out / 'checkpoint'} ({best})"
 
 
-def cmd_eval(args, argv) -> int:
-    started = time.time()
-    out = _out_dir(args, "eval")
+def cmd_eval(args, out: Path) -> tuple:
     try:
         params, doc = persist.load_checkpoint(args.checkpoint)
     except (OSError, ValueError) as exc:
@@ -421,21 +397,18 @@ def cmd_eval(args, argv) -> int:
         "per_class_f1": [float(v) for v in row.per_class_f1],
         "mean_alpha": {str(layer): v for layer, v in sorted(row.mean_alpha.items())},
     }
+    out.mkdir(parents=True, exist_ok=True)
     dataio.write_json(metrics_doc, out / "metrics.json")
     (out / "row.csv").write_text(rows_to_csv([row]))
-    _write_metadata(out, "eval", argv, metrics_doc, [meta.train["seed"]], started)
-    print(f"{args.split} macro F1 = {row.macro_f1:.4f} (metrics in {out})")
-    return 0
+    return metrics_doc, [meta.train["seed"]], f"{args.split} macro F1 = {row.macro_f1:.4f} (metrics in {out})"
 
 
-def cmd_sweep(args, argv) -> int:
-    started = time.time()
+def cmd_sweep(args, out: Path) -> tuple:
     grid = _read_config(SweepGrid, _load_json_config(args.grid))
     if args.workers < 1:
         raise ConfigError("--workers: must be >= 1")
     if args.workers > 1 and "fork" not in multiprocessing.get_all_start_methods():
         raise ConfigError("--workers: more than 1 needs the fork start method, which this platform lacks")
-    out = _out_dir(args, "sweep")
     layer_sets = {f"layer_sets[{i}]: ": entry for i, entry in enumerate(grid.layer_sets)}
     opensmile = any(aug != "none" for aug in grid.augmentations)
     ds = _load_dataset(args.dataset, layers=_layer_picker(layer_sets), opensmile=opensmile)
@@ -448,6 +421,7 @@ def cmd_sweep(args, argv) -> int:
             print(f"failed cell: {failure}", file=sys.stderr)
         raise NumericError("every sweep cell failed")
 
+    out.mkdir(parents=True, exist_ok=True)
     (out / "results.csv").write_text(rows_to_csv(result.rows))
     (out / "results.txt").write_text(rows_to_text(result.rows))
     if result.failures:
@@ -459,22 +433,20 @@ def cmd_sweep(args, argv) -> int:
     if any(r.aug != "none" for r in result.rows):  # fails if a baseline cell failed on every seed or scored 0
         gains = augmentation_report(result.rows, ds.layer_count)
         (out / "aug_report.csv").write_text(gains_to_csv(gains))
-    _write_metadata(out, "sweep", argv, asdict(grid), list(grid.seeds), started)
-    print(f"sweep results written to {out} ({len(result.rows)} rows)")
-    return 0
+    return asdict(grid), list(grid.seeds), f"sweep results written to {out} ({len(result.rows)} rows)"
 
 
-def cmd_gradcheck(args, argv) -> int:
-    started = time.time()
-    out = _out_dir(args, "gradcheck")
+def cmd_gradcheck(args, out: Path) -> tuple:
+    if args.seed < 0:
+        raise ConfigError("--seed: must be >= 0")
     err = gradient_check(seed=args.seed)
     report = {"seed": args.seed, "max_rel_err": err, "threshold": GRADCHECK_THRESHOLD}
-    dataio.write_json(report, out / "gradcheck.json")
-    _write_metadata(out, "gradcheck", argv, {"seed": args.seed}, [args.seed], started)
-    print(f"gradcheck seed={args.seed} max_rel_err={err:.6e} threshold={GRADCHECK_THRESHOLD:g}")
+    out.mkdir(parents=True, exist_ok=True)
+    dataio.write_json(report, out / "gradcheck.json")  # kept when the check fails
     if not err < GRADCHECK_THRESHOLD:
         raise NumericError(f"gradient check failed: {err:.6e} >= {GRADCHECK_THRESHOLD:g}")
-    return 0
+    message = f"gradcheck seed={args.seed} max_rel_err={err:.6e} threshold={GRADCHECK_THRESHOLD:g}"
+    return {"seed": args.seed}, [args.seed], message
 
 
 # --- parser -----------------------------------------------------------------------
@@ -562,10 +534,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    started = time.time()
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args, argv)
+        out = Path(args.out or Path(os.environ.get("DISQ_RUN_DIR", "runs")) / args.command)
+        taken = next((p for p in (out, *out.parents) if p.exists() and not p.is_dir()), None)
+        if taken is not None:  # refused before the command does any work
+            raise DataError(f"--out: {taken} exists and is not a directory")
+        config_payload, seeds, message = args.func(args, out)
+        _write_metadata(out, args.command, argv, config_payload, seeds, started)
+        print(message)
+        return 0
     except Exception as exc:
         for types, category, code in FAILURES:
             if isinstance(exc, types):

@@ -502,9 +502,9 @@ def generate_synthetic(spec: SyntheticSpec, out_dir) -> dict[str, DatasetManifes
     Deterministic for a fixed spec: all draws come from generators seeded
     off spec.seed, and files are written in a fixed order.
     """
+    mu, nu = synthetic_class_means(spec)  # before anything is created: the placement can fail
     out_dir = Path(out_dir)
     (out_dir / "feats").mkdir(parents=True, exist_ok=True)
-    mu, nu = synthetic_class_means(spec)
     data_rng = np.random.default_rng([spec.seed, 2])
     split_rng = np.random.default_rng([spec.seed, 3])
     info = np.asarray(spec.layer_informativeness)

@@ -429,6 +429,8 @@ class SweepGrid:
                     raise ValueError(f"{name}[{i}]: expected an integer, got {v!r}")
                 if name == "seeds" and v < 0:
                     raise ValueError(f"seeds[{i}]: must be >= 0, got {v}")
+                if name == "ks" and v < 1:
+                    raise ValueError(f"ks[{i}]: must be >= 1, got {v}")
                 if v in values[:i]:
                     raise ValueError(f"{name}[{i}]: {v!r} is listed twice")
             setattr(self, name, tuple(int(v) for v in values) if integral else values)

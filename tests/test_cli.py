@@ -416,12 +416,47 @@ def test_a_dead_fit_worker_exits_4(cli_workspace, tmp_path, capsys, monkeypatch,
 
 
 @pytest.mark.parametrize("sub", ["", "sub"])
-def test_an_out_that_names_a_file_exits_3(tmp_path, capsys, sub):
+def test_an_out_that_names_a_file_exits_3(tmp_path, capsys, monkeypatch, sub):
+    monkeypatch.setattr(cli, "cmd_gradcheck", lambda args, out: pytest.fail("the command ran"))
     taken = tmp_path / "taken"
     taken.write_text("")
     assert run(["gradcheck", "--out", taken / sub]) == 3
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: data:") and str(taken) in err[0]
+
+
+@pytest.mark.parametrize(
+    "command, code",
+    [("gen", 2), ("codebooks", 3), ("tokenize", 3), ("train", 3), ("eval", 3), ("sweep", 2), ("gradcheck", 2)],
+)
+def test_a_failed_command_leaves_no_out(cli_workspace, artifacts, tmp_path, capsys, command, code):
+    spec, grid, missing = tmp_path / "spec.json", tmp_path / "grid.json", tmp_path / "missing"
+    spec.write_text(json.dumps(tiny_spec(feature_dim=2).to_json()))  # no room for 8 class directions
+    grid.write_text(json.dumps({"ks": [8], "layer_sets": ["9"], "seeds": [0]}))  # the dataset has 4 layers
+    args = {
+        "gen": ["--spec", spec],
+        "codebooks": ["--dataset", missing],
+        "tokenize": ["--dataset", missing, "--codebooks", artifacts / "cb"],
+        "train": ["--dataset", missing],
+        "eval": ["--dataset", missing, "--checkpoint", artifacts / "tr" / "checkpoint"],
+        "sweep": ["--dataset", cli_workspace / "data", "--grid", grid],
+        "gradcheck": ["--seed", -1],
+    }[command]
+    out = tmp_path / "out"
+    assert run([command, *args, "--out", out]) == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert not out.exists()
+
+
+def test_a_failing_gradcheck_keeps_its_report(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "gradient_check", lambda seed: 1.0)
+    out = tmp_path / "gc"
+    assert run(["gradcheck", "--out", out]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: numeric: gradient check failed: 1.000000e+00 >= 0.001\n"
+    assert json.loads((out / "gradcheck.json").read_text())["max_rel_err"] == 1.0
+    assert sorted(p.name for p in out.iterdir()) == ["gradcheck.json"]  # no run_metadata.json
 
 
 @pytest.mark.parametrize(

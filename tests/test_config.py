@@ -61,6 +61,7 @@ REJECTED = [
     ("train", TRAIN, {"codebook_seed": -1}, "codebook_seed must be >= 0"),
     ("train", TRAIN, {"train": {"seed": -1}}, "train: seed must be >= 0"),
     ("gen", SPEC, {"seed": -1}, "seed must be >= 0"),
+    ("sweep", GRID, {"ks": [0]}, "ks[0]: must be >= 1"),
 ]
 
 
@@ -95,15 +96,18 @@ def test_cli_rejects_a_config_that_is_not_an_object(tiny_dataset, tmp_path, caps
         ("train", "-1", "train: seed must be >= 0"),
         ("codebooks", "-2", "--seed: must be >= 0"),
         ("gen", "-1", "seed must be >= 0"),
+        ("gradcheck", "-1", "--seed: must be >= 0"),
     ],
 )
 def test_cli_rejects_negative_seed_flags(tiny_dataset, tmp_path, monkeypatch, capsys, command, seed, message):
     monkeypatch.setattr("disq.dataio.read_feature_file", lambda *a, **kw: pytest.fail("a feature file was read"))
+    monkeypatch.setattr("disq.cli.gradient_check", lambda *a, **kw: pytest.fail("the gradient check ran"))
     out = tmp_path / "out"
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(SPEC))
     argv = [command, "--seed", seed, "--out", str(out)]
-    argv += ["--spec", str(spec)] if command == "gen" else ["--dataset", str(tiny_dataset.root)]
+    if command != "gradcheck":
+        argv += ["--spec", str(spec)] if command == "gen" else ["--dataset", str(tiny_dataset.root)]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: config:") and err.endswith(f"{message}\n") and err.count("\n") == 1, err
