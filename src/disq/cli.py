@@ -8,8 +8,9 @@ command returns, and prints its success line. A run that succeeds exits 0. A
 failure prints one line `error: <category>: <message>` to stderr, exits with
 its category's code in `FAILURES` (2 config, usage errors included; 3 data; 4
 numeric, a fit or sweep worker process that dies included) and leaves no
-`--out`, except that a failing gradcheck keeps its `gradcheck.json`. Any other
-exception is a bug and keeps its traceback.
+`--out`, except that a failing gradcheck keeps its `gradcheck.json` and a sweep
+whose augmentation report fails keeps `results.csv`, `results.txt` and
+`failures.txt`. Any other exception is a bug and keeps its traceback.
 """
 
 from __future__ import annotations
@@ -29,9 +30,8 @@ import numpy as np
 
 from . import __version__, dataio, persist
 from .dataio import FeatureSequence, SyntheticSpec
-from .fusion import resolve_layer_set
+from .fusion import check_layer_order, resolve_layer_set
 from .model import TrainConfig, gradient_check, train
-from .quantize import OPENSMILE_CATEGORIES
 from .sweep import (
     CodebookCache,
     SweepGrid,
@@ -110,6 +110,15 @@ def _read_config(cls, doc: dict):
         raise ConfigError(str(exc)) from exc
 
 
+def _check_run(run) -> None:
+    """The rules of a train run's `k`, `codebook_seed` and `aug`, in its config and in its checkpoint's meta.json."""
+    if run.k is not None and run.k < 1:
+        raise ValueError("k must be >= 1")
+    if run.codebook_seed < 0:
+        raise ValueError("codebook_seed must be >= 0")
+    check_augmentation(run.aug, "aug: ")
+
+
 @dataclass
 class TrainJob:
     """The `disq train` config document; flags override its scalars."""
@@ -120,12 +129,7 @@ class TrainJob:
     codebook_seed: int = 0
     train: TrainConfig = field(default_factory=TrainConfig)
 
-    def __post_init__(self):
-        if self.k is not None and self.k < 1:
-            raise ValueError("k must be >= 1")
-        if self.codebook_seed < 0:
-            raise ValueError("codebook_seed must be >= 0")
-        check_augmentation(self.aug)
+    __post_init__ = _check_run
 
 
 @dataclass
@@ -136,6 +140,13 @@ class CodebookIndex:
     seed: int
     layers: tuple[int, ...]
     opensmile: bool = False
+
+    def __post_init__(self):
+        if self.k < 1:
+            raise ValueError("k must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+        check_layer_order(self.layers, "layers: ")
 
 
 @dataclass
@@ -156,6 +167,8 @@ class CheckpointMeta:
     dev_macro_f1: float
 
     def __post_init__(self):
+        _check_run(self)
+        check_layer_order(self.layers, "layers: ")
         if "seed" not in self.train:
             raise ValueError("train.seed: missing required field")
         dataio.from_json(int, self.train["seed"], "train.seed")
@@ -192,13 +205,6 @@ def _write_metadata(out: Path, command: str, argv, config_payload, seeds, starte
 
 
 # --- shared data helpers ---------------------------------------------------------
-
-
-def _load_dataset(dataset_dir, splits=dataio.SPLITS, layers=None, opensmile=True):
-    try:
-        return load_dataset(dataset_dir, splits, layers, opensmile)
-    except (FileNotFoundError, dataio.FeatureFileError, ValueError) as exc:
-        raise DataError(f"dataset {dataset_dir}: {exc}") from exc
 
 
 def _layer_picker(entries: dict[str, str]):
@@ -240,20 +246,15 @@ def cmd_codebooks(args, out: Path) -> tuple:
         raise ConfigError("--k: must be >= 1")
     if args.seed < 0:
         raise ConfigError("--seed: must be >= 0")
-    ds = _load_dataset(args.dataset, ("train",), _layer_picker({"": args.layers}), args.opensmile)
+    ds = load_dataset(args.dataset, ("train",), _layer_picker({"": args.layers}), args.opensmile)
 
     index = CodebookIndex(args.k, args.seed, tuple(ds.layers), args.opensmile)
     cache = CodebookCache()
     needs = _needs(ds.layers, args.k, "all" if args.opensmile else "none", args.seed)
     cache.fill(ds, needs, workers=fit_workers())
-    train_utts = ds.utterances["train"]
-    train_frames = {
-        "layer": sum(u.n_frames for u in train_utts),
-        "osm": sum(u.opensmile.n_frames for u in train_utts if u.opensmile is not None),
-    }
     out.mkdir(parents=True, exist_ok=True)
     for need in needs:
-        extra = {"train_frames": train_frames[need[0]]}
+        extra = {"train_frames": sum(len(t) for t in cache.tokens(ds, "train", need) if t is not None)}
         persist.save_codebook(cache.codebook(ds, need), out / _stem(need), extra=extra)
     dataio.write_json(asdict(index), out / "index.json")
     return asdict(index), [args.seed], f"codebooks written to {out}"
@@ -265,52 +266,37 @@ def _stem(need: tuple) -> str:
     return f"layer_{name:02d}" if kind == "layer" else f"osm_{name}"
 
 
-def _hold_codebooks(cache: CodebookCache, ds, load, book_dir: Path, needs) -> dict:
-    """Give `cache` the codebook of each need saved in `book_dir`, each checked against the run and `ds`.
-
-    `load` is the persist reader of the directory's format. Returns the books by need.
-    """
-    dims = {c.name: c.dim for c in OPENSMILE_CATEGORIES.categories}
-    books = {}
+def _hold_codebooks(cache: CodebookCache, ds, load, book_dir: Path, needs) -> None:
+    """Give `cache` the codebook of each need saved in `book_dir`, read by `load`, the persist reader of its format."""
     for need in needs:
-        kind, name, k, seed = need
         base = book_dir / _stem(need)
+        cb = load(base)
         try:
-            cb = load(base)
-        except (OSError, ValueError, dataio.FeatureFileError) as exc:  # a parse error does not name the file
-            raise DataError(str(exc) if str(base) in str(exc) else f"{base}: {exc}") from exc
-        want = {"stream_id": f"{kind}:{name}", "k": k, "seed": seed}
-        got = {field: getattr(cb, field) for field in want}
-        if got != want:
-            raise DataError(f"{base.with_suffix('.json')}: holds {got}, the run asks for {want}")
-        dim = ds.feature_dim if kind == "layer" else dims[name]
-        if cb.dim != dim:
-            raise DataError(f"{base}: centroids have {cb.dim} columns, the stream {dim}")
-        books[need] = cb
-    cache.hold(ds, books)
-    return books
+            cache.hold(ds, {need: cb})
+        except ValueError as exc:  # the sidecar holds a book's stream_id, k and seed, the centroid file its width
+            raise DataError(f"{base.with_suffix('.json') if str(exc).startswith('holds') else base}: {exc}") from exc
 
 
 def cmd_tokenize(args, out: Path) -> tuple:
     book_dir = Path(args.codebooks)
     index = dataio.read_json(CodebookIndex, book_dir / "index.json")
-    ds = _load_dataset(args.dataset, (args.split,), index.layers, index.opensmile)
+    ds = load_dataset(args.dataset, (args.split,), index.layers, index.opensmile)
     cache, seed = CodebookCache(), index.seed
     needs = _needs(index.layers, index.k, "all" if index.opensmile else "none", seed)
-    books = _hold_codebooks(cache, ds, persist.load_codebook, book_dir, needs)
+    _hold_codebooks(cache, ds, persist.load_codebook, book_dir, needs)
 
     utts = ds.utterances[args.split]
-    for utt in utts:
-        (out / "tokens" / utt.utt_id).mkdir(parents=True, exist_ok=True)
 
     def write(utt, stem, tokens, recon):
         utt_dir = out / "tokens" / utt.utt_id
+        utt_dir.mkdir(parents=True, exist_ok=True)
         (utt_dir / f"{stem}.tokens.json").write_text(json.dumps(tokens, sort_keys=True) + "\n")
         dataio.write_feature_file(FeatureSequence(recon), utt_dir / f"{stem}.recon.dsqf")
 
     # the recon files hold float32(C)[idx], the frames prepare_items builds; a layer's go in
     # layer_XX files, the categories' side by side in one opensmile file
-    streams = [(n, books[n], books[n].centroids.astype(np.float32), cache.tokens(ds, args.split, n)) for n in needs]
+    books = [cache.codebook(ds, need) for need in needs]
+    streams = [(n, cb, cb.centroids.astype(np.float32), cache.tokens(ds, args.split, n)) for n, cb in zip(needs, books)]
     for i, utt in enumerate(utts):
         osm_doc, osm_recon = {}, []
         for need, cb, c32, tokens in streams:
@@ -338,9 +324,7 @@ def _train_job(args) -> TrainJob:
 
 def cmd_train(args, out: Path) -> tuple:
     job = _train_job(args)
-    ds = _load_dataset(
-        args.dataset, ("train", "dev"), _layer_picker({"layer_set: ": job.layer_set}), job.aug != "none"
-    )
+    ds = load_dataset(args.dataset, ("train", "dev"), _layer_picker({"layer_set: ": job.layer_set}), job.aug != "none")
 
     cache = CodebookCache()
     train_items, dev_items = (
@@ -372,15 +356,12 @@ def cmd_train(args, out: Path) -> tuple:
 
 
 def cmd_eval(args, out: Path) -> tuple:
-    try:
-        params, doc = persist.load_checkpoint(args.checkpoint)
-    except (OSError, ValueError) as exc:
-        raise DataError(f"checkpoint {args.checkpoint}: {exc}") from exc
+    params, doc = persist.load_checkpoint(args.checkpoint)
     try:
         meta = dataio.from_json(CheckpointMeta, {k: v for k, v in doc.items() if k != "format"})
     except ValueError as exc:
         raise DataError(f"{Path(args.checkpoint) / 'meta.json'}: {exc}") from exc
-    ds = _load_dataset(args.dataset, (args.split,), meta.layers, meta.aug != "none")
+    ds = load_dataset(args.dataset, (args.split,), meta.layers, meta.aug != "none")
     if meta.train_hash != ds.train_hash:
         raise DataError("checkpoint was trained on a different dataset (train manifest hash mismatch)")
 
@@ -411,24 +392,19 @@ def cmd_sweep(args, out: Path) -> tuple:
         raise ConfigError("--workers: more than 1 needs the fork start method, which this platform lacks")
     layer_sets = {f"layer_sets[{i}]: ": entry for i, entry in enumerate(grid.layer_sets)}
     opensmile = any(aug != "none" for aug in grid.augmentations)
-    ds = _load_dataset(args.dataset, layers=_layer_picker(layer_sets), opensmile=opensmile)
+    ds = load_dataset(args.dataset, layers=_layer_picker(layer_sets), opensmile=opensmile)
     try:
         result = run_sweep(grid, ds, workers=args.workers)
     except BrokenExecutor as exc:  # a worker process died
         raise NumericError(f"sweep worker process died ({exc})") from exc
     if not result.rows:
-        for failure in result.failures:
-            print(f"failed cell: {failure}", file=sys.stderr)
-        raise NumericError("every sweep cell failed")
+        raise NumericError(f"every sweep cell failed ({len(result.failures)} runs); first: {result.failures[0]}")
 
     out.mkdir(parents=True, exist_ok=True)
     (out / "results.csv").write_text(rows_to_csv(result.rows))
     (out / "results.txt").write_text(rows_to_text(result.rows))
     if result.failures:
-        lines = [
-            f"{f.layer_set} K={f.k} aug={f.aug} seed={f.seed}: {f.error}" for f in result.failures
-        ]
-        (out / "failures.txt").write_text("\n".join(lines) + "\n")
+        (out / "failures.txt").write_text("".join(f"{f}\n" for f in result.failures))
         print(f"warning: {len(result.failures)} cell runs failed (see failures.txt)", file=sys.stderr)
     if any(r.aug != "none" for r in result.rows):  # fails if a baseline cell failed on every seed or scored 0
         gains = augmentation_report(result.rows, ds.layer_count)

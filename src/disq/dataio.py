@@ -259,7 +259,7 @@ def load_manifest(path) -> DatasetManifest:
         counts = np.bincount(manifest.labels(), minlength=N_CLASSES)
         if (counts == 0).any():
             missing = np.flatnonzero(counts == 0).tolist()
-            raise ValueError(f"train split has no utterances for classes {missing}")
+            raise ValueError(f"{path}: train split has no utterances for classes {missing}")
     return manifest
 
 
@@ -271,7 +271,7 @@ def load_utterance(
     The layer files are read into one block, in `layers` order (see
     `UtteranceRecord`). A layer file whose frame count differs from the
     first one read raises ValueError naming the utterance, both files and
-    both frame counts.
+    both frame counts; a file of the wrong width raises one naming it.
     """
     wanted = tuple(range(len(record.layers)) if layers is None else layers)
     if not wanted:
@@ -281,7 +281,7 @@ def load_utterance(
         path = manifest.root / record.layers[idx]
         frames = read_feature_file(path, stream_id=f"layer:{idx}").frames
         if frames.shape[1] != manifest.feature_dim:
-            raise ValueError(f"{record.utt_id} layer {idx}: dim {frames.shape[1]} != {manifest.feature_dim}")
+            raise ValueError(f"{record.utt_id}: {path}: dim {frames.shape[1]} != {manifest.feature_dim}")
         if block is None:
             block = np.empty((len(wanted), *frames.shape), dtype=np.float32)
         elif len(frames) != block.shape[1]:
@@ -293,7 +293,10 @@ def load_utterance(
     osm = None
     if opensmile and record.opensmile is not None:
         osm = read_feature_file(manifest.root / record.opensmile, stream_id="osm")
-    return UtteranceRecord(record.utt_id, block, wanted, osm, record.label)
+    try:
+        return UtteranceRecord(record.utt_id, block, wanted, osm, record.label)
+    except ValueError as exc:  # an opensmile stream of the wrong width: the layers were checked above
+        raise ValueError(f"{manifest.root / record.opensmile}: {exc}") from None
 
 
 def load_split(dataset_dir, split: str) -> DatasetManifest:

@@ -45,6 +45,14 @@ TEMPERATURE_FLOOR = 0.1
 LAYER_NORM_EPS = 1e-5
 
 
+def check_layer_order(layers, where: str = "") -> None:
+    """A layer set lists at least one layer, in strictly increasing order; an error is prefixed by `where`."""
+    if not layers:
+        raise ValueError(f"{where}layer set is empty")
+    if any(b <= a for a, b in zip(layers, layers[1:])):
+        raise ValueError(f"{where}layer indices must be strictly increasing, got {layers}")
+
+
 def resolve_layer_set(entry, layer_count: int) -> tuple[str, tuple[int, ...]]:
     """Accept a named set, a comma string like "1,3,7", or an index sequence.
 
@@ -63,10 +71,7 @@ def resolve_layer_set(entry, layer_count: int) -> tuple[str, tuple[int, ...]]:
     else:
         layers = tuple(int(i) for i in entry)
         name = ",".join(str(i) for i in layers)
-    if not layers:
-        raise ValueError("layer set is empty")
-    if any(b <= a for a, b in zip(layers, layers[1:])):
-        raise ValueError(f"layer indices must be strictly increasing, got {layers}")
+    check_layer_order(layers)
     if layers[0] < 0 or layers[-1] >= layer_count:
         raise ValueError(f"layer set {layers} outside 0..{layer_count - 1}")
     return name, layers

@@ -35,10 +35,10 @@ from .quantize import OPENSMILE_CATEGORIES, Codebook, assign, kmeans_fit
 AUGMENTATIONS = OPENSMILE_CATEGORIES.names() + ("all",)
 
 
-def check_augmentation(aug: str) -> None:
-    """An augmentation is "none", one paralinguistic category name, or "all"."""
+def check_augmentation(aug: str, where: str = "") -> None:
+    """An augmentation is "none", one paralinguistic category name, or "all"; an error is prefixed by `where`."""
     if aug != "none" and aug not in AUGMENTATIONS:
-        raise ValueError(f"unknown augmentation {aug!r}")
+        raise ValueError(f"{where}unknown augmentation {aug!r}")
 
 
 def _csv_header(n_alpha: int) -> list[str]:
@@ -95,7 +95,7 @@ def load_dataset(dataset_dir, splits=dataio.SPLITS, layers=None, opensmile: bool
     shapes = {(m.layer_count, m.feature_dim) for m in manifests.values()}
     if len(shapes) != 1:
         listing = ", ".join(f"{s}: {m.layer_count} x {m.feature_dim}" for s, m in manifests.items())
-        raise ValueError(f"manifests disagree on layer count x feature dim ({listing})")
+        raise ValueError(f"dataset {dataset_dir}: manifests disagree on layer count x feature dim ({listing})")
     ((layer_count, feature_dim),) = shapes
     if layers is None:
         layers = range(layer_count)
@@ -104,7 +104,7 @@ def load_dataset(dataset_dir, splits=dataio.SPLITS, layers=None, opensmile: bool
     layers = tuple(layers)
     outside = sorted(set(layers) - set(range(layer_count)))
     if outside:
-        raise ValueError(f"layers {outside} are not in the dataset's 0..{layer_count - 1}")
+        raise ValueError(f"dataset {dataset_dir}: layers {outside} are not in the dataset's 0..{layer_count - 1}")
     utterances = {
         split: [dataio.load_utterance(m, rec, layers, opensmile) for rec in m.records]
         for split, m in manifests.items()
@@ -202,10 +202,22 @@ class CodebookCache:
     def hold(self, ds: LoadedDataset, books: dict[tuple, Codebook]) -> None:
         """Serve codebooks fitted earlier (a checkpoint's), by need, as if fitted here.
 
-        Each is stored under the key its fit would have had, so lookups for
-        it (and for its table) return it; holding a codebook counts no fit.
+        Each must have the stream_id, K and seed its need's fit would give
+        it, and as many centroid columns as its stream has (the dataset's
+        feature dim, or a category's), else ValueError. Each is stored under
+        the key its fit would have had, so lookups for it (and for its
+        table) return it; holding a codebook counts no fit.
         """
+        osm_dims = {c.name: c.dim for c in OPENSMILE_CATEGORIES.categories}
         for need, cb in books.items():
+            kind, name, k, seed = need
+            want = {"stream_id": f"{kind}:{name}", "k": k, "seed": seed}  # as `codebook` fits it
+            got = {f: getattr(cb, f) for f in want}
+            if got != want:
+                raise ValueError(f"holds {got}, its need asks for {want}")
+            dim = osm_dims[name] if kind == "osm" else ds.feature_dim
+            if cb.dim != dim:
+                raise ValueError(f"centroids have {cb.dim} columns, the stream {dim}")
             self._books[_book_key(ds, need)] = cb
 
     def fill(self, ds: LoadedDataset, needs, splits=(), workers: int = 1) -> None:
@@ -459,6 +471,9 @@ class CellFailure:
     aug: str
     seed: int | str
     error: str
+
+    def __str__(self) -> str:  # its line in a sweep's failures.txt
+        return f"{self.layer_set} K={self.k} aug={self.aug} seed={self.seed}: {self.error}"
 
 
 @dataclass

@@ -449,6 +449,17 @@ def test_a_failed_command_leaves_no_out(cli_workspace, artifacts, tmp_path, caps
     assert not out.exists()
 
 
+def test_a_sweep_whose_every_cell_fails_prints_one_line(cli_workspace, tmp_path, capsys):
+    grid = tmp_path / "grid.json"  # more clusters than the train split has frames
+    grid.write_text(json.dumps({"ks": [100000], "layer_sets": ["3"], "seeds": [0, 1], "train": {"epochs": 1}}))
+    out = tmp_path / "sw"
+    assert run(["sweep", "--dataset", cli_workspace / "data", "--grid", grid, "--out", out]) == 4
+    err = capsys.readouterr().err.splitlines()
+    first = "3 K=100000 aug=none seed=0: ValueError: need at least k=100000 points"
+    assert len(err) == 1 and err[0].startswith(f"error: numeric: every sweep cell failed (2 runs); first: {first}"), err
+    assert not out.exists()
+
+
 def test_a_failing_gradcheck_keeps_its_report(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "gradient_check", lambda seed: 1.0)
     out = tmp_path / "gc"
@@ -705,12 +716,25 @@ def _drop(key):
         ("tr", "checkpoint/meta.json", lambda doc: doc.update(train=[0]), "train: expected object, got array"),
         ("tr", "checkpoint/meta.json", lambda doc: doc["train"].update(seed="0"), "train.seed: expected integer"),
         ("tr", "checkpoint/meta.json", lambda doc: doc.update(epochs=3), "epochs: unknown field"),
+        # value rules: a meta.json keeps the train config's, an index.json's layers are a layer set
+        ("tr", "checkpoint/meta.json", lambda doc: doc.update(layers=[3, 1, 0, 2]), "layers: layer indices must be"),
+        ("tr", "checkpoint/meta.json", lambda doc: doc.update(layers=[1, 1, 2, 3]), "layers: layer indices must be"),
+        ("tr", "checkpoint/meta.json", lambda doc: doc.update(layers=[]), "layers: layer set is empty"),
+        ("tr", "checkpoint/meta.json", lambda doc: doc.update(aug="bogus"), "aug: unknown augmentation 'bogus'"),
+        ("tr", "checkpoint/meta.json", lambda doc: doc.update(k=0), "k must be >= 1"),
+        ("tr", "checkpoint/meta.json", lambda doc: doc.update(codebook_seed=-1), "codebook_seed must be >= 0"),
+        ("cb", "index.json", lambda doc: doc.update(layers=[]), "layers: layer set is empty"),
+        ("cb", "index.json", lambda doc: doc.update(layers=[1, 1]), "layers: layer indices must be"),
+        ("cb", "index.json", lambda doc: doc.update(k=0), "k must be >= 1"),
+        ("cb", "index.json", lambda doc: doc.update(seed=-1), "seed must be >= 0"),
     ],
     ids=[
         "index_k", "index_opensmile", "index_unknown", "index_missing",
         "sidecar_distortion", "sidecar_train_frames", "sidecar_unknown",
         "exact_sidecar_seed", "exact_sidecar_missing",
         "meta_layers", "meta_k", "meta_train", "meta_train_seed", "meta_unknown",
+        "meta_layers_unordered", "meta_layers_repeated", "meta_layers_empty", "meta_aug", "meta_k_0",
+        "meta_codebook_seed", "index_layers_empty", "index_layers_repeated", "index_k_0", "index_seed",
     ],
 )
 def test_stored_document_with_a_wrong_field_exits_3_naming_file_and_field(
@@ -727,8 +751,9 @@ def test_stored_document_with_a_wrong_field_exits_3_naming_file_and_field(
     else:
         argv = ["eval", "--checkpoint", damaged / "checkpoint", "--dataset", data, "--out", out]
     assert run(argv) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("error: data:") and f"{damaged / doc_name}: {field}" in err
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: data:") and f"{damaged / doc_name}: {field}" in err[0]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("book_dir", ["missing", "a_file", "empty"])

@@ -188,6 +188,19 @@ def test_missing_layer_file_is_error_missing_opensmile_is_not(tmp_path):
         load_manifest(record_doc_path)
 
 
+@pytest.mark.parametrize("stream", ["layer", "opensmile"])
+def test_a_feature_file_of_the_wrong_width_is_named(tmp_path, stream):
+    manifest = generate_synthetic(tiny_spec(n_per_class=2), tmp_path)["train"]
+    record = manifest.records[0]
+    path = manifest.root / (record.layers[2] if stream == "layer" else record.opensmile)
+    t = read_feature_file(path).n_frames
+    write_feature_file(FeatureSequence(np.zeros((t, 5), dtype=np.float32)), path)
+    want = f"{record.utt_id}: {path}: dim 5 != 12" if stream == "layer" else f"{path}: {record.utt_id}: opensmile dim 5"
+    with pytest.raises(ValueError) as info:
+        load_utterance(manifest, record)
+    assert str(info.value).startswith(want)
+
+
 def test_nearest_class_mean_oracle_on_planted_layer(tmp_path):
     spec = tiny_spec(
         n_per_class=12,

@@ -1,8 +1,10 @@
 import csv
 import hashlib
 import io
+import json
 import multiprocessing
 import os
+import re
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -11,7 +13,7 @@ import numpy as np
 import pytest
 
 from disq import quantize, sweep
-from disq.dataio import SPLITS, FeatureSequence, generate_synthetic
+from disq.dataio import SPLITS, FeatureSequence, generate_synthetic, manifest_path
 from disq.fusion import resample, resolve_layer_set
 from disq.model import PreparedUtterance, _standardized, predict, token_table, train
 from disq.quantize import OPENSMILE_CATEGORIES, assign, quantize_opensmile, reconstruct, rvq_encode, rvq_fit
@@ -223,6 +225,39 @@ def test_missing_opensmile_stream_has_no_tokens(tmp_path):
     assert tokens[0] is None and all(t is not None for t in tokens[1:])
     with pytest.raises(ValueError, match=f"{first.utt_id}: augmentation requested but no opensmile stream"):
         prepare_items(ds, "train", (3,), 4, cache, aug="prosody")
+
+
+@pytest.mark.parametrize(
+    "need, change, message",
+    [
+        (("layer", 3, 8, 0), {"stream_id": "layer:2"}, "'stream_id': 'layer:2'"),
+        (("layer", 3, 8, 0), {"k": 9}, "'k': 9"),
+        (("layer", 3, 8, 0), {"seed": 1}, "'seed': 1"),
+        (("layer", 3, 8, 0), "narrow", "centroids have 11 columns, the stream 12"),
+        (OSM_NEEDS[0], "narrow", "centroids have 5 columns, the stream 6"),  # prosody's 6 columns
+    ],
+    ids=["stream_id", "k", "seed", "layer_width", "category_width"],
+)
+def test_hold_rejects_a_book_its_need_would_not_fit(tiny_dataset, tiny_cache, need, change, message):
+    book = tiny_cache.codebook(tiny_dataset, need)
+    if change == "narrow":
+        change = {"centroids": book.centroids[:, :-1]}
+    cache = CodebookCache()
+    with pytest.raises(ValueError, match=re.escape(message)):
+        cache.hold(tiny_dataset, {need: replace(book, **change)})
+    assert not cache._books
+    cache.hold(tiny_dataset, {need: book})
+    assert cache.codebook(tiny_dataset, need) is book and cache.misses == 0
+
+
+def test_load_dataset_errors_name_the_dataset(tmp_path):
+    generate_synthetic(tiny_spec(n_per_class=3, t_range=(10, 12)), tmp_path)
+    with pytest.raises(ValueError, match=re.escape(f"dataset {tmp_path}: layers [4] are not in the dataset's 0..3")):
+        load_dataset(tmp_path, layers=(3, 4))
+    dev = manifest_path(tmp_path, "dev")
+    dev.write_text(json.dumps(dict(json.loads(dev.read_text()), feature_dim=13)))
+    with pytest.raises(ValueError, match=re.escape(f"dataset {tmp_path}: manifests disagree")):
+        load_dataset(tmp_path, ("train", "dev"))
 
 
 @pytest.mark.parametrize("max_iters", [2, 100])
