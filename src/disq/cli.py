@@ -46,6 +46,7 @@ from .sweep import (
     rows_to_csv,
     rows_to_text,
     run_sweep,
+    train_hash,
 )
 
 GRADCHECK_THRESHOLD = 1e-3
@@ -357,13 +358,15 @@ def cmd_train(args, out: Path) -> tuple:
 
 def cmd_eval(args, out: Path) -> tuple:
     params, doc = persist.load_checkpoint(args.checkpoint)
+    meta_path = Path(args.checkpoint) / "meta.json"
     try:
         meta = dataio.from_json(CheckpointMeta, {k: v for k, v in doc.items() if k != "format"})
     except ValueError as exc:
-        raise DataError(f"{Path(args.checkpoint) / 'meta.json'}: {exc}") from exc
+        raise DataError(f"{meta_path}: {exc}") from exc
+    if meta.train_hash != train_hash(args.dataset):  # before any feature file is read
+        train_manifest = dataio.manifest_path(args.dataset, "train")
+        raise DataError(f"{meta_path}: trained on a different dataset than {train_manifest} (train manifest hash mismatch)")
     ds = load_dataset(args.dataset, (args.split,), meta.layers, meta.aug != "none")
-    if meta.train_hash != ds.train_hash:
-        raise DataError("checkpoint was trained on a different dataset (train manifest hash mismatch)")
 
     cache = CodebookCache()
     if meta.k is not None:  # a quantized checkpoint holds the books `train` fitted, and eval fits none

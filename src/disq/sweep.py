@@ -81,6 +81,11 @@ class LoadedDataset:
     layers: tuple[int, ...]
 
 
+def train_hash(dataset_dir) -> str:
+    """The hash that binds codebooks and checkpoints to a dataset: sha256 of its train manifest's bytes."""
+    return hashlib.sha256(dataio.manifest_path(dataset_dir, "train").read_bytes()).hexdigest()
+
+
 def load_dataset(dataset_dir, splits=dataio.SPLITS, layers=None, opensmile: bool = True) -> LoadedDataset:
     """Read the manifests of `splits`, and their feature files of `layers` and of opensmile.
 
@@ -89,7 +94,7 @@ def load_dataset(dataset_dir, splits=dataio.SPLITS, layers=None, opensmile: bool
     before any feature file is read). The default reads every layer; a
     caller that needs less leaves the rest on disk. Without `opensmile` no
     utterance gets an opensmile stream. The train split's hash
-    is taken from its manifest's bytes, whether or not it is loaded.
+    (`train_hash`) is taken whether or not it is loaded.
     """
     manifests = {split: dataio.load_split(dataset_dir, split) for split in dict.fromkeys(splits)}
     shapes = {(m.layer_count, m.feature_dim) for m in manifests.values()}
@@ -109,13 +114,12 @@ def load_dataset(dataset_dir, splits=dataio.SPLITS, layers=None, opensmile: bool
         split: [dataio.load_utterance(m, rec, layers, opensmile) for rec in m.records]
         for split, m in manifests.items()
     }
-    train_bytes = dataio.manifest_path(dataset_dir, "train").read_bytes()
     return LoadedDataset(
         root=str(dataset_dir),
         utterances=utterances,
         layer_count=layer_count,
         feature_dim=feature_dim,
-        train_hash=hashlib.sha256(train_bytes).hexdigest(),
+        train_hash=train_hash(dataset_dir),
         layers=layers,
     )
 
@@ -143,23 +147,6 @@ def _stream_frames(ds: LoadedDataset, split: str, need: tuple, cache: CodebookCa
     return [None if u.opensmile is None else u.opensmile.frames[:, cols] for u in ds.utterances[split]]
 
 
-class _KeyedCache(dict):
-    """Write-once values by key plus a count of misses; a failed fit holds its error."""
-
-    misses = 0
-
-    def get_or_fit(self, key, fit_fn):
-        if key not in self:
-            self.misses += 1
-            try:
-                self[key] = fit_fn()
-            except Exception as exc:  # raised again at every lookup
-                self[key] = exc.with_traceback(None)
-        if isinstance(self[key], Exception):
-            raise self[key]
-        return self[key]
-
-
 def _needs(layers, k: int, aug: str, seed: int) -> list[tuple]:
     """The codebooks a quantized (layers, K, aug) input looks up, as (kind, name, K, seed) needs.
 
@@ -169,8 +156,13 @@ def _needs(layers, k: int, aug: str, seed: int) -> list[tuple]:
     return [("layer", layer, k, seed) for layer in layers] + osm
 
 
-def _book_key(ds: LoadedDataset, need: tuple) -> tuple:  # the need with the train-split hash after its kind
-    return (need[0], ds.train_hash, *need[1:])
+@dataclass
+class _Book:
+    """One need's record: its codebook or the error its fit raised, its tokens by split, its table."""
+
+    book: Codebook | Exception
+    tokens: dict[str, list[np.ndarray | None]] = field(default_factory=dict)
+    table: np.ndarray | None = None  # `token_table`, derived at first lookup
 
 
 class CodebookCache:
@@ -179,34 +171,29 @@ class CodebookCache:
     Every book is a need (kind, name, K, seed): ("layer", 3, 256, 0) is a
     layer's book, ("osm", "prosody", 32, 0) a paralinguistic category's,
     ("rvq", (3, 1), 256, 1) stage 1 of a layer 3 residual quantizer seeded
-    0 (stage s has seed + s, as in `rvq_fit`). A split is encoded once per
-    book, the train split by the book's own fit: its token entry holds one
-    1-D index array per utterance (None where an utterance lacks the
-    stream), in the smallest unsigned dtype that holds K - 1. A book's
-    `token_table` is derived at its first lookup, fitted or held. Keys
-    include the train-split hash so a cache can never serve a different
-    dataset by accident. `misses` counts actual codebook fits, wherever
+    0 (stage s has seed + s, as in `rvq_fit`). Each need has one `_Book`
+    record, keyed by (train-split hash, need) so a cache can never serve a
+    different dataset by accident. A split is encoded once per book, the
+    train split by the book's own fit: its tokens are one 1-D index array
+    per utterance (None where an utterance lacks the stream), in the
+    smallest unsigned dtype that holds K - 1. A failed fit keeps its error,
+    raised again at every lookup; a split whose encoding raised is encoded
+    again at its next lookup. `misses` counts actual codebook fits, wherever
     they ran (see `fill`).
     """
 
     def __init__(self, kmeans_max_iters: int = 100):
-        self._books = _KeyedCache()
-        self._tables = {}
-        self._tokens = _KeyedCache()
+        self._books: dict[tuple, _Book] = {}
+        self.misses = 0
         self.max_iters = kmeans_max_iters
-
-    @property
-    def misses(self) -> int:
-        return self._books.misses
 
     def hold(self, ds: LoadedDataset, books: dict[tuple, Codebook]) -> None:
         """Serve codebooks fitted earlier (a checkpoint's), by need, as if fitted here.
 
         Each must have the stream_id, K and seed its need's fit would give
         it, and as many centroid columns as its stream has (the dataset's
-        feature dim, or a category's), else ValueError. Each is stored under
-        the key its fit would have had, so lookups for it (and for its
-        table) return it; holding a codebook counts no fit.
+        feature dim, or a category's), else ValueError. Each becomes its
+        need's record, with no tokens yet; holding a codebook counts no fit.
         """
         osm_dims = {c.name: c.dim for c in OPENSMILE_CATEGORIES.categories}
         for need, cb in books.items():
@@ -218,7 +205,7 @@ class CodebookCache:
             dim = osm_dims[name] if kind == "osm" else ds.feature_dim
             if cb.dim != dim:
                 raise ValueError(f"centroids have {cb.dim} columns, the stream {dim}")
-            self._books[_book_key(ds, need)] = cb
+            self._books[(ds.train_hash, need)] = _Book(cb)
 
     def fill(self, ds: LoadedDataset, needs, splits=(), workers: int = 1) -> None:
         """Fit each needed book the cache lacks, and encode `splits` with it.
@@ -236,22 +223,30 @@ class CodebookCache:
                     part.tokens(ds, split, need)
             return part
 
-        missing = [need for need in dict.fromkeys(needs) if _book_key(ds, need) not in self._books]
+        missing = [need for need in dict.fromkeys(needs) if (ds.train_hash, need) not in self._books]
         for part in _map_phase(fit, missing, workers):
-            for mine, theirs in ((self._books, part._books), (self._tokens, part._tokens)):
-                mine.update(theirs)
-                mine.misses += theirs.misses
+            self._books.update(part._books)
+            self.misses += part.misses
 
-    def codebook(self, ds: LoadedDataset, need: tuple) -> Codebook:
-        """The book of one need, fitted on the train split's frames of its stream at first lookup.
+    def _record(self, ds: LoadedDataset, need: tuple) -> _Book:
+        """A need's record, its book fitted at first lookup; a failed fit's error is raised."""
+        key = (ds.train_hash, need)
+        if key not in self._books:
+            self.misses += 1
+            self._books[key] = self._fit(ds, need)
+        record = self._books[key]
+        if isinstance(record.book, Exception):
+            raise record.book
+        return record
+
+    def _fit(self, ds: LoadedDataset, need: tuple) -> _Book:
+        """Fit a need's book on the train split's frames of its stream.
 
         The fit's last Lloyd pass assigns each train frame its nearest
-        centroid, as `assign` would, so it also fills the train split's tokens.
+        centroid, as `assign` would, so it also gives the train split's tokens.
         """
         kind, name, k, seed = need
-        key = _book_key(ds, need)
-
-        def fit():
+        try:
             parts = _stream_frames(ds, "train", need, self)
             frames = [f for f in parts if f is not None]
             if not frames:
@@ -259,31 +254,30 @@ class CodebookCache:
             x = np.concatenate(frames)
             idx = np.empty(len(x), dtype=np.int64)
             cb = kmeans_fit(x, k, seed, self.max_iters, stream_id=f"{kind}:{name}", assignment=idx)
-            self._tokens[(*key, "train")] = _with_gaps(parts, _cut(_indices(idx, k), frames))
-            return cb
+            return _Book(cb, {"train": _rows(parts, idx, k)})
+        except Exception as exc:  # raised again at every lookup
+            return _Book(exc.with_traceback(None))
 
-        return self._books.get_or_fit(key, fit)
+    def codebook(self, ds: LoadedDataset, need: tuple) -> Codebook:
+        """The book of one need, fitted on the train split's frames of its stream at first lookup."""
+        return self._record(ds, need).book
 
     def table(self, ds: LoadedDataset, need: tuple) -> np.ndarray:
         """The (K, dim) `token_table` of a book, fitted or held."""
-        key = _book_key(ds, need)
-        if key not in self._tables:
-            self._tables[key] = token_table(self.codebook(ds, need).centroids)
-        return self._tables[key]
+        record = self._record(ds, need)
+        if record.table is None:
+            record.table = token_table(record.book.centroids)
+        return record.table
 
     def tokens(self, ds: LoadedDataset, split: str, need: tuple) -> list[np.ndarray | None]:
         """Per-utterance token indices of one book's stream; None where an utterance lacks it."""
-
-        def build():
-            cb = self.codebook(ds, need)
+        record = self._record(ds, need)
+        if split not in record.tokens:
             parts = _stream_frames(ds, split, need, self)
             frames = [p for p in parts if p is not None]
-            if not frames:
-                return parts
-            rows = _indices(assign(cb, FeatureSequence(np.concatenate(frames))).indices, cb.k)
-            return _with_gaps(parts, _cut(rows, frames))
-
-        return self._tokens.get_or_fit((*_book_key(ds, need), split), build)
+            idx = assign(record.book, FeatureSequence(np.concatenate(frames))).indices if frames else np.empty(0)
+            record.tokens[split] = _rows(parts, idx, record.book.k)
+        return record.tokens[split]
 
     def layer_codebook(self, ds: LoadedDataset, layer: int, k: int, seed: int) -> Codebook:
         return self.codebook(ds, ("layer", layer, k, seed))
@@ -292,20 +286,14 @@ class CodebookCache:
         return {c.name: self.codebook(ds, ("osm", c.name, c.k, seed)) for c in OPENSMILE_CATEGORIES.categories}
 
 
-def _indices(indices: np.ndarray, k: int) -> np.ndarray:
-    """Token indices in the smallest unsigned dtype that holds K - 1 (uint8 for K <= 256)."""
-    return indices.astype(np.min_scalar_type(k - 1))
+def _rows(parts: list, idx: np.ndarray, k: int) -> list[np.ndarray | None]:
+    """`idx` over the concatenated parts that are not None, cut per part (None where a part is None).
 
-
-def _with_gaps(parts: list, rows: list) -> list:
-    """`rows`, one per part that is not None, in order, with None kept where a part is None."""
-    rows = iter(rows)
-    return [None if p is None else next(rows) for p in parts]
-
-
-def _cut(rows: np.ndarray, parts: list[np.ndarray]) -> list[np.ndarray]:
-    """Rows aligned with the concatenated parts, cut back per part."""
-    return np.split(rows, np.cumsum([len(p) for p in parts])[:-1])
+    Rows take the smallest unsigned dtype that holds K - 1 (uint8 for K <= 256).
+    """
+    idx = idx.astype(np.min_scalar_type(k - 1))
+    ends = np.cumsum([0 if p is None else len(p) for p in parts])
+    return [None if p is None else idx[end - len(p) : end] for p, end in zip(parts, ends)]
 
 
 def _token_items(ds: LoadedDataset, split: str, needs: list[tuple], cache: CodebookCache) -> list[PreparedUtterance]:
@@ -454,6 +442,8 @@ class SweepGrid:
             raise ValueError('augmentations: must list "none", the baseline each augmentation is reported against')
         if self.codebook_seed < 0:
             raise ValueError("codebook_seed must be >= 0")
+        if self.train.seed != 0:  # run_cell trains each cell once per value of `seeds` instead
+            raise ValueError(f"train.seed: must be 0 in a grid, whose seeds set the training seed; got {self.train.seed}")
 
     def cells(self) -> list[tuple[int | None, str, str]]:
         out = [(k, ls, aug) for k in self.ks for ls in self.layer_sets for aug in self.augmentations]

@@ -228,7 +228,7 @@ def test_manifest_that_is_not_an_object_exits_3(cli_workspace, artifacts, tmp_pa
     assert "manifest_dev.json: expected object, got array" in err and "config" not in err
 
 
-def test_eval_rejects_wrong_dataset(cli_workspace, tmp_path):
+def test_eval_rejects_wrong_dataset(cli_workspace, tmp_path, capsys):
     data = cli_workspace / "data"
     other = tmp_path / "other_data"
     spec = tiny_spec(seed=77)
@@ -238,6 +238,8 @@ def test_eval_rejects_wrong_dataset(cli_workspace, tmp_path):
     assert run(["train", "--dataset", data, "--layer-set", "3", "--k", 8, "--epochs", 2, "--out", run_dir]) == 0
     code = run(["eval", "--checkpoint", run_dir / "checkpoint", "--dataset", other, "--split", "test", "--out", tmp_path / "ev"])
     assert code == 3
+    err = capsys.readouterr().err
+    assert str(run_dir / "checkpoint" / "meta.json") in err and str(other / "manifest_train.json") in err
 
 
 def test_metadata_lists_every_output_file_but_run_metadata(tmp_path):
@@ -1110,7 +1112,7 @@ def test_eval_and_tokenize_parse_only_the_manifest_of_their_split(
     parsed.clear()
     assert run(["eval", "--checkpoint", ckpt, "--dataset", other, "--split", "dev", "--out", tmp_path / "ev2"]) == 3
     assert "train manifest hash mismatch" in capsys.readouterr().err
-    assert parsed == ["manifest_dev.json"]
+    assert parsed == []
 
 
 def test_manifests_that_disagree_exit_3(cli_workspace, tmp_path, capsys):

@@ -62,6 +62,7 @@ REJECTED = [
     ("train", TRAIN, {"train": {"seed": -1}}, "train: seed must be >= 0"),
     ("gen", SPEC, {"seed": -1}, "seed must be >= 0"),
     ("sweep", GRID, {"ks": [0]}, "ks[0]: must be >= 1"),
+    ("sweep", GRID, {"train": {"seed": 5}}, "train.seed: must be 0 in a grid"),
 ]
 
 

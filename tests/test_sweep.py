@@ -15,7 +15,7 @@ import pytest
 from disq import quantize, sweep
 from disq.dataio import SPLITS, FeatureSequence, generate_synthetic, manifest_path
 from disq.fusion import resample, resolve_layer_set
-from disq.model import PreparedUtterance, _standardized, predict, token_table, train
+from disq.model import PreparedUtterance, TrainConfig, _standardized, predict, token_table, train
 from disq.quantize import OPENSMILE_CATEGORIES, assign, quantize_opensmile, reconstruct, rvq_encode, rvq_fit
 from disq.sweep import (
     CodebookCache,
@@ -173,7 +173,7 @@ def test_cache_keeps_token_indices_not_frames(tiny_dataset):
         for it in items:
             assert it.streams is None and it.tokens.dtype == np.uint8
             assert len(it.tables) == 2 and all(a is b for a, b in zip(it.tables, tables))  # shared, not copied
-    entries = list(cache._tokens.values())
+    entries = [rows for record in cache._books.values() for rows in record.tokens.values()]
     assert len(entries) == 9 * len(SPLITS)  # layers 1 and 3 and the 7 opensmile categories, per split
     for entry in entries:
         for a in entry:
@@ -250,6 +250,26 @@ def test_hold_rejects_a_book_its_need_would_not_fit(tiny_dataset, tiny_cache, ne
     assert cache.codebook(tiny_dataset, need) is book and cache.misses == 0
 
 
+def test_a_failed_fit_is_raised_at_every_lookup_and_fitted_once(tiny_dataset, monkeypatch):
+    fits = []
+    real = sweep.kmeans_fit
+
+    def spy(*args, **kwargs):
+        fits.append(kwargs["stream_id"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sweep, "kmeans_fit", spy)
+    need = ("layer", 3, 10**6, 0)  # K above the train split's frame count
+    cache = CodebookCache()
+    cache.fill(tiny_dataset, [need], SPLITS)
+    assert fits == ["layer:3"] and cache.misses == 1
+    for lookup in (cache.codebook, cache.table, lambda ds, n: cache.tokens(ds, "dev", n)):
+        with pytest.raises(ValueError, match="need at least k=1000000 points"):
+            lookup(tiny_dataset, need)
+    cache.fill(tiny_dataset, [need], SPLITS)
+    assert fits == ["layer:3"] and cache.misses == 1
+
+
 def test_load_dataset_errors_name_the_dataset(tmp_path):
     generate_synthetic(tiny_spec(n_per_class=3, t_range=(10, 12)), tmp_path)
     with pytest.raises(ValueError, match=re.escape(f"dataset {tmp_path}: layers [4] are not in the dataset's 0..3")):
@@ -271,7 +291,7 @@ def test_a_fit_stores_the_train_tokens_assign_gives(tmp_path, max_iters):
     cache = CodebookCache(kmeans_max_iters=max_iters)
     for need in (("layer", 3, 16, 0), OSM_NEEDS[0]):
         book = cache.codebook(ds, need)
-        stored = cache._tokens[(*sweep._book_key(ds, need), "train")]  # filled by the fit, not by `tokens`
+        stored = cache._books[(ds.train_hash, need)].tokens["train"]  # filled by the fit, not by `tokens`
         assert cache.tokens(ds, "train", need) is stored
         held = CodebookCache()
         held.hold(ds, {need: book})
@@ -575,6 +595,8 @@ def test_grid_validation():
         SweepGrid(ks=(), layer_sets=("all",), seeds=(0,))
     with pytest.raises(ValueError):
         SweepGrid(ks=(8,), layer_sets=("all",), seeds=(0,), augmentations=("bogus",))
+    with pytest.raises(ValueError, match=r"train\.seed: must be 0 in a grid, whose seeds set the training seed; got 5"):
+        SweepGrid(ks=(8,), layer_sets=("all",), seeds=(0,), train=TrainConfig(seed=5))
     grid = SweepGrid.from_json(
         {"ks": [8], "layer_sets": ["all"], "seeds": [0, 1], "train": {"epochs": 2}}
     )
