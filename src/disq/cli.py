@@ -287,28 +287,28 @@ def cmd_tokenize(args, out: Path) -> tuple:
     _hold_codebooks(cache, ds, persist.load_codebook, book_dir, needs)
 
     utts = ds.utterances[args.split]
-
-    def write(utt, stem, tokens, recon):
-        utt_dir = out / "tokens" / utt.utt_id
-        utt_dir.mkdir(parents=True, exist_ok=True)
-        (utt_dir / f"{stem}.tokens.json").write_text(json.dumps(tokens, sort_keys=True) + "\n")
-        dataio.write_feature_file(FeatureSequence(recon), utt_dir / f"{stem}.recon.dsqf")
-
     # the recon files hold float32(C)[idx], the frames prepare_items builds; a layer's go in
     # layer_XX files, the categories' side by side in one opensmile file
     books = [cache.codebook(ds, need) for need in needs]
     streams = [(n, cb, cb.centroids.astype(np.float32), cache.tokens(ds, args.split, n)) for n, cb in zip(needs, books)]
     for i, utt in enumerate(utts):
-        osm_doc, osm_recon = {}, []
+        files, osm_doc, osm_recon = [], {}, []
         for need, cb, c32, tokens in streams:
             idx = tokens[i]
             if need[0] == "layer":
-                write(utt, _stem(need), {"stream_id": cb.stream_id, "k": cb.k, "indices": idx.tolist()}, c32[idx])
+                files.append((_stem(need), {"stream_id": cb.stream_id, "k": cb.k, "indices": idx.tolist()}, c32[idx]))
             elif idx is not None:
                 osm_doc[need[1]] = {"k": cb.k, "indices": idx.tolist()}
                 osm_recon.append(c32[idx])
         if osm_recon:
-            write(utt, "opensmile", osm_doc, np.concatenate(osm_recon, axis=1))
+            files.append(("opensmile", osm_doc, np.concatenate(osm_recon, axis=1)))
+        if not files:
+            continue
+        utt_dir = out / "tokens" / utt.utt_id
+        utt_dir.mkdir(parents=True, exist_ok=True)  # once per utterance, before its first file
+        for stem, doc, recon in files:
+            (utt_dir / f"{stem}.tokens.json").write_text(json.dumps(doc, sort_keys=True) + "\n")
+            dataio.write_feature_file(FeatureSequence(recon), utt_dir / f"{stem}.recon.dsqf")
     return {"split": args.split, "k": index.k}, [seed], f"tokens written to {out}"
 
 

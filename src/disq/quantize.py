@@ -12,6 +12,11 @@ tie tolerance, k-means++ seeding by a float32 lower bound on each point's
 distance to the new centre. A fit ends on an assignment pass, so it also
 hands back each training row's token (`kmeans_fit`'s `assignment`).
 
+A Lloyd pass after the first redoes only what the last update moved: a
+row whose centroid stayed is compared with the moved centroids alone, since
+its distances to the others are as they were, and a cluster whose rows did
+not change keeps its mean. `kmeans_fit` states why that is exact.
+
 Distortion below always means the mean over frames of the squared Euclidean
 distance to the chosen centroid (sum over feature dims).
 """
@@ -132,6 +137,47 @@ def _rescore(x: np.ndarray, centroids: np.ndarray, cand: np.ndarray) -> np.ndarr
     return out
 
 
+def _score_weights(centroids: np.ndarray, exp: int) -> tuple[np.ndarray, float]:
+    """[-cs ; |cs|^2 / 2] in float32, one column per centroid, and R = max |cs|; see `nearest_centroids`."""
+    cs = np.ldexp(centroids, -exp)
+    c2 = np.einsum("kd,kd->k", cs, cs)
+    weights = np.empty((cs.shape[1] + 1, cs.shape[0]), dtype=np.float32)
+    np.negative(cs.T, out=weights[:-1], casting="same_kind")
+    weights[-1] = 0.5 * c2
+    return weights, float(np.sqrt(c2.max()))
+
+
+def _pick(x, at, centroids, s, tau, cols) -> np.ndarray:
+    """Brute-force winner of each row x[at[i]] among the centroids cols[i], by its float32 scores s[i].
+
+    s[i, j] is the row's float32 score against centroid cols[i, j], within
+    eps of the exact one, and tau[i] the row's tie tolerance (see
+    `nearest_centroids`). The columns must hold every centroid that can win
+    or tie. A row whose runner-up lies within tau of its best score gets the
+    direct distance to every centroid within tau, and `_rescore` picks.
+    """
+    idx = np.argmin(s, axis=1)
+    picked = np.arange(len(s)), idx
+    close = s <= _ceil32(s[picked] + tau)[:, None]
+    close[picked] = False
+    win = cols[picked]
+    if close.any():
+        rescored = np.flatnonzero(close.any(axis=1))
+        close = close[rescored]
+        close[np.arange(rescored.size), idx[rescored]] = True
+        cand = np.zeros((rescored.size, len(centroids)), dtype=bool)
+        cand[np.arange(rescored.size)[:, None], cols[rescored]] = close
+        win[rescored] = _rescore(x[at[rescored]], centroids, cand)
+    return win
+
+
+def _sq_dist(x: np.ndarray, centroids: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Direct subtract/square/sum distance from each row of x to centroid idx of it."""
+    diff = centroids[idx]
+    np.subtract(x, diff, out=diff)
+    return np.einsum("nd,nd->n", diff, diff)
+
+
 def nearest_centroids(x: np.ndarray, centroids: np.ndarray, rows: _ScaledRows | None = None):
     """Squared distance to, and index of, each row's nearest centroid.
 
@@ -167,8 +213,8 @@ def nearest_centroids(x: np.ndarray, centroids: np.ndarray, rows: _ScaledRows | 
     one's by more than both direct distances can err, so j neither wins nor
     ties. Each row whose runner-up lies within tau of its best gets the
     direct distance to every centroid within tau and takes the lowest-index
-    minimum. A row whose direct distances may overflow, (X + R)^2 >=
-    2^(1023 - 2e), gets tau = inf. The constants leave slack for the
+    minimum (`_pick`). A row whose direct distances may overflow, (X + R)^2
+    >= 2^(1023 - 2e), gets tau = inf. The constants leave slack for the
     float64 rounding of tau and of the comparisons. Scores go, chunk by
     chunk, into one reused buffer of at most 2**20 float32 scores (one row
     when K is larger); a row's winner does not depend on its chunk.
@@ -179,12 +225,8 @@ def nearest_centroids(x: np.ndarray, centroids: np.ndarray, rows: _ScaledRows | 
         rows = _scale_rows(x, _max_exponent(x, centroids))
     n, d = x.shape
     k = centroids.shape[0]
-    cs = np.ldexp(centroids, -rows.exp)
-    c2 = np.einsum("kd,kd->k", cs, cs)
-    weights = np.empty((d + 1, k), dtype=np.float32)
-    np.negative(cs.T, out=weights[:d], casting="same_kind")
-    weights[d] = 0.5 * c2
-    tau = _tie_tolerance(rows.norms, float(np.sqrt(c2.max())), d, rows.exp)
+    weights, r = _score_weights(centroids, rows.exp)
+    tau = _tie_tolerance(rows.norms, r, d, rows.exp)
     out_d2 = np.empty(n)
     out_idx = np.empty(n, dtype=np.int64)
     chunk = max(1, (1 << 20) // max(k, 1))
@@ -193,18 +235,9 @@ def nearest_centroids(x: np.ndarray, centroids: np.ndarray, rows: _ScaledRows | 
         stop = min(start + chunk, n)
         s = scores[: stop - start]
         np.matmul(rows.block[start:stop], weights, out=s)
-        idx = np.argmin(s, axis=1)
-        picked = np.arange(stop - start), idx
-        close = s <= _ceil32(s[picked] + tau[start:stop])[:, None]
-        close[picked] = False
-        if close.any():
-            rescored = np.flatnonzero(close.any(axis=1))
-            cand = close[rescored]
-            cand[np.arange(rescored.size), idx[rescored]] = True
-            idx[rescored] = _rescore(x[start + rescored], centroids, cand)
-        diff = centroids[idx]
-        np.subtract(x[start:stop], diff, out=diff)
-        out_d2[start:stop] = np.einsum("nd,nd->n", diff, diff)
+        every = np.broadcast_to(np.arange(k), s.shape)
+        idx = _pick(x, np.arange(start, stop), centroids, s, tau[start:stop], every)
+        out_d2[start:stop] = _sq_dist(x[start:stop], centroids, idx)
         out_idx[start:stop] = idx
     return out_d2, out_idx
 
@@ -311,20 +344,25 @@ def _kmeanspp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
     return centroids
 
 
-def _lloyd_update(x, centroids, assign_idx, d2, k):
+def _lloyd_update(x, centroids, assign_idx, d2, k, dirty=None):
     """Mean update plus farthest-point reseeding of empty clusters.
 
     The cluster sums are one bincount over the flattened cluster * d + dim
     bins, weighted by x in row-major order. Each bin adds its rows in row
     order, as a row-wise scatter-add does, so the sums are the same bits.
+    Only the clusters that the (k,) mask `dirty` marks, all if it is None,
+    get a new mean; the rest keep their rows of `centroids`. Their bins
+    skip the other rows, which leaves each marked cluster's sum as it was.
     """
     d = x.shape[1]
     counts = np.bincount(assign_idx, minlength=k)
-    bins = (assign_idx * d)[:, None] + np.arange(d)
-    sums = np.bincount(bins.ravel(), weights=x.ravel(), minlength=k * d).reshape(k, d)
+    rows = slice(None) if dirty is None else dirty[assign_idx]
+    bins = (assign_idx[rows] * d)[:, None] + np.arange(d)
+    sums = np.bincount(bins.ravel(), weights=x[rows].ravel(), minlength=k * d).reshape(k, d)
     new = centroids.copy()
     occupied = counts > 0
-    new[occupied] = sums[occupied] / counts[occupied, None]
+    mean = occupied if dirty is None else occupied & dirty
+    new[mean] = sums[mean] / counts[mean, None]
     empty = np.flatnonzero(~occupied)
     if empty.size:
         d2 = d2.copy()
@@ -333,6 +371,49 @@ def _lloyd_update(x, centroids, assign_idx, d2, k):
             new[j] = x[far]
             d2[far] = -1.0
     return new, bool(empty.size)
+
+
+def _lloyd_pass(x, centroids, rows, moved=None, last=None):
+    """One Lloyd assignment pass: each row's d2, nearest centroid and that centroid's float32 score.
+
+    Without `moved`, every row is scanned in full. Otherwise `last` is the
+    pass before the update that moved the centroids `moved` lists: a row
+    whose centroid stayed is scored against the moved ones only and keeps
+    its last result unless one of them wins, and the other rows are
+    scanned in full. `kmeans_fit` says why this is exact.
+    """
+    weights, r = _score_weights(centroids, rows.exp)
+    if moved is None:
+        d2, idx = nearest_centroids(x, centroids, rows)
+        return d2, idx, np.einsum("nd,dn->n", rows.block, weights[:, idx])
+    d2, idx, score = (a.copy() for a in last)
+    stale = np.isin(idx, moved)
+    full = np.flatnonzero(stale)
+    if full.size:
+        sub = _ScaledRows(rows.exp, rows.block[full], rows.norms[full])
+        d2[full], idx[full] = nearest_centroids(x[full], centroids, sub)
+    keep = np.flatnonzero(~stale)
+    tau = _tie_tolerance(rows.norms[keep], r, x.shape[1], rows.exp)
+    wide = moved.size + 1
+    chunk = max(1, (1 << 20) // wide)
+    switched = [full]
+    for start in range(0, keep.size, chunk):
+        at = keep[start : start + chunk]
+        s = np.empty((at.size, wide), dtype=np.float32)
+        s[:, 0] = score[at]
+        np.matmul(rows.block[at], weights[:, moved], out=s[:, 1:])
+        cols = np.empty(s.shape, dtype=np.int64)
+        cols[:, 0] = idx[at]
+        cols[:, 1:] = moved
+        win = _pick(x, at, centroids, s, tau[start : start + chunk], cols)
+        now = win != idx[at]
+        at = at[now]
+        idx[at] = win[now]
+        d2[at] = _sq_dist(x[at], centroids, idx[at])
+        switched.append(at)
+    changed = np.concatenate(switched)
+    score[changed] = np.einsum("nd,dn->n", rows.block[changed], weights[:, idx[changed]])
+    return d2, idx, score
 
 
 def kmeans_fit(
@@ -354,6 +435,31 @@ def kmeans_fit(
     The loop ends on an assignment pass, before any update, so that pass
     gives each row of x the index of its nearest returned centroid, the one
     `assign` picks. `assignment`, an (n,) integer array, receives it.
+
+    Each pass and update redoes only what the last update moved, and the
+    result is bit for bit that of full passes and updates (`_lloyd_pass`):
+
+    - The first pass scans every row in full (`nearest_centroids`), and so
+      does the pass after an update that moved at least half the centroids.
+      Each later pass gives the brute-force winner by induction.
+    - The distances to a centroid that did not move are unchanged. So if a
+      row's centroid, its incumbent, stayed, the incumbent is still the
+      lowest-index nearest among the centroids that stayed, and the winner
+      lies in {incumbent} and the moved ones. The row is scored in float32
+      against the moved ones only, by one SGEMM over their columns, beside
+      the incumbent's float32 score from the pass that picked it. That score
+      is within the eps of `nearest_centroids` under the current R, since
+      the incumbent is one of the current centroids, so the same tau and
+      `_pick` decide among these candidates, ties going to the lowest index.
+      A row whose centroid moved is scanned in full.
+    - A row that keeps its centroid keeps its d2; a row that switches gets
+      the direct distance to its new centroid.
+    - A cluster whose rows did not change since the last update keeps the
+      bits of its mean: `_lloyd_update` would add the same rows in the same
+      order. So only the clusters that gained or lost a row get a new mean.
+      The first update follows k-means++ and the update after a repair
+      follows a reseeding, whose centroids are not means; those two updates
+      recompute every cluster.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
@@ -375,8 +481,10 @@ def kmeans_fit(
     history: list[float] = []
     repaired = False
     iterations = 0
+    last = moved = means_of = None
     for it in range(1, max_iters + 1):
-        d2, assign_idx = nearest_centroids(x, centroids, rows)
+        last = _lloyd_pass(x, centroids, rows, moved, last)
+        d2, assign_idx, _ = last
         mse = float(d2.mean())
         if history:
             assert mse <= history[-1] + _MONOTONE_SLACK * max(1.0, history[-1]), (
@@ -391,7 +499,17 @@ def kmeans_fit(
         iterations = it
         if stop or it == max_iters:
             break
-        centroids, repaired = _lloyd_update(x, centroids, assign_idx, d2, k)
+        dirty = None
+        if means_of is not None:
+            now = assign_idx != means_of
+            dirty = np.zeros(k, dtype=bool)
+            dirty[means_of[now]] = dirty[assign_idx[now]] = True
+        new, repaired = _lloyd_update(x, centroids, assign_idx, d2, k, dirty)
+        means_of = None if repaired else assign_idx
+        moved = np.flatnonzero((new != centroids).any(axis=1))
+        if 2 * moved.size >= k:
+            moved = None
+        centroids = new
     if assignment is not None:
         assignment[...] = assign_idx
 

@@ -149,6 +149,28 @@ def test_codebooks_tokenize_roundtrip(cli_workspace, tmp_path):
     assert dir_digest(tok) == dir_digest(tok2)
 
 
+def test_tokenize_makes_each_utterance_directory_once(cli_workspace, tmp_path, monkeypatch):
+    data, cb, tok = cli_workspace / "data", tmp_path / "cb", tmp_path / "tok"
+    assert run(["codebooks", "--dataset", data, "--layers", "2,3", "--k", 8, "--opensmile", "--out", cb]) == 0
+    made, mkdir = [], os.mkdir
+
+    def counting(path, *args, **kwargs):
+        try:
+            mkdir(path, *args, **kwargs)
+        except FileNotFoundError:  # a parent is missing: pathlib makes it, then tries again
+            raise
+        except FileExistsError:
+            made.append(Path(path))
+            raise
+        made.append(Path(path))
+
+    monkeypatch.setattr(os, "mkdir", counting)
+    assert run(["tokenize", "--dataset", data, "--split", "dev", "--codebooks", cb, "--out", tok]) == 0
+    utt_dirs = sorted((tok / "tokens").iterdir())
+    assert len(utt_dirs) == len(load_dataset(data, ("dev",)).utterances["dev"])
+    assert sorted(made) == sorted([tok, tok, tok / "tokens", *utt_dirs])  # --out again by run_metadata.json
+
+
 def test_train_eval_roundtrip(cli_workspace, tmp_path):
     data = cli_workspace / "data"
     run_dir = tmp_path / "run"

@@ -12,8 +12,11 @@ from disq.quantize import (
     TokenSequence,
     _column_sq_dist,
     _kmeanspp_init,
+    _lloyd_pass,
     _lloyd_update,
+    _max_exponent,
     _rescore,
+    _scale_rows,
     assign,
     kmeans_fit,
     nearest_centroids,
@@ -105,6 +108,22 @@ def brute_force_nearest(x, centroids):
         idx[i] = np.argmin(dist)
         d2[i] = dist[idx[i]]
     return d2, idx
+
+
+def reference_kmeans_fit(x, k, seed, max_iters):
+    """kmeans_fit's Lloyd loop with a brute-force pass over every row and a full update each iteration."""
+    centroids = _kmeanspp_init(x, k, np.random.default_rng(seed))
+    history, repaired = [], False
+    while True:
+        _, idx = brute_force_nearest(x, centroids)
+        diff = x - centroids[idx]
+        d2 = np.einsum("nd,nd->n", diff, diff)  # the direct distance, summed as nearest_centroids sums it
+        mse = float(d2.mean())
+        stop = bool(history) and not repaired and history[-1] - mse < 1e-6 * max(history[-1], np.finfo(float).tiny)
+        history.append(mse)
+        if stop or len(history) == max_iters:
+            return centroids, history, idx
+        centroids, repaired = reference_lloyd_update(x, centroids, idx, d2, k)
 
 
 # --- quantizer kernels against the reference implementations -------------------
@@ -238,6 +257,12 @@ def test_lloyd_update_matches_scatter_add_bitwise(n, d, k):
         want = reference_lloyd_update(x, centroids, assign_idx, d2, k)
         assert np.array_equal(got[0], want[0])
         assert got[1] == want[1]
+        # a partial update: unmarked clusters keep their rows unless empty, marked ones get the same means
+        dirty = rng.random(k) < 0.5
+        part = _lloyd_update(x, centroids, assign_idx, d2, k, dirty)
+        kept = ~dirty & (np.bincount(assign_idx, minlength=k) > 0)
+        assert np.array_equal(part[0], np.where(kept[:, None], centroids, want[0]))
+        assert part[1] == want[1]
 
 
 def test_nearest_centroids_matches_brute_force_across_chunks():
@@ -350,38 +375,112 @@ def test_nearest_centroids_near_ties_are_real():
     assert np.sum(ulp[:, 1] == np.nextafter(ulp[:, 0], np.inf)) > 20
 
 
-def test_kmeans_fit_follows_brute_force_at_overflowing_norms():
+def _full_scan_counter(monkeypatch):
+    """Rows each `nearest_centroids` call scans in full, in call order."""
+    scanned = []
+
+    def scanning(x, centroids, rows=None):
+        scanned.append(len(x))
+        return nearest_centroids(x, centroids, rows)
+
+    monkeypatch.setattr("disq.quantize.nearest_centroids", scanning)
+    return scanned
+
+
+def test_kmeans_fit_follows_brute_force_at_overflowing_norms(monkeypatch):
     # |c|^2 is about 1e309: an expansion of the distance would score NaN
     rng = np.random.default_rng(67)
     x = 1e154 * (1 + 1e-3 * rng.standard_normal((300, 8)))
-    cb = kmeans_fit(x, 16, seed=0, max_iters=4)
+    scanned = _full_scan_counter(monkeypatch)
+    got = np.full(len(x), -1)
+    cb = kmeans_fit(x, 16, seed=0, assignment=got)
     centroids = reference_kmeanspp_init(x, 16, np.random.default_rng(0))
     for _ in range(cb.iterations_run - 1):
         d2, idx = brute_force_nearest(x, centroids)
         centroids, _ = reference_lloyd_update(x, centroids, idx, d2, 16)
     assert cb.iterations_run > 1
     assert np.array_equal(cb.centroids, centroids)
+    assert np.array_equal(got, brute_force_nearest(x, centroids)[1])
+    # some pass compared rows with the moved centroids only
+    assert sum(scanned) < cb.iterations_run * len(x)
 
 
 def test_nearest_centroids_rescores_few_rows(tiny_dataset, monkeypatch):
     """The float32 pass decides almost every row; few reach the direct rescoring."""
     x = np.concatenate([u.layers[3].frames for u in tiny_dataset.utterances["train"]])
-    scored, rescored = [], []
-
-    def scoring(x, centroids, rows=None):
-        scored.append(len(x))
-        return nearest_centroids(x, centroids, rows)
+    scored, rescored = _full_scan_counter(monkeypatch), []
 
     def rescoring(x, centroids, cand):
         rescored.append(len(x))
         return _rescore(x, centroids, cand)
 
-    monkeypatch.setattr("disq.quantize.nearest_centroids", scoring)
     monkeypatch.setattr("disq.quantize._rescore", rescoring)
     cb = kmeans_fit(x, 64, seed=0)
-    assert len(scored) == cb.iterations_run
-    assert sum(rescored) < 0.01 * sum(scored)
+    # each pass examines every row: in a full scan, or against the centroids the last update moved
+    assert scored[0] == len(x) and sum(scored[1:]) < (cb.iterations_run - 1) * len(x)
+    assert sum(rescored) < 0.01 * cb.iterations_run * len(x)
     assert np.array_equal(nearest_centroids(x, cb.centroids)[1], brute_force_nearest(x, cb.centroids)[1])
+
+
+def _fit_cases():
+    """(x, k, seed) on which kmeans_fit's passes compare many rows with the moved centroids only."""
+    rng = np.random.default_rng(71)
+    centres = 6.0 * rng.standard_normal((64, 8))
+    # two duplicated points for one centroid: the second update finds it empty and reseeds it
+    dup = [[1.0, 3.0]] * 2 + [[0.5, 7.5]] * 2 + [[7.5, 7.0]] * 3 + [[7.0, 5.5], [1.5, 2.0]] + [[2.5, 1.5]] * 2
+    return {
+        "blobs": (centres[rng.integers(64, size=2000)] + rng.standard_normal((2000, 8)), 64, 1),
+        # integer points: distances tie exactly, between incumbents and moved centroids too
+        "integer_grid": (rng.integers(-4, 5, size=(1500, 2)).astype(float), 10, 1),
+        "half_integer_line": (rng.integers(-20, 21, size=(600, 1)) / 2.0, 13, 0),
+        "mid_fit_repair": (np.array(dup), 3, 295),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_fit_cases()))
+def test_kmeans_fit_matches_full_pass_lloyd_bitwise(case):
+    x, k, seed = _fit_cases()[case]
+    got = np.full(len(x), -1)
+    cb = kmeans_fit(x, k, seed, max_iters=100, assignment=got)
+    centroids, history, idx = reference_kmeans_fit(x, k, seed, max_iters=100)
+    assert cb.centroids.tobytes() == centroids.tobytes()
+    assert cb.distortion_history == history
+    assert cb.iterations_run == len(history)
+    assert np.array_equal(got, idx)
+
+
+def test_fit_cases_take_the_paths_they_are_for(monkeypatch):
+    """Blobs mostly compare rows with moved centroids; the repair case reseeds after its first update."""
+    scanned = _full_scan_counter(monkeypatch)
+    x, k, seed = _fit_cases()["blobs"]
+    cb = kmeans_fit(x, k, seed)
+    assert cb.iterations_run > 5
+    assert sum(scanned) < cb.iterations_run * len(x) / 2
+    repairs = []
+
+    def updating(*args):
+        new, repaired = _lloyd_update(*args)
+        repairs.append(repaired)
+        return new, repaired
+
+    monkeypatch.setattr("disq.quantize._lloyd_update", updating)
+    kmeans_fit(*_fit_cases()["mid_fit_repair"])
+    assert not repairs[0] and any(repairs[1:])
+
+
+def test_lloyd_pass_breaks_ties_with_moved_centroids_by_index():
+    """A row whose incumbent ties a moved centroid takes the lower index of the two."""
+    before = np.array([[10.0], [-6.0], [4.0], [20.0]])
+    after = np.array([[10.0], [2.0], [4.0], [6.0]])  # centroids 1 and 3 moved
+    # 3 ties incumbent 2 with moved 1, 8 incumbent 0 with moved 3, 5 incumbent 2 with moved 3
+    x = np.array([[3.0], [8.0], [5.0], [-5.0], [12.0]])
+    rows = _scale_rows(x, _max_exponent(x, before))
+    last = _lloyd_pass(x, before, rows)
+    assert last[1].tolist() == [2, 0, 2, 1, 0]
+    d2, idx, _ = _lloyd_pass(x, after, rows, np.array([1, 3]), last)
+    want_d2, want_idx = brute_force_nearest(x, after)
+    assert idx.tolist() == want_idx.tolist() == [1, 0, 2, 1, 0]
+    assert np.array_equal(d2, want_d2)
 
 
 # --- kmeans_fit -----------------------------------------------------------------

@@ -754,4 +754,4 @@ def test_rvq_train_tokens_come_from_the_stage_fits(tiny_dataset, monkeypatch):
     monkeypatch.setattr(quantize, "nearest_centroids", spy)
     items = prepare_rvq_items(tiny_dataset, "train", layer=3, stages=(0, 1), k_per_stage=8, cache=CodebookCache())
     assert len(items) == len(tiny_dataset.utterances["train"])
-    assert callers and set(callers) == {"kmeans_fit"}
+    assert callers and set(callers) == {"_lloyd_pass"}  # kmeans_fit's pass helper
